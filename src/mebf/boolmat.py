@@ -3,7 +3,8 @@
 Entries are stored one per bit in row-major uint8 words, most significant
 bit first (the ``np.packbits`` convention).  Padding bits past the last
 column of each row are kept at zero, so whole-word AND/XOR/OR and popcounts
-are valid without masking.
+are valid without masking.  Popcounts use ``np.bitwise_count``; whole-array
+totals read contiguous bytes as uint64 words when their count allows it.
 """
 
 from __future__ import annotations
@@ -24,13 +25,14 @@ __all__ = [
     "dot",
     "elementwise",
     "rank1_cost",
+    "rank1_overlap",
     "rank1_product",
     "row_dot_counts",
     "utl_rearrange",
 ]
 
-# Per-byte popcount table; sums are taken with an int64 accumulator.
-_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+# Rows per block in col_sums: a uint8 column tally cannot overflow at 255.
+_TALLY_ROWS = 255
 
 _ELEMENTWISE_UFUNCS = {
     "xor": np.bitwise_xor,
@@ -41,6 +43,14 @@ _ELEMENTWISE_UFUNCS = {
 
 def _packed_width(n_cols: int) -> int:
     return (n_cols + 7) // 8
+
+
+def _popcount(words: np.ndarray) -> int:
+    """Total number of set bits in an array of packed words."""
+    flat = words.reshape(-1)
+    if flat.flags.c_contiguous and flat.size % 8 == 0:
+        flat = flat.view(np.uint64)
+    return int(np.bitwise_count(flat).sum(dtype=np.int64))
 
 
 def _pad_mask(n_cols: int) -> np.ndarray:
@@ -84,7 +94,7 @@ class BinaryVector:
 
     def count(self) -> int:
         """Number of ones."""
-        return int(_POPCOUNT[self._packed].sum(dtype=np.int64))
+        return _popcount(self._packed)
 
     def copy(self) -> BinaryVector:
         return BinaryVector(self.length, self._packed.copy())
@@ -176,16 +186,19 @@ class BinaryMatrix:
 
     def count(self) -> int:
         """Total number of ones (the L1 norm)."""
-        return int(_POPCOUNT[self._packed].sum(dtype=np.int64))
-
-    def is_zero(self) -> bool:
-        return not self._packed.any()
+        return _popcount(self._packed)
 
     def row_sums(self) -> np.ndarray:
-        return _POPCOUNT[self._packed].sum(axis=1, dtype=np.int64)
+        return np.bitwise_count(self._packed).sum(axis=1, dtype=np.int64)
 
     def col_sums(self) -> np.ndarray:
-        return self.to_dense().sum(axis=0, dtype=np.int64)
+        """Ones per column, unpacking one block of rows at a time."""
+        totals = np.zeros(self.n_cols, dtype=np.int64)
+        for start in range(0, self.n_rows, _TALLY_ROWS):
+            block = np.unpackbits(self._packed[start:start + _TALLY_ROWS],
+                                  axis=1, count=self.n_cols)
+            totals += block.sum(axis=0, dtype=np.uint8)
+        return totals
 
     def row(self, i: int) -> BinaryVector:
         return BinaryVector(self.n_cols, self._packed[i].copy())
@@ -322,7 +335,7 @@ def dot(u: BinaryVector, v: BinaryVector) -> int:
     """Inner product of two binary vectors (size of the overlap)."""
     if u.length != v.length:
         raise ValueError(f"length mismatch: {u.length} vs {v.length}")
-    return int(_POPCOUNT[u._packed & v._packed].sum(dtype=np.int64))
+    return _popcount(u._packed & v._packed)
 
 
 def col_dot_counts(x: BinaryMatrix, v: BinaryVector) -> np.ndarray:
@@ -340,7 +353,21 @@ def row_dot_counts(x: BinaryMatrix, v: BinaryVector) -> np.ndarray:
     """Inner products of every row of x with a vector over the columns."""
     if v.length != x.n_cols:
         raise ValueError(f"length mismatch: {v.length} vs {x.n_cols} cols")
-    return _POPCOUNT[x._packed & v._packed].sum(axis=1, dtype=np.int64)
+    return np.bitwise_count(x._packed & v._packed).sum(axis=1, dtype=np.int64)
+
+
+def rank1_overlap(row_mask: BinaryVector, col_mask: BinaryVector,
+                  x: BinaryMatrix) -> int:
+    """Number of ones of x inside the pattern (row_mask, col_mask).
+
+    Only the pattern's rows of x are read.
+    """
+    if row_mask.length != x.n_rows or col_mask.length != x.n_cols:
+        raise ValueError(
+            f"pattern ({row_mask.length}, {col_mask.length}) does not fit "
+            f"matrix {x.shape}")
+    selected = x._packed[row_mask.to_dense() == 1]
+    return _popcount(selected & col_mask._packed)
 
 
 def rank1_cost(row_mask: BinaryVector, col_mask: BinaryVector,
@@ -350,10 +377,5 @@ def rank1_cost(row_mask: BinaryVector, col_mask: BinaryVector,
     Equals ``cost_gamma`` of the rank-1 product against x, computed without
     materializing the product: |x| + |pattern| - 2 * overlap.
     """
-    if row_mask.length != x.n_rows or col_mask.length != x.n_cols:
-        raise ValueError(
-            f"pattern ({row_mask.length}, {col_mask.length}) does not fit "
-            f"matrix {x.shape}")
-    selected = x._packed[row_mask.to_dense() == 1]
-    overlap = int(_POPCOUNT[selected & col_mask._packed].sum(dtype=np.int64))
+    overlap = rank1_overlap(row_mask, col_mask, x)
     return x.count() + row_mask.count() * col_mask.count() - 2 * overlap

@@ -20,6 +20,7 @@ from .boolmat import (
     complement,
     elementwise,
     rank1_cost,
+    rank1_overlap,
     rank1_product,
     row_dot_counts,
     utl_rearrange,
@@ -175,6 +176,21 @@ def weak_signal_detection(x_res: BinaryMatrix, t: float) -> Pattern | None:
     return min(candidates, key=lambda ab: rank1_cost(ab[0], ab[1], x_res))
 
 
+def _candidate_cost(pair: Pattern, best_cost: int, recon: BinaryMatrix,
+                    residual: BinaryMatrix) -> tuple[int, int]:
+    """(cost against x after adding the pattern, residual ones it covers).
+
+    Adding pattern P to recon flips the entries of P outside recon: those
+    in the residual (ones of x) lower the cost and the rest raise it, so
+    the cost moves by |P| - |P and recon| - 2 |P and residual|.
+    """
+    rows, cols = pair
+    covered = rank1_overlap(rows, cols, residual)
+    size = rows.count() * cols.count()
+    return (best_cost + size - rank1_overlap(rows, cols, recon)
+            - 2 * covered, covered)
+
+
 def mebf_factorize(x: BinaryMatrix, cfg: MebfConfig) -> FactorResult:
     """Factorize x into at most cfg.k_max rank-1 patterns.
 
@@ -183,7 +199,9 @@ def mebf_factorize(x: BinaryMatrix, cfg: MebfConfig) -> FactorResult:
     always accepted).  A rejected growth candidate triggers the
     weak-signal fallback; if that candidate is also rejected the run ends.
     Accepted patterns are flipped to zero in the residual, so the run also
-    ends when the residual empties or the budget is reached.
+    ends when the residual empties or the budget is reached.  The cost and
+    the residual one-count are kept as running integers, updated from each
+    pattern's overlaps rather than recounted over the whole matrix.
     """
     if x.n_rows < 1 or x.n_cols < 1:
         raise ValueError(f"matrix must have at least one row and one "
@@ -191,7 +209,8 @@ def mebf_factorize(x: BinaryMatrix, cfg: MebfConfig) -> FactorResult:
 
     residual = x.copy()
     recon = BinaryMatrix.zeros(x.n_rows, x.n_cols)
-    best_cost: int | None = None
+    # the empty factorization misses every one of x
+    best_cost = residual_count = x.count()
     row_parts: list[BinaryVector] = []
     col_parts: list[BinaryVector] = []
     cost_history: list[int] = []
@@ -199,37 +218,34 @@ def mebf_factorize(x: BinaryMatrix, cfg: MebfConfig) -> FactorResult:
     iterations = 0
     weak_uses = 0
 
-    while len(row_parts) < cfg.k_max and not residual.is_zero():
+    while len(row_parts) < cfg.k_max and residual_count:
         iterations += 1
         pair = bidirectional_growth(residual, cfg.t)
-        pattern = rank1_product(*pair)
-        candidate_recon = elementwise("or", recon, pattern)
-        cost = elementwise("xor", x, candidate_recon).count()
+        cost, covered = _candidate_cost(pair, best_cost, recon, residual)
         from_weak = False
 
-        if best_cost is not None and cost > best_cost:
+        if row_parts and cost > best_cost:
             pair = weak_signal_detection(residual, cfg.t)
             if pair is None:
                 break
-            pattern = rank1_product(*pair)
-            candidate_recon = elementwise("or", recon, pattern)
-            cost = elementwise("xor", x, candidate_recon).count()
+            cost, covered = _candidate_cost(pair, best_cost, recon, residual)
             if cost > best_cost:
                 break
             from_weak = True
 
-        row_parts.append(pair[0])
-        col_parts.append(pair[1])
-        recon = candidate_recon
-        best_cost = cost
-        cost_history.append(cost)
-        next_residual = elementwise("and", residual, complement(pattern))
-        if next_residual.count() >= residual.count():
+        if not covered:
             raise RuntimeError(
                 "accepted pattern covered no residual ones; "
                 "factorization cannot progress")
-        residual = next_residual
-        residual_history.append(residual.count())
+        row_parts.append(pair[0])
+        col_parts.append(pair[1])
+        pattern = rank1_product(*pair)
+        recon = elementwise("or", recon, pattern)
+        residual = elementwise("and", residual, complement(pattern))
+        best_cost = cost
+        residual_count -= covered
+        cost_history.append(cost)
+        residual_history.append(residual_count)
         weak_uses += from_weak
 
     return FactorResult(

@@ -19,6 +19,7 @@ from mebf.boolmat import (
     dot,
     elementwise,
     rank1_cost,
+    rank1_overlap,
     rank1_product,
     row_dot_counts,
     utl_rearrange,
@@ -244,6 +245,81 @@ class TestSumsAndDots:
         assert np.array_equal(
             row_dot_counts(mat, BinaryVector.from_dense(over_cols)),
             dense @ over_cols)
+
+
+class TestKernelsAtBlockEdges:
+    """Popcount kernels against dense numpy around the 255-row column tally.
+
+    col_sums tallies each block of 255 rows in uint8, so a column of ones
+    reaches the tally's maximum at 255 rows and spills into a second block
+    at 256.  Widths straddle the 8-bit byte and the 64-bit word.
+    """
+
+    @pytest.mark.parametrize("n_rows", [254, 255, 256, 511])
+    @pytest.mark.parametrize("n_cols", [1, 9, 64, 65, 129])
+    @pytest.mark.parametrize("density", [0.5, 1.0])
+    def test_against_dense(self, n_rows, n_cols, density):
+        rng = np.random.default_rng(n_rows * 1000 + n_cols)
+        dense = (rng.random((n_rows, n_cols)) < density).astype(np.uint8)
+        dense[:, 0] = 1
+        dense[:, -1] = 1
+        mat = BinaryMatrix.from_dense(dense)
+        over_cols = (rng.random(n_cols) < 0.5).astype(np.uint8)
+        row_mask = (rng.random(n_rows) < 0.5).astype(np.uint8)
+        col_mask = (rng.random(n_cols) < 0.5).astype(np.uint8)
+
+        assert mat.count() == int(dense.sum())
+        assert np.array_equal(mat.row_sums(), dense.sum(axis=1))
+        assert np.array_equal(mat.col_sums(), dense.sum(axis=0))
+        assert mat.col_sums()[0] == n_rows
+        assert np.array_equal(
+            row_dot_counts(mat, BinaryVector.from_dense(over_cols)),
+            dense.astype(np.int64) @ over_cols)
+        assert rank1_overlap(BinaryVector.from_dense(row_mask),
+                             BinaryVector.from_dense(col_mask), mat) == int(
+            (dense & np.outer(row_mask, col_mask)).sum())
+
+    def test_all_ones(self):
+        for n_rows in (254, 255, 256, 511):
+            mat = BinaryMatrix.ones(n_rows, 129)
+            assert mat.count() == n_rows * 129
+            assert mat.col_sums().tolist() == [n_rows] * 129
+            assert mat.row_sums().tolist() == [129] * n_rows
+
+    def test_empty_axes(self):
+        assert BinaryMatrix.zeros(300, 0).col_sums().shape == (0,)
+        assert BinaryMatrix.zeros(0, 70).col_sums().tolist() == [0] * 70
+        assert BinaryMatrix.zeros(0, 70).count() == 0
+
+
+class TestRank1Overlap:
+    def test_hand_example(self):
+        x = BinaryMatrix.from_dense([[1, 1, 0], [0, 1, 1], [1, 1, 1]])
+        rows = BinaryVector.from_dense([1, 0, 1])
+        cols = BinaryVector.from_dense([0, 1, 1])
+        assert rank1_overlap(rows, cols, x) == 3
+
+    def test_empty_pattern(self):
+        x = BinaryMatrix.ones(4, 5)
+        assert rank1_overlap(BinaryVector.zeros(4), BinaryVector.ones(5),
+                             x) == 0
+        assert rank1_overlap(BinaryVector.ones(4), BinaryVector.zeros(5),
+                             x) == 0
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError, match="does not fit"):
+            rank1_overlap(BinaryVector.ones(3), BinaryVector.ones(4),
+                          BinaryMatrix.zeros(4, 4))
+
+    @given(binary_arrays(min_rows=1, min_cols=1), st.data())
+    def test_against_numpy(self, dense, data):
+        n, m = dense.shape
+        row_mask = data.draw(arrays(np.uint8, n, elements=st.integers(0, 1)))
+        col_mask = data.draw(arrays(np.uint8, m, elements=st.integers(0, 1)))
+        got = rank1_overlap(BinaryVector.from_dense(row_mask),
+                            BinaryVector.from_dense(col_mask),
+                            BinaryMatrix.from_dense(dense))
+        assert got == int((dense & np.outer(row_mask, col_mask)).sum())
 
 
 class TestUtlRearrange:

@@ -6,8 +6,12 @@ touching the packed kernels, so it independently pins every behavioral
 choice of the fast path.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mebf.boolmat import (
     BinaryMatrix,
@@ -24,6 +28,7 @@ from mebf.factorize import (
     mebf_factorize,
     weak_signal_detection,
 )
+from mebf.simulate import SimulationSpec, simulate
 
 # fixture known to exercise the weak-signal fallback inside the loop
 WEAK_PATH_DENSE = [
@@ -117,6 +122,45 @@ def ref_factorize(dense, t, k_max):
         residual[np.outer(*pair).astype(bool)] = 0
         weak_uses += used_weak
     return patterns, history, weak_uses
+
+
+# widths on both sides of the 8-bit byte and the 64-bit word
+WORD_WIDTHS = (1, 7, 8, 9, 63, 64, 65, 127, 129)
+
+
+@st.composite
+def boundary_instances(draw):
+    """(dense, t, k_max) with a word-boundary width along one axis.
+
+    The other axis is often 1, giving 1 x m and n x 1 shapes, and reaches
+    32, where the weak-signal fallback fires.  Whole rows or columns may
+    be forced to ones or zeros, and a matrix may be tiled from a few rows
+    so that many row and column sums tie.  Both axes stay below 256, which
+    keeps the reference's uint8 products exact.
+    """
+    width = draw(st.sampled_from(WORD_WIDTHS))
+    other = draw(st.sampled_from((16, 24, 32, 1, 2, 3, 8)))
+    n, m = (other, width) if draw(st.booleans()) else (width, other)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from((0.2, 0.3, 0.05, 0.5, 0.95)))
+    if draw(st.integers(0, 3)):
+        dense = (rng.random((n, m)) < density).astype(np.uint8)
+    else:
+        base = (rng.random((draw(st.integers(1, 3)), m)) < density)
+        dense = np.resize(base.astype(np.uint8), (n, m))
+    for axis, value in draw(st.lists(st.tuples(st.integers(0, 1),
+                                               st.integers(0, 1)),
+                                     max_size=3)):
+        index = draw(st.integers(0, dense.shape[axis] - 1))
+        if axis == 0:
+            dense[index, :] = value
+        else:
+            dense[:, index] = value
+    t = draw(st.sampled_from(("mid", "low", "mid", "high")).flatmap(
+        lambda band: {"low": st.floats(1e-6, 0.05),
+                      "mid": st.floats(0.05, 0.95),
+                      "high": st.floats(0.95, 1 - 1e-6)}[band]))
+    return dense, t, draw(st.sampled_from((10, 4, 2, 1)))
 
 
 def random_matrix(rng, max_dim=12):
@@ -284,6 +328,41 @@ class TestFactorize:
                 assert got_b.to_dense().tolist() == b.tolist()
 
 
+def assert_matches_reference(dense, t, k_max):
+    """Run both loops; every pattern and trace must agree.  Returns the
+    reference's weak-signal use count."""
+    result = mebf_factorize(BinaryMatrix.from_dense(dense),
+                            MebfConfig(t=t, k_max=k_max))
+    patterns, history, weak_uses = ref_factorize(dense, t, k_max)
+    assert list(result.cost_history) == history
+    assert result.weak_signal_uses == weak_uses
+    assert result.k == len(patterns)
+    for l, (a, b) in enumerate(patterns):
+        got_a, got_b = result.pattern(l)
+        assert got_a.to_dense().tolist() == a.tolist()
+        assert got_b.to_dense().tolist() == b.tolist()
+    return weak_uses
+
+
+class TestWordBoundaries:
+    @given(boundary_instances())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_loop(self, instance):
+        assert_matches_reference(*instance)
+
+    def test_fallback_at_word_widths(self):
+        # sparse 24-line matrices make the fallback fire; the random cases
+        # above reach it only now and then
+        rng = np.random.default_rng(79)
+        fallback_runs = 0
+        for width in WORD_WIDTHS:
+            for shape in ((24, width), (width, 24)) * 10:
+                dense = (rng.random(shape) < 0.25).astype(np.uint8)
+                t = float(rng.uniform(0.2, 0.8))
+                fallback_runs += assert_matches_reference(dense, t, 10) > 0
+        assert fallback_runs >= 10
+
+
 class TestFactorizeInvariants:
     def test_histories_and_termination(self):
         rng = np.random.default_rng(61)
@@ -342,6 +421,53 @@ class TestFactorizeInvariants:
                                         MebfConfig(t=t, k_max=8))
                 assert result.k == blocks
                 assert result.cost_history[-1] == 0
+
+
+# planted instances of at least 500 x 500; the second takes the
+# weak-signal fallback four times
+PLANTED = {
+    "dense_blocks": (SimulationSpec(n=600, m=600, k=5, p0=0.2, p=0.01,
+                                    seed=0), 0.8, 10),
+    "weak_fallback": (SimulationSpec(n=600, m=600, k=12, p0=0.06, p=0.003,
+                                     seed=2), 0.3, 20),
+}
+
+
+class TestPlantedInvariants:
+    """The running cost and residual counts against full recomputation."""
+
+    @pytest.mark.parametrize("name", sorted(PLANTED))
+    def test_running_counts_match_recomputation(self, name):
+        spec, t, k_max = PLANTED[name]
+        x = simulate(spec).X
+        result = mebf_factorize(x, MebfConfig(t=t, k_max=k_max))
+        assert result.k > 1
+        if name == "weak_fallback":
+            assert result.weak_signal_uses > 0
+        recon = BinaryMatrix.zeros(*x.shape)
+        for l in range(result.k):
+            recon = elementwise("or", recon,
+                                rank1_product(*result.pattern(l)))
+            uncovered = elementwise("and", x, complement(recon))
+            assert result.residual_history[l] == uncovered.count()
+        assert recon == bool_product(result.A, result.B)
+        assert result.cost_history[-1] == cost_gamma(result.A, result.B, x)
+
+    def test_peak_memory_is_a_small_multiple_of_the_input(self):
+        # measured at 5.13x; lower the bound as the loop allocates less,
+        # never raise it
+        x = simulate(SimulationSpec(n=2000, m=2000, k=5, p0=0.2, p=0.01,
+                                    seed=3)).X
+        cfg = MebfConfig(t=0.8, k_max=10)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = mebf_factorize(x, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert result.k == 10
+        assert peak <= 5.5 * x._packed.nbytes
 
 
 class TestFactorResult:
