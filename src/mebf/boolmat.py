@@ -31,8 +31,9 @@ __all__ = [
     "utl_rearrange",
 ]
 
-# Rows per block in col_sums: a uint8 column tally cannot overflow at 255.
-_TALLY_ROWS = 255
+# Rows per unpacked block: bounds the dense temporaries of a full pass, and
+# a uint8 column tally of one block cannot overflow.
+_BLOCK_ROWS = 255
 
 _ELEMENTWISE_UFUNCS = {
     "xor": np.bitwise_xor,
@@ -59,6 +60,13 @@ def _pad_mask(n_cols: int) -> np.ndarray:
     if n_cols % 8:
         mask[-1] = (0xFF << (8 - n_cols % 8)) & 0xFF
     return mask
+
+
+def _dense_blocks(packed: np.ndarray, n_cols: int):
+    """(first row, dense uint8 rows) for each block of _BLOCK_ROWS rows."""
+    for start in range(0, len(packed), _BLOCK_ROWS):
+        yield start, np.unpackbits(packed[start:start + _BLOCK_ROWS], axis=1,
+                                   count=n_cols)
 
 
 def _validate_binary(dense: np.ndarray) -> np.ndarray:
@@ -194,11 +202,13 @@ class BinaryMatrix:
     def col_sums(self) -> np.ndarray:
         """Ones per column, unpacking one block of rows at a time."""
         totals = np.zeros(self.n_cols, dtype=np.int64)
-        for start in range(0, self.n_rows, _TALLY_ROWS):
-            block = np.unpackbits(self._packed[start:start + _TALLY_ROWS],
-                                  axis=1, count=self.n_cols)
+        for _, block in _dense_blocks(self._packed, self.n_cols):
             totals += block.sum(axis=0, dtype=np.uint8)
         return totals
+
+    def row_blocks(self):
+        """Yield (first row, dense uint8 rows) one block of rows at a time."""
+        return _dense_blocks(self._packed, self.n_cols)
 
     def row(self, i: int) -> BinaryVector:
         return BinaryVector(self.n_cols, self._packed[i].copy())
@@ -208,8 +218,16 @@ class BinaryMatrix:
         return BinaryVector(self.n_rows, np.packbits(bits))
 
     def nonzero(self) -> tuple[np.ndarray, np.ndarray]:
-        """(row_indices, col_indices) of the ones, row-major order."""
-        return np.nonzero(self.to_dense())
+        """(row_indices, col_indices) of the ones, row-major order.
+
+        Unpacks one block of rows at a time.
+        """
+        rows, cols = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+        for start, block in _dense_blocks(self._packed, self.n_cols):
+            block_rows, block_cols = np.nonzero(block)
+            rows.append(block_rows + start)
+            cols.append(block_cols)
+        return np.concatenate(rows), np.concatenate(cols)
 
     def copy(self) -> BinaryMatrix:
         return BinaryMatrix(self.n_rows, self.n_cols, self._packed.copy())

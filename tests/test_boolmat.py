@@ -248,11 +248,12 @@ class TestSumsAndDots:
 
 
 class TestKernelsAtBlockEdges:
-    """Popcount kernels against dense numpy around the 255-row column tally.
+    """Kernels against dense numpy around the 255-row block.
 
     col_sums tallies each block of 255 rows in uint8, so a column of ones
     reaches the tally's maximum at 255 rows and spills into a second block
-    at 256.  Widths straddle the 8-bit byte and the 64-bit word.
+    at 256; nonzero and row_blocks unpack the same blocks.  Widths straddle
+    the 8-bit byte and the 64-bit word.
     """
 
     @pytest.mark.parametrize("n_rows", [254, 255, 256, 511])
@@ -278,6 +279,13 @@ class TestKernelsAtBlockEdges:
         assert rank1_overlap(BinaryVector.from_dense(row_mask),
                              BinaryVector.from_dense(col_mask), mat) == int(
             (dense & np.outer(row_mask, col_mask)).sum())
+        rows, cols = mat.nonzero()
+        expected_rows, expected_cols = np.nonzero(dense)
+        assert np.array_equal(rows, expected_rows)
+        assert np.array_equal(cols, expected_cols)
+        starts, blocks = zip(*mat.row_blocks())
+        assert starts == tuple(range(0, n_rows, 255))
+        assert np.array_equal(np.vstack(blocks), dense)
 
     def test_all_ones(self):
         for n_rows in (254, 255, 256, 511):
@@ -288,6 +296,9 @@ class TestKernelsAtBlockEdges:
 
     def test_empty_axes(self):
         assert BinaryMatrix.zeros(300, 0).col_sums().shape == (0,)
+        for shape in ((300, 0), (0, 70)):
+            rows, cols = BinaryMatrix.zeros(*shape).nonzero()
+            assert rows.size == cols.size == 0
         assert BinaryMatrix.zeros(0, 70).col_sums().tolist() == [0] * 70
         assert BinaryMatrix.zeros(0, 70).count() == 0
 

@@ -192,6 +192,24 @@ class TestMetrics:
                      "--report", str(rebuilt)]) == 0
         assert original.read_bytes() == rebuilt.read_bytes()
 
+    @pytest.mark.parametrize("fmt", ["dense01", "coo"])
+    def test_report_rebuilt_from_planted_files(self, tmp_path, fmt):
+        x_path = tmp_path / f"x.{fmt}"
+        assert main(["simulate", "--n", "600", "--m", "500", "--k", "5",
+                     "--p0", "0.2", "--p", "0.01", "--seed", "5",
+                     "--out", str(x_path), "--format", fmt]) == 0
+        out_a, out_b = tmp_path / "a.txt", tmp_path / "b.txt"
+        original = tmp_path / "factorize.json"
+        rebuilt = tmp_path / "metrics.json"
+        assert main(["factorize", "--input", str(x_path), "--format", fmt,
+                     "--t", "0.8", "--k", "10", "--out-a", str(out_a),
+                     "--out-b", str(out_b), "--report", str(original)]) == 0
+        assert main(["metrics", "--input", str(x_path), "--format", fmt,
+                     "--a", str(out_a), "--b", str(out_b),
+                     "--report", str(rebuilt)]) == 0
+        assert json.loads(original.read_bytes())["pattern_count"] > 1
+        assert original.read_bytes() == rebuilt.read_bytes()
+
     def test_truth_enables_reconstruction_error(self, tmp_path):
         x_path = tmp_path / "x.txt"
         u_path = tmp_path / "u.txt"
@@ -253,6 +271,29 @@ class TestMetrics:
         assert main(["metrics", "--input", str(block_file),
                      "--a", str(out_a), "--b", str(out_b),
                      "--u", str(out_a)]) == 2
+
+
+class TestMalformedInput:
+    """Malformed files exit 1 with a message that names the bad line."""
+
+    @pytest.mark.parametrize("fmt,content,message", [
+        ("coo", b"2 2 1\n1 1\n2 2\n",
+         "line 3: expected 1 coordinate lines, found 2"),
+        ("coo", b"2 2 2\n1 1\n",
+         "line 3: expected 2 coordinate lines, found 1"),
+        ("dense01", b"10\n0\xc3\xa9\n",
+         "line 2: invalid character '\\xc3', expected ASCII text"),
+        ("csv", b"1.5\n\xc3\xa9\n",
+         "line 2: invalid character '\\xc3', expected ASCII text"),
+    ])
+    def test_stderr_names_the_line(self, tmp_path, capsys, fmt, content,
+                                   message):
+        path = tmp_path / "x.dat"
+        path.write_bytes(content)
+        code = main(["factorize", "--input", str(path), "--format", fmt,
+                     "--t", "0.5", "--k", "2"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestDenoise:
