@@ -9,7 +9,6 @@ from .boolmat import (
     BinaryMatrix,
     BinaryVector,
     UtlView,
-    axis_sums,
     bool_product,
     complement,
     cost_gamma,
@@ -67,7 +66,6 @@ __all__ = [
     "SimulationSpec",
     "UndefinedMetricError",
     "UtlView",
-    "axis_sums",
     "bidirectional_growth",
     "binarize",
     "bool_product",

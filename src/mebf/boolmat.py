@@ -17,7 +17,6 @@ __all__ = [
     "BinaryMatrix",
     "BinaryVector",
     "UtlView",
-    "axis_sums",
     "bool_product",
     "col_dot_counts",
     "complement",
@@ -330,11 +329,6 @@ def rank1_product(row_mask: BinaryVector,
                    dtype=np.uint8)
     out[row_mask.to_dense() == 1] = col_mask._packed
     return BinaryMatrix(row_mask.length, col_mask.length, out)
-
-
-def axis_sums(x: BinaryMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """(row_sums, col_sums) of a binary matrix."""
-    return x.row_sums(), x.col_sums()
 
 
 def cost_gamma(a_mat: BinaryMatrix, b_mat: BinaryMatrix,

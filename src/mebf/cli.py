@@ -10,7 +10,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 
 from .boolmat import BinaryMatrix
 from .factorize import MebfConfig, mebf_factorize
@@ -24,37 +23,14 @@ from .matio import (
     write_matrix,
 )
 from .metrics import MetricsReport, build_report, report_from_factors
-from .oracle import exhaustive_bmf
 from .simulate import SimulationSpec, preset_grid, replicate_seed, simulate
 
 BENCH_CSV_HEADER = ("scenario,replicate,seed,reconstruction_error,"
                     "density,coverage,patterns,seconds")
 
-# The oracle subcommand is callable but kept out of the help text.
-_PUBLIC_COMMANDS = "{factorize,simulate,bench,denoise,metrics}"
-
 
 class UsageError(Exception):
     """Bad argument combinations beyond what argparse can express."""
-
-
-@dataclass(frozen=True)
-class BenchScenario:
-    """One benchmark configuration: a simulation preset plus run knobs."""
-
-    name: str
-    n: int
-    m: int
-    k: int
-    p0: float
-    p: float
-    t: float
-    k_max: int
-    replicates: int
-
-    def spec(self, seed: int) -> SimulationSpec:
-        return SimulationSpec(n=self.n, m=self.m, k=self.k, p0=self.p0,
-                              p=self.p, seed=seed)
 
 
 def _fraction(text: str) -> float:
@@ -120,6 +96,12 @@ def cmd_factorize(args) -> int:
     return 0
 
 
+def _spec(params: dict, seed: int) -> SimulationSpec:
+    """Simulation spec from a preset (or flag) parameter dict and a seed."""
+    return SimulationSpec(n=params["n"], m=params["m"], k=params["k"],
+                          p0=params["p0"], p=params["p"], seed=seed)
+
+
 def cmd_simulate(args) -> int:
     explicit = (args.n, args.m, args.k, args.p0, args.p)
     if args.scenarios is not None:
@@ -140,8 +122,7 @@ def cmd_simulate(args) -> int:
         params = {"n": args.n, "m": args.m, "k": args.k,
                   "p0": args.p0, "p": args.p}
 
-    spec = SimulationSpec(n=params["n"], m=params["m"], k=params["k"],
-                          p0=params["p0"], p=params["p"], seed=args.seed)
+    spec = _spec(params, args.seed)
     inst = simulate(spec)
     write_matrix(inst.X, args.out, args.format)
     if args.out_a:
@@ -171,25 +152,22 @@ def cmd_bench(args) -> int:
                 f"{', '.join(by_name)} (or 'all')")
         chosen = [by_name[nm] for nm in names]
 
-    scenarios = [BenchScenario(t=args.t, k_max=args.k,
-                               replicates=args.replicates, **params)
-                 for params in chosen]
     cfg = MebfConfig(t=args.t, k_max=args.k)
     _log(f"bench: t={args.t:g}, k_max={args.k}, "
          f"replicates={args.replicates}, master seed {args.seed}")
 
     rows = [BENCH_CSV_HEADER]
-    for sc in scenarios:
-        for rep in range(sc.replicates):
+    for params in chosen:
+        for rep in range(args.replicates):
             seed = replicate_seed(args.seed, rep)
-            inst = simulate(sc.spec(seed))
+            inst = simulate(_spec(params, seed))
             start = time.perf_counter()
             result = mebf_factorize(inst.X, cfg)
             elapsed = time.perf_counter() - start
             report = build_report(inst.X, result, truth=(inst.U, inst.V),
                                   wall_time=elapsed)
             rows.append(",".join([
-                sc.name,
+                params["name"],
                 str(rep),
                 str(seed),
                 _csv_field(report.reconstruction_error),
@@ -250,17 +228,6 @@ def cmd_metrics(args) -> int:
     return 0
 
 
-def cmd_oracle(args) -> int:
-    x = _load_binary(args.input, args.format, args.threshold)
-    a_mat, b_mat, min_cost = exhaustive_bmf(x, args.k)
-    print(min_cost)
-    if args.out_a:
-        write_matrix(a_mat, args.out_a, "dense01")
-    if args.out_b:
-        write_matrix(b_mat, args.out_b, "dense01")
-    return 0
-
-
 def _add_input_flags(p, default_format: str = "dense01") -> None:
     p.add_argument("--input", required=True, help="matrix file to read")
     p.add_argument("--format", choices=FORMATS, default=default_format,
@@ -275,8 +242,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Boolean matrix factorization toolkit: median-expansion "
                     "pattern mining, simulation, benchmarking, metrics, and "
                     "continuous-matrix denoising.")
-    sub = parser.add_subparsers(dest="command", required=True,
-                                metavar=_PUBLIC_COMMANDS)
+    # no dest: usage errors then name the command by its choices
+    sub = parser.add_subparsers(required=True)
 
     fac = sub.add_parser("factorize", help="factorize a binary matrix file")
     _add_input_flags(fac)
@@ -347,13 +314,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="report output path (default: stdout)")
     met.set_defaults(handler=cmd_metrics)
 
-    orc = sub.add_parser("oracle")  # debugging aid, hidden from help
-    _add_input_flags(orc)
-    orc.add_argument("--k", type=_positive, required=True)
-    orc.add_argument("--out-a")
-    orc.add_argument("--out-b")
-    orc.set_defaults(handler=cmd_oracle)
-
     return parser
 
 
@@ -364,7 +324,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (MatrixFormatError, OSError, ValueError, RuntimeError) as exc:
+    except (MatrixFormatError, OSError, ValueError, RuntimeError,
+            MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

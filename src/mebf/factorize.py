@@ -45,13 +45,10 @@ class MebfConfig:
        joins a pattern only when its overlap ratio with the anchor
        strictly exceeds t.
     k_max: maximum number of patterns to accept.
-    stop_on_no_improvement: always on.  A candidate that would raise the
-       cost (after the weak-signal fallback also fails) ends the run.
     """
 
     t: float
     k_max: int
-    stop_on_no_improvement: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.t < 1.0:
@@ -59,8 +56,6 @@ class MebfConfig:
                 f"t must lie strictly between 0 and 1, got {self.t}")
         if self.k_max < 1:
             raise ValueError(f"k_max must be at least 1, got {self.k_max}")
-        if not self.stop_on_no_improvement:
-            raise ValueError("the no-improvement stop cannot be disabled")
 
 
 @dataclass(frozen=True)
@@ -105,9 +100,31 @@ class FactorResult:
         return bool_product(self.A, self.B)
 
 
-def _threshold_mask(counts, denom: int, t: float) -> BinaryVector:
-    """Membership vector: 1 where counts / denom strictly exceeds t."""
-    return BinaryVector.from_dense(counts / denom > t)
+def _grow(x_res: BinaryMatrix, t: float, anchor_col: BinaryVector | None,
+          anchor_row: BinaryVector | None) -> Pattern | None:
+    """Grow each given anchor along the other axis; keep the cheaper pattern.
+
+    A column anchor (a vector over the rows) takes every column whose
+    overlap ratio with it strictly exceeds t, and a row anchor every such
+    row.  Returns the candidate that costs less against the residual, the
+    column pattern on ties, or None when no anchor is given.
+    """
+    candidates: list[Pattern] = []
+    if anchor_col is not None:
+        members = col_dot_counts(x_res, anchor_col) / anchor_col.count() > t
+        candidates.append((anchor_col, BinaryVector.from_dense(members)))
+    if anchor_row is not None:
+        members = row_dot_counts(x_res, anchor_row) / anchor_row.count() > t
+        candidates.append((BinaryVector.from_dense(members), anchor_row))
+    if not candidates:
+        return None
+    return min(candidates, key=lambda ab: rank1_cost(ab[0], ab[1], x_res))
+
+
+def _overlap(u: BinaryVector, v: BinaryVector) -> BinaryVector | None:
+    """The AND of two lines, or None when they share no one."""
+    both = u & v
+    return both if both.count() else None
 
 
 def bidirectional_growth(x_res: BinaryMatrix, t: float) -> Pattern | None:
@@ -125,20 +142,7 @@ def bidirectional_growth(x_res: BinaryMatrix, t: float) -> Pattern | None:
 
     med_col = int(view.active_cols[(view.m_active + 1) // 2 - 1])
     med_row = int(view.active_rows[(view.n_active + 1) // 2 - 1])
-
-    anchor_col = x_res.col(med_col)
-    col_members = _threshold_mask(
-        col_dot_counts(x_res, anchor_col), anchor_col.count(), t)
-
-    anchor_row = x_res.row(med_row)
-    row_members = _threshold_mask(
-        row_dot_counts(x_res, anchor_row), anchor_row.count(), t)
-
-    col_cost = rank1_cost(anchor_col, col_members, x_res)
-    row_cost = rank1_cost(row_members, anchor_row, x_res)
-    if col_cost > row_cost:
-        return row_members, anchor_row
-    return anchor_col, col_members
+    return _grow(x_res, t, x_res.col(med_col), x_res.row(med_row))
 
 
 def weak_signal_detection(x_res: BinaryMatrix, t: float) -> Pattern | None:
@@ -152,28 +156,16 @@ def weak_signal_detection(x_res: BinaryMatrix, t: float) -> Pattern | None:
     skipped.
     """
     view = utl_rearrange(x_res)
-    candidates: list[Pattern] = []
-
+    anchor_col = anchor_row = None
     if view.m_active >= 2:
-        dense_cols = view.active_cols
-        anchor = (x_res.col(int(dense_cols[-1]))
-                  & x_res.col(int(dense_cols[-2])))
-        if anchor.count():
-            members = _threshold_mask(
-                col_dot_counts(x_res, anchor), anchor.count(), t)
-            candidates.append((anchor, members))
-
+        cols = view.active_cols
+        anchor_col = _overlap(x_res.col(int(cols[-1])),
+                              x_res.col(int(cols[-2])))
     if view.n_active >= 2:
-        dense_rows = view.active_rows
-        anchor = x_res.row(int(dense_rows[0])) & x_res.row(int(dense_rows[1]))
-        if anchor.count():
-            members = _threshold_mask(
-                row_dot_counts(x_res, anchor), anchor.count(), t)
-            candidates.append((members, anchor))
-
-    if not candidates:
-        return None
-    return min(candidates, key=lambda ab: rank1_cost(ab[0], ab[1], x_res))
+        rows = view.active_rows
+        anchor_row = _overlap(x_res.row(int(rows[0])),
+                              x_res.row(int(rows[1])))
+    return _grow(x_res, t, anchor_col, anchor_row)
 
 
 def _candidate_cost(pair: Pattern, best_cost: int, recon: BinaryMatrix,

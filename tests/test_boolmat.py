@@ -11,7 +11,6 @@ from hypothesis.extra.numpy import arrays
 from mebf.boolmat import (
     BinaryMatrix,
     BinaryVector,
-    axis_sums,
     bool_product,
     col_dot_counts,
     complement,
@@ -211,20 +210,22 @@ class TestRank1Product:
 
 class TestSumsAndDots:
     def test_axis_sums_examples(self):
-        rows, cols = axis_sums(BinaryMatrix.zeros(3, 3))
-        assert rows.tolist() == [0, 0, 0] and cols.tolist() == [0, 0, 0]
-        rows, cols = axis_sums(BinaryMatrix.identity(3))
-        assert rows.tolist() == [1, 1, 1] and cols.tolist() == [1, 1, 1]
-        rows, cols = axis_sums(BinaryMatrix.from_dense([[0, 1, 1],
-                                                        [1, 1, 1]]))
-        assert rows.tolist() == [2, 3]
-        assert cols.tolist() == [1, 2, 2]
+        zeros = BinaryMatrix.zeros(3, 3)
+        assert zeros.row_sums().tolist() == [0, 0, 0]
+        assert zeros.col_sums().tolist() == [0, 0, 0]
+        eye = BinaryMatrix.identity(3)
+        assert eye.row_sums().tolist() == [1, 1, 1]
+        assert eye.col_sums().tolist() == [1, 1, 1]
+        x = BinaryMatrix.from_dense([[0, 1, 1],
+                                     [1, 1, 1]])
+        assert x.row_sums().tolist() == [2, 3]
+        assert x.col_sums().tolist() == [1, 2, 2]
 
     @given(binary_arrays())
     def test_axis_sums_random(self, dense):
-        rows, cols = axis_sums(BinaryMatrix.from_dense(dense))
-        assert np.array_equal(rows, dense.sum(axis=1))
-        assert np.array_equal(cols, dense.sum(axis=0))
+        x = BinaryMatrix.from_dense(dense)
+        assert np.array_equal(x.row_sums(), dense.sum(axis=1))
+        assert np.array_equal(x.col_sums(), dense.sum(axis=0))
 
     def test_dot(self):
         u = BinaryVector.from_dense([1, 0, 1, 1])

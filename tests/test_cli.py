@@ -295,6 +295,15 @@ class TestMalformedInput:
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_unallocatable_header_is_runtime_error(self, tmp_path, capsys):
+        # numpy refuses the 8 EiB packed array at once, allocating nothing
+        path = tmp_path / "huge.coo"
+        path.write_text("9223372036854775807 1 0\n")
+        code = main(["factorize", "--input", str(path), "--format", "coo",
+                     "--t", "0.5", "--k", "2"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestDenoise:
     def test_masks_outside_support(self, tmp_path):
@@ -326,11 +335,15 @@ class TestDenoise:
 
 
 class TestOracleCommand:
-    def test_reports_minimum_cost(self, tmp_path, capsys):
+    """The exhaustive search is a library function, not a command."""
+
+    def test_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "x.txt"
         write_matrix(BinaryMatrix.identity(2), path, "dense01")
-        assert main(["oracle", "--input", str(path), "--k", "1"]) == 0
-        assert capsys.readouterr().out == "1\n"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["oracle", "--input", str(path), "--k", "1"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'oracle'" in capsys.readouterr().err
 
     def test_hidden_from_help(self, capsys):
         with pytest.raises(SystemExit):
@@ -338,9 +351,13 @@ class TestOracleCommand:
         text = capsys.readouterr().out
         assert "factorize" in text
         assert "oracle" not in text
+        assert text.splitlines()[0] == (
+            "usage: mebf [-h] {factorize,simulate,bench,denoise,metrics} ...")
 
 
-def test_missing_subcommand_is_usage_error():
+def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main([])
     assert excinfo.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "required: {factorize,simulate,bench,denoise,metrics}\n")

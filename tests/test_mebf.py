@@ -242,6 +242,21 @@ class TestWeakSignalDetection:
         assert checked > 100
 
 
+def test_overlap_ratio_equal_to_t_stays_out():
+    # ratios of small counts hit these t exactly; a line joins only above t
+    rng = np.random.default_rng(47)
+    for _ in range(300):
+        dense = random_matrix(rng)
+        t = float(rng.choice([0.25, 0.5, 0.75]))
+        x = BinaryMatrix.from_dense(dense)
+        for got, want in ((bidirectional_growth(x, t), ref_growth(dense, t)),
+                          (weak_signal_detection(x, t), ref_weak(dense, t))):
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got[0].to_dense().tolist() == want[0].tolist()
+                assert got[1].to_dense().tolist() == want[1].tolist()
+
+
 class TestConfig:
     @pytest.mark.parametrize("t", [0.0, 1.0, -0.2, 1.5])
     def test_threshold_range(self, t):
@@ -251,10 +266,6 @@ class TestConfig:
     def test_budget_positive(self):
         with pytest.raises(ValueError, match="at least 1"):
             MebfConfig(t=0.5, k_max=0)
-
-    def test_no_improvement_stop_is_mandatory(self):
-        with pytest.raises(ValueError, match="cannot be disabled"):
-            MebfConfig(t=0.5, k_max=3, stop_on_no_improvement=False)
 
 
 class TestFactorize:
