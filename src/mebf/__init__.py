@@ -12,7 +12,6 @@ from .boolmat import (
     bool_product,
     complement,
     cost_gamma,
-    dot,
     elementwise,
     rank1_product,
     utl_rearrange,
@@ -74,7 +73,6 @@ __all__ = [
     "cost_gamma",
     "coverage_rate",
     "density",
-    "dot",
     "elementwise",
     "exhaustive_bmf",
     "mask_denoise",

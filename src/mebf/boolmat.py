@@ -21,7 +21,6 @@ __all__ = [
     "col_dot_counts",
     "complement",
     "cost_gamma",
-    "dot",
     "elementwise",
     "rank1_cost",
     "rank1_overlap",
@@ -102,9 +101,6 @@ class BinaryVector:
     def count(self) -> int:
         """Number of ones."""
         return _popcount(self._packed)
-
-    def copy(self) -> BinaryVector:
-        return BinaryVector(self.length, self._packed.copy())
 
     def __and__(self, other: BinaryVector) -> BinaryVector:
         if self.length != other.length:
@@ -216,21 +212,6 @@ class BinaryMatrix:
         bits = (self._packed[:, j >> 3] >> (7 - (j & 7))) & 1
         return BinaryVector(self.n_rows, np.packbits(bits))
 
-    def nonzero(self) -> tuple[np.ndarray, np.ndarray]:
-        """(row_indices, col_indices) of the ones, row-major order.
-
-        Unpacks one block of rows at a time.
-        """
-        rows, cols = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
-        for start, block in _dense_blocks(self._packed, self.n_cols):
-            block_rows, block_cols = np.nonzero(block)
-            rows.append(block_rows + start)
-            cols.append(block_cols)
-        return np.concatenate(rows), np.concatenate(cols)
-
-    def copy(self) -> BinaryMatrix:
-        return BinaryMatrix(self.n_rows, self.n_cols, self._packed.copy())
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, BinaryMatrix):
             return NotImplemented
@@ -341,13 +322,6 @@ def cost_gamma(a_mat: BinaryMatrix, b_mat: BinaryMatrix,
     product = bool_product(a_mat, b_mat)
     _check_same_shape(product, x)
     return elementwise("xor", x, product).count()
-
-
-def dot(u: BinaryVector, v: BinaryVector) -> int:
-    """Inner product of two binary vectors (size of the overlap)."""
-    if u.length != v.length:
-        raise ValueError(f"length mismatch: {u.length} vs {v.length}")
-    return _popcount(u._packed & v._packed)
 
 
 def col_dot_counts(x: BinaryMatrix, v: BinaryVector) -> np.ndarray:

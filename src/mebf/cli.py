@@ -82,7 +82,7 @@ def cmd_factorize(args) -> int:
     start = time.perf_counter()
     result = mebf_factorize(x, cfg)
     elapsed = time.perf_counter() - start
-    report = build_report(x, result, wall_time=elapsed)
+    report = build_report(x, result)
 
     print(" ".join(str(c) for c in result.cost_history))
     if args.out_a:
@@ -164,8 +164,7 @@ def cmd_bench(args) -> int:
             start = time.perf_counter()
             result = mebf_factorize(inst.X, cfg)
             elapsed = time.perf_counter() - start
-            report = build_report(inst.X, result, truth=(inst.U, inst.V),
-                                  wall_time=elapsed)
+            report = build_report(inst.X, result, truth=(inst.U, inst.V))
             rows.append(",".join([
                 params["name"],
                 str(rep),
@@ -201,8 +200,7 @@ def cmd_denoise(args) -> int:
     if args.out_b:
         write_matrix(result.B, args.out_b, "dense01")
     if args.report:
-        _emit_report(build_report(observed, result, wall_time=elapsed),
-                     args.report)
+        _emit_report(build_report(observed, result), args.report)
     kept = int((masked.values != 0).sum())
     total = int((real.values != 0).sum())
     _log(f"denoised {real.n_rows}x{real.n_cols}: {result.k} patterns, "

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from .boolmat import (
     BinaryMatrix,
     BinaryVector,
-    bool_product,
     col_dot_counts,
     complement,
     elementwise,
@@ -94,10 +93,6 @@ class FactorResult:
     def pattern(self, l: int) -> Pattern:
         """The l-th rank-1 pattern as (rows vector, columns vector)."""
         return self.A.col(l), self.B.row(l)
-
-    def reconstruction(self) -> BinaryMatrix:
-        """Boolean product of the accumulated factors."""
-        return bool_product(self.A, self.B)
 
 
 def _grow(x_res: BinaryMatrix, t: float, anchor_col: BinaryVector | None,
@@ -199,7 +194,7 @@ def mebf_factorize(x: BinaryMatrix, cfg: MebfConfig) -> FactorResult:
         raise ValueError(f"matrix must have at least one row and one "
                          f"column, got {x.shape}")
 
-    residual = x.copy()
+    residual = x  # each update builds a new matrix; x is never written
     recon = BinaryMatrix.zeros(x.n_rows, x.n_cols)
     # the empty factorization misses every one of x
     best_cost = residual_count = x.count()

@@ -346,4 +346,4 @@ def mask_denoise(real: RealMatrix, a_mat: BinaryMatrix,
     if recon.shape != real.shape:
         raise ValueError(
             f"support {recon.shape} does not match matrix {real.shape}")
-    return RealMatrix(real.values * recon.to_dense())
+    return RealMatrix(np.where(recon.to_dense() == 1, real.values, 0.0))

@@ -85,15 +85,14 @@ class MetricsReport:
     reconstruction_error: float | None = None
     density: float | None = None
     coverage_rate: float | None = None
-    wall_time: float | None = None
     per_column_coverage: tuple[int, ...] | None = None
     warnings: tuple[str, ...] = ()
 
-    def to_json_dict(self, include_timing: bool = False) -> dict:
+    def to_json_dict(self) -> dict:
         """JSON-ready view with fixed key order; absent metrics are omitted.
 
-        Timing is excluded by default so that a report rebuilt from the
-        written factor files is byte-identical to the original.
+        Reports carry no timing, so a report rebuilt from the written
+        factor files is byte-identical to the original.
         """
         out: dict = {}
         if self.reconstruction_error is not None:
@@ -104,8 +103,6 @@ class MetricsReport:
             out["coverage_rate"] = self.coverage_rate
         out["final_cost"] = self.final_cost
         out["pattern_count"] = self.pattern_count
-        if include_timing and self.wall_time is not None:
-            out["wall_time_s"] = self.wall_time
         out["cost_history"] = list(self.cost_history)
         if self.per_column_coverage is not None:
             out["per_column_coverage"] = list(self.per_column_coverage)
@@ -116,8 +113,8 @@ class MetricsReport:
 
 def _assemble(x: BinaryMatrix, a_mat: BinaryMatrix, b_mat: BinaryMatrix,
               cost_history: tuple[int, ...],
-              truth: tuple[BinaryMatrix, BinaryMatrix] | None,
-              wall_time: float | None) -> MetricsReport:
+              truth: tuple[BinaryMatrix, BinaryMatrix] | None
+              ) -> MetricsReport:
     recon = bool_product(a_mat, b_mat)
     warnings: list[str] = []
 
@@ -147,22 +144,20 @@ def _assemble(x: BinaryMatrix, a_mat: BinaryMatrix, b_mat: BinaryMatrix,
         reconstruction_error=rec_err,
         density=dens,
         coverage_rate=cov,
-        wall_time=wall_time,
         per_column_coverage=tuple(int(c) for c in recon.col_sums()),
         warnings=tuple(warnings),
     )
 
 
 def build_report(x: BinaryMatrix, result: FactorResult,
-                 truth: tuple[BinaryMatrix, BinaryMatrix] | None = None,
-                 wall_time: float | None = None) -> MetricsReport:
+                 truth: tuple[BinaryMatrix, BinaryMatrix] | None = None
+                 ) -> MetricsReport:
     """Report for a factorization result of x.
 
     ``truth`` is the optional pair of planted factor matrices; providing
     it enables the reconstruction error.
     """
-    return _assemble(x, result.A, result.B, result.cost_history, truth,
-                     wall_time)
+    return _assemble(x, result.A, result.B, result.cost_history, truth)
 
 
 def report_from_factors(x: BinaryMatrix, a_mat: BinaryMatrix,
@@ -183,4 +178,4 @@ def report_from_factors(x: BinaryMatrix, a_mat: BinaryMatrix,
         recon = elementwise(
             "or", recon, rank1_product(a_mat.col(l), b_mat.row(l)))
         history.append(elementwise("xor", x, recon).count())
-    return _assemble(x, a_mat, b_mat, tuple(history), truth, None)
+    return _assemble(x, a_mat, b_mat, tuple(history), truth)

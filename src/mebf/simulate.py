@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolmat import BinaryMatrix, bool_product, elementwise
+from .boolmat import _BLOCK_ROWS, BinaryMatrix, bool_product, elementwise
 
 __all__ = [
     "SimulatedInstance",
@@ -74,7 +74,14 @@ def simulate(spec: SimulationSpec) -> SimulatedInstance:
     rng = np.random.default_rng(spec.seed)
     u = BinaryMatrix.from_dense(rng.random((spec.n, spec.k)) < spec.p0)
     v = BinaryMatrix.from_dense(rng.random((spec.k, spec.m)) < spec.p0)
-    e = BinaryMatrix.from_dense(rng.random((spec.n, spec.m)) < spec.p)
+    # E one block of rows at a time: the generator fills row-major, so the
+    # draws match one (n, m) call without its n x m float64 temporary
+    noise = np.empty((spec.n, (spec.m + 7) // 8), dtype=np.uint8)
+    for start in range(0, spec.n, _BLOCK_ROWS):
+        block = noise[start:start + _BLOCK_ROWS]
+        block[:] = np.packbits(rng.random((len(block), spec.m)) < spec.p,
+                               axis=1)
+    e = BinaryMatrix(spec.n, spec.m, noise)
     x = elementwise("xor", bool_product(u, v), e)
     return SimulatedInstance(X=x, U=u, V=v, E=e)
 

@@ -294,8 +294,9 @@ class TestCoo:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        rows, cols = mat.nonzero()
-        assert np.array_equal(rows * n + cols, np.sort(linear))
+        found = np.concatenate([np.flatnonzero(block) + start * n
+                                for start, block in mat.row_blocks()])
+        assert np.array_equal(found, np.sort(linear))
         assert peak <= 2 * mat._packed.nbytes
 
 
@@ -522,6 +523,15 @@ class TestMaskDenoise:
                 BinaryMatrix.from_dense([[1, 1]]))
         assert mask_denoise(real, a, b) == RealMatrix([[1.5, 0.0],
                                                        [0.0, 0.0]])
+
+    def test_masked_negative_entries_are_positive_zero(self, tmp_path):
+        real = RealMatrix([[-1.5, 2.0], [3.0, -4.0]])
+        a, b = BinaryMatrix.from_dense([[1], [0]]), BinaryMatrix.ones(1, 2)
+        masked = mask_denoise(real, a, b)
+        assert not np.signbit(masked.values[1]).any()
+        path = tmp_path / "masked.csv"
+        write_matrix(masked, path, "csv")
+        assert path.read_bytes() == b"-1.5,2.0\n0.0,0.0\n"
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="does not match"):

@@ -152,11 +152,10 @@ class TestBuildReport:
         v = BinaryMatrix.from_dense(rng.random((3, 9)) < 0.5)
         x = bool_product(u, v)
         result = mebf_factorize(x, MebfConfig(t=0.5, k_max=8))
-        report = build_report(x, result, truth=(u, v), wall_time=0.5)
+        report = build_report(x, result, truth=(u, v))
         assert report.coverage_rate == 1.0
         assert report.reconstruction_error == 0.0
         assert report.final_cost == 0
-        assert report.wall_time == 0.5
 
     def test_block_diagonal_density_and_coverage(self):
         x, = mats([[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1]])
@@ -200,12 +199,6 @@ class TestSerialization:
                                  "per_column_coverage"]
         assert "reconstruction_error" not in payload
         assert "wall_time_s" not in payload
-
-    def test_timing_only_on_request(self):
-        report = MetricsReport(final_cost=0, pattern_count=0,
-                               cost_history=(), wall_time=1.25)
-        assert "wall_time_s" not in report.to_json_dict()
-        assert report.to_json_dict(include_timing=True)["wall_time_s"] == 1.25
 
     def test_warnings_serialized_when_present(self):
         report = MetricsReport(final_cost=0, pattern_count=0,
