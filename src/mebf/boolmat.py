@@ -67,6 +67,14 @@ def _dense_blocks(packed: np.ndarray, n_cols: int):
                                    count=n_cols)
 
 
+def _col_tally(packed: np.ndarray, n_cols: int) -> np.ndarray:
+    """Ones per column of packed rows, tallied in uint8 one block at a time."""
+    totals = np.zeros(n_cols, dtype=np.int64)
+    for _, block in _dense_blocks(packed, n_cols):
+        totals += block.sum(axis=0, dtype=np.uint8)
+    return totals
+
+
 def _validate_binary(dense: np.ndarray) -> np.ndarray:
     if dense.size and not np.all((dense == 0) | (dense == 1)):
         raise ValueError("entries must be 0 or 1")
@@ -196,10 +204,7 @@ class BinaryMatrix:
 
     def col_sums(self) -> np.ndarray:
         """Ones per column, unpacking one block of rows at a time."""
-        totals = np.zeros(self.n_cols, dtype=np.int64)
-        for _, block in _dense_blocks(self._packed, self.n_cols):
-            totals += block.sum(axis=0, dtype=np.uint8)
-        return totals
+        return _col_tally(self._packed, self.n_cols)
 
     def row_blocks(self):
         """Yield (first row, dense uint8 rows) one block of rows at a time."""
@@ -328,11 +333,7 @@ def col_dot_counts(x: BinaryMatrix, v: BinaryVector) -> np.ndarray:
     """Inner products of every column of x with a vector over the rows."""
     if v.length != x.n_rows:
         raise ValueError(f"length mismatch: {v.length} vs {x.n_rows} rows")
-    selected = x._packed[v.to_dense() == 1]
-    if selected.size == 0 or x.n_cols == 0:
-        return np.zeros(x.n_cols, dtype=np.int64)
-    return np.unpackbits(selected, axis=1,
-                         count=x.n_cols).sum(axis=0, dtype=np.int64)
+    return _col_tally(x._packed[v.to_dense() == 1], x.n_cols)
 
 
 def row_dot_counts(x: BinaryMatrix, v: BinaryVector) -> np.ndarray:

@@ -16,12 +16,17 @@ every line with LF.
   form, so write-then-read is the identity.
 
 A malformed file raises :class:`MatrixFormatError` with a message that
-starts ``line N:`` at the first bad line.  ``dense01`` and ``coo`` are
-parsed and formatted in whole-buffer numpy passes; only a file that fails
-a bulk check is scanned line by line, to name that line.
+starts ``line N:`` at the first bad line.  Files are read in
+line-aligned chunks, so a ``dense01`` or ``coo`` read holds about twice
+the packed matrix plus the work on one chunk, whatever the file's size.
+``dense01`` and ``coo`` are parsed in numpy passes over each chunk and
+formatted in numpy passes over blocks of rows; only a ``coo`` file that
+fails a bulk check is read again line by line, to name that line.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -76,65 +81,111 @@ class RealMatrix:
 _OTHER_BREAKS = b"\r\v\f\x1c\x1d\x1e"
 _TO_LF = bytes.maketrans(_OTHER_BREAKS, b"\n" * len(_OTHER_BREAKS))
 
+# Bytes per read.  A chunk is one read plus the partial line carried over
+# from the read before, cut back to its last line end, so a reader's
+# temporaries stay a small multiple of this whatever the file's size.
+_CHUNK_BYTES = 1 << 18
+
 
 def _char(byte: int) -> str:
     """A byte as repr() shows it; for ASCII the same as repr(chr(byte))."""
     return repr(bytes([byte]))[1:]
 
 
-def _read_text(path) -> bytes:
-    """The file's ASCII bytes, every line break made LF, with a final LF."""
+def _text_chunks(path):
+    """Yield (number of its first line, chunk) for the lines of a file.
+
+    A chunk is whole lines of ASCII bytes, every line break made LF; the
+    last line gets an LF if the file has none.  Raises at the first
+    non-ASCII byte, once the lines before it have been yielded.
+    """
+    lineno = 1
+    carry = b""
     with open(path, "rb") as fh:
-        data = fh.read()
-    # a scan for each break byte is cheaper than a translate that finds none
-    if any(byte in data for byte in _OTHER_BREAKS):
-        data = data.replace(b"\r\n", b"\n").translate(_TO_LF)
-    if data and not data.endswith(b"\n"):
-        data += b"\n"
-    if not data.isascii():
-        pos = int(np.argmax(np.frombuffer(data, dtype=np.uint8) >= 0x80))
-        lineno = data.count(b"\n", 0, pos) + 1
-        raise MatrixFormatError(
-            f"line {lineno}: invalid character {_char(data[pos])}, expected "
-            f"ASCII text")
-    return data
+        while True:
+            # a line longer than a read doubles the next one, so that its
+            # pieces are joined in linear time
+            block = fh.read(max(_CHUNK_BYTES, len(carry)))
+            data = carry + block
+            # a CR that ends a read may be the first half of a CRLF
+            held = b"\r" if block and data.endswith(b"\r") else b""
+            if held:
+                data = data[:-1]
+            # a scan for each break byte is cheaper than a translate that
+            # finds none
+            if any(byte in data for byte in _OTHER_BREAKS):
+                data = data.replace(b"\r\n", b"\n").translate(_TO_LF)
+            if block:
+                cut = data.rfind(b"\n") + 1
+                data, carry = data[:cut], data[cut:] + held
+            elif data and not data.endswith(b"\n"):
+                data += b"\n"
+            if data:
+                if not data.isascii():
+                    pos = int(np.argmax(
+                        np.frombuffer(data, dtype=np.uint8) >= 0x80))
+                    bad_line = lineno + data.count(b"\n", 0, pos)
+                    raise MatrixFormatError(
+                        f"line {bad_line}: invalid character "
+                        f"{_char(data[pos])}, expected ASCII text")
+                yield lineno, data
+                # numpy counts bytes faster than bytes.count
+                lineno += int(np.count_nonzero(
+                    np.frombuffer(data, dtype=np.uint8) == 10))
+            if not block:
+                return
 
 
-def _parse_dense01(data: bytes) -> BinaryMatrix:
-    buf = np.frombuffer(data.replace(b" ", b""), dtype=np.uint8)
-    ends = np.flatnonzero(buf == 10)
-    n_rows = ends.size
-    if n_rows == 0:
+def _lines(chunks):
+    """Yield (line number, line without its LF) for each line of chunks."""
+    for lineno, chunk in chunks:
+        for offset, line in enumerate(chunk.split(b"\n")[:-1]):
+            yield lineno + offset, line
+
+
+def _parse_dense01(chunks) -> BinaryMatrix:
+    parts = []
+    width = None
+    for lineno, chunk in chunks:
+        buf = np.frombuffer(chunk.replace(b" ", b""), dtype=np.uint8)
+        ends = np.flatnonzero(buf == 10)
+        n_rows = ends.size
+        widths = np.diff(ends, prepend=-1) - 1
+        if width is None:
+            width = int(widths[0])
+        invalid = (buf | 1) != 49
+        invalid[ends] = False
+        ragged = widths != width
+        # the first bad line wins; on a line with both faults, the character
+        char_line = width_line = n_rows
+        if invalid.any():
+            pos = int(invalid.argmax())
+            char_line = int(np.searchsorted(ends, pos))
+        if ragged.any():
+            width_line = int(ragged.argmax())
+        if char_line < n_rows and char_line <= width_line:
+            raise MatrixFormatError(
+                f"line {lineno + char_line}: invalid character "
+                f"{_char(buf[pos])}, expected '0' or '1'")
+        if width_line < n_rows:
+            raise MatrixFormatError(
+                f"line {lineno + width_line}: expected {width} entries, got "
+                f"{widths[width_line]}")
+        bits = buf.reshape(n_rows, width + 1)[:, :width] == 49
+        parts.append(np.packbits(bits, axis=1))
+    if not parts:
         return BinaryMatrix.zeros(0, 0)
-    widths = np.diff(ends, prepend=-1) - 1
-    width = int(widths[0])
-    invalid = (buf | 1) != 49
-    invalid[ends] = False
-    ragged = widths != width
-    # the first bad line wins; on a line with both faults, the character
-    char_line = width_line = n_rows
-    if invalid.any():
-        pos = int(invalid.argmax())
-        char_line = int(np.searchsorted(ends, pos))
-    if ragged.any():
-        width_line = int(ragged.argmax())
-    if char_line < n_rows and char_line <= width_line:
-        raise MatrixFormatError(
-            f"line {char_line + 1}: invalid character {_char(buf[pos])}, "
-            f"expected '0' or '1'")
-    if width_line < n_rows:
-        raise MatrixFormatError(
-            f"line {width_line + 1}: expected {width} entries, got "
-            f"{widths[width_line]}")
-    bits = buf.reshape(n_rows, width + 1)[:, :width] == 49
-    return BinaryMatrix(n_rows, width, np.packbits(bits, axis=1))
+    packed = np.concatenate(parts)
+    return BinaryMatrix(len(packed), width, packed)
 
 
-def _parse_coo(data: bytes) -> BinaryMatrix:
-    if not data:
+def _coo_header(chunks):
+    """n, m and nnz from the header, and the chunks of coordinate lines."""
+    _, first = next(chunks, (1, b""))
+    if not first:
         raise MatrixFormatError("line 1: missing 'n m nnz' header")
-    split = data.index(b"\n")
-    header = data[:split].decode("ascii").split()
+    split = first.index(b"\n")
+    header = first[:split].decode("ascii").split()
     if len(header) != 3:
         raise MatrixFormatError("line 1: header must be 'n m nnz'")
     try:
@@ -144,44 +195,43 @@ def _parse_coo(data: bytes) -> BinaryMatrix:
             from None
     if n < 0 or m < 0 or nnz < 0:
         raise MatrixFormatError("line 1: header values must be non-negative")
-    body = data[split + 1:]
-    found = body.count(b"\n")
-    if found != nnz:
-        raise MatrixFormatError(
-            f"line {min(found, nnz) + 2}: expected {nnz} coordinate lines, "
-            f"found {found}")
-
-    # allocated first: a header too large to hold fails here, before any
-    # coordinate arithmetic could overflow
-    packed = np.zeros((n, (m + 7) // 8), dtype=np.uint8)
-    coords = _coo_coordinates(body, n, m)
-    if coords is None:
-        raise _coo_error(body, n, m)
-    rows, cols = coords
-    # no duplicates, so the bits added into one byte are distinct: sum == OR
-    np.add.at(packed.reshape(-1), rows * packed.shape[1] + (cols >> 3),
-              (0x80 >> (cols & 7)).astype(np.uint8))
-    return BinaryMatrix(n, m, packed)
+    return n, m, nnz, itertools.chain([(2, first[split + 1:])], chunks)
 
 
-def _coo_coordinates(body: bytes, n: int, m: int):
-    """0-based (rows, cols) of a coo body, or None if a bulk check fails."""
-    if not body:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    if not _two_tokens_per_line(np.frombuffer(body, dtype=np.uint8)):
+def _parse_coo(chunks) -> BinaryMatrix | None:
+    """The matrix of a coo file, or None if a streamed check fails.
+
+    Bits are set straight into the packed matrix, one chunk of coordinate
+    lines at a time.
+    """
+    n, m, nnz, bodies = _coo_header(chunks)
+    # allocated first, so that the bit index arithmetic below cannot overflow
+    try:
+        packed = np.zeros((n, (m + 7) // 8), dtype=np.uint8)
+    except (MemoryError, ValueError):
         return None
-    # every line is two digit runs, so text-mode parsing reads them all; a
-    # value past int64 saturates and fails the range check
-    coords = np.fromstring(body, dtype=np.int64, sep=" ").reshape(-1, 2)
-    coords -= 1
-    rows, cols = coords[:, 0], coords[:, 1]
-    if not ((rows >= 0) & (rows < n) & (cols >= 0) & (cols < m)).all():
+    found = 0
+    for _, body in bodies:
+        if not body:
+            continue
+        if not _two_tokens_per_line(np.frombuffer(body, dtype=np.uint8)):
+            return None
+        # every line is two digit runs, so text-mode parsing reads them
+        # all; a value past int64 saturates and fails the range check
+        coords = np.fromstring(body, dtype=np.int64, sep=" ").reshape(-1, 2)
+        coords -= 1
+        rows, cols = coords[:, 0], coords[:, 1]
+        if not ((rows >= 0) & (rows < n) & (cols >= 0) & (cols < m)).all():
+            return None
+        np.add.at(packed.reshape(-1), rows * packed.shape[1] + (cols >> 3),
+                  (0x80 >> (cols & 7)).astype(np.uint8))
+        found += len(coords)
+    # adding a bit that is already set carries or wraps, so each duplicate
+    # leaves the matrix with fewer ones than coordinate lines
+    mat = BinaryMatrix(n, m, packed)
+    if found != nnz or mat.count() != nnz:
         return None
-    linear = rows * m + cols
-    linear.sort()
-    if (linear[1:] == linear[:-1]).any():
-        return None
-    return rows, cols
+    return mat
 
 
 def _two_tokens_per_line(buf: np.ndarray) -> bool:
@@ -203,37 +253,60 @@ def _two_tokens_per_line(buf: np.ndarray) -> bool:
                 and (tokens == 2).all())
 
 
-def _coo_error(body: bytes, n: int, m: int) -> MatrixFormatError:
-    """The error of the first bad line of a body that failed a bulk check.
+def _coo_error(chunks) -> MatrixFormatError:
+    """The error of a coo file whose header holds but a streamed check fails.
 
-    Checks each line in order for its token count, digit-only tokens, the
-    range and an earlier equal coordinate, as the bulk checks do.
+    Keeps the order of the checks on the whole file: the coordinate line
+    count, the allocation of the packed matrix, then each line in order for
+    its token count, digit-only tokens, the range and an earlier equal
+    coordinate.
     """
+    n, m, nnz, bodies = _coo_header(chunks)
+    error = None
+    found = 0
     seen: set[tuple[int, int]] = set()
-    for lineno, line in enumerate(body.split(b"\n")[:-1], start=2):
-        parts = line.split()
-        if len(parts) != 2:
-            return MatrixFormatError(
-                f"line {lineno}: expected 'i j', got {line.decode()!r}")
-        if not (parts[0].isdigit() and parts[1].isdigit()):
-            return MatrixFormatError(
-                f"line {lineno}: coordinates must be integers")
-        i, j = int(parts[0]), int(parts[1])
-        if not (1 <= i <= n and 1 <= j <= m):
-            return MatrixFormatError(
-                f"line {lineno}: coordinate ({i}, {j}) outside {n}x{m}")
-        if (i, j) in seen:
-            return MatrixFormatError(
-                f"line {lineno}: duplicate coordinate ({i}, {j})")
-        seen.add((i, j))
-    raise AssertionError("a coo body failed a bulk check but has no bad line")
+    for lineno, line in _lines(bodies):
+        found += 1
+        if error is None:
+            error = _coo_line_error(line, lineno, n, m, seen)
+    if found != nnz:
+        return MatrixFormatError(
+            f"line {min(found, nnz) + 2}: expected {nnz} coordinate lines, "
+            f"found {found}")
+    # a header too large to hold fails here, after the line count and
+    # before any line check
+    np.zeros((n, (m + 7) // 8), dtype=np.uint8)
+    if error is None:
+        raise AssertionError("a coo file failed a streamed check but has no "
+                             "bad line")
+    return error
 
 
-def _read_csv(lines: list[str]) -> RealMatrix:
+def _coo_line_error(line: bytes, lineno: int, n: int, m: int,
+                    seen: set) -> MatrixFormatError | None:
+    """The error of one coordinate line, or None after adding it to seen."""
+    parts = line.split()
+    if len(parts) != 2:
+        return MatrixFormatError(
+            f"line {lineno}: expected 'i j', got {line.decode()!r}")
+    if not (parts[0].isdigit() and parts[1].isdigit()):
+        return MatrixFormatError(f"line {lineno}: coordinates must be integers")
+    i, j = int(parts[0]), int(parts[1])
+    if not (1 <= i <= n and 1 <= j <= m):
+        return MatrixFormatError(
+            f"line {lineno}: coordinate ({i}, {j}) outside {n}x{m}")
+    if (i, j) in seen:
+        return MatrixFormatError(
+            f"line {lineno}: duplicate coordinate ({i}, {j})")
+    seen.add((i, j))
+    return None
+
+
+def _read_csv(chunks) -> RealMatrix:
     rows = []
     width = None
-    for lineno, line in enumerate(lines, start=1):
-        tokens = line.split(",") if line else []
+    for lineno, line in _lines(chunks):
+        tokens = line.decode("ascii").split(",") if line else []
         row = []
         for token in tokens:
             try:
@@ -262,12 +335,24 @@ def read_matrix(path, format: str) -> BinaryMatrix | RealMatrix:
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}, expected one of "
                          f"{FORMATS}")
-    data = _read_text(path)
-    if format == "dense01":
-        return _parse_dense01(data)
-    if format == "coo":
-        return _parse_coo(data)
-    return _read_csv(data.decode("ascii").splitlines())
+    chunks = _text_chunks(path)
+    try:
+        if format == "dense01":
+            return _parse_dense01(chunks)
+        if format == "csv":
+            return _read_csv(chunks)
+        mat = _parse_coo(chunks)
+        if mat is None:
+            # read again: the message may name a line already passed
+            chunks = _text_chunks(path)
+            raise _coo_error(chunks)
+        return mat
+    except MatrixFormatError:
+        # a non-ASCII byte anywhere in the file outranks every other fault:
+        # read the rest for the ASCII check before raising
+        for _ in chunks:
+            pass
+        raise
 
 
 def _dense01_chunks(mat: BinaryMatrix):

@@ -249,10 +249,10 @@ class TestSumsAndDots:
 class TestKernelsAtBlockEdges:
     """Kernels against dense numpy around the 255-row block.
 
-    col_sums tallies each block of 255 rows in uint8, so a column of ones
-    reaches the tally's maximum at 255 rows and spills into a second block
-    at 256; row_blocks unpacks the same blocks.  Widths straddle
-    the 8-bit byte and the 64-bit word.
+    col_sums and col_dot_counts tally each block of 255 rows in uint8, so a
+    column of ones reaches the tally's maximum at 255 rows and spills into a
+    second block at 256; row_blocks unpacks the same blocks.  Widths
+    straddle the 8-bit byte and the 64-bit word.
     """
 
     @pytest.mark.parametrize("n_rows", [254, 255, 256, 511])
@@ -272,6 +272,13 @@ class TestKernelsAtBlockEdges:
         assert np.array_equal(mat.row_sums(), dense.sum(axis=1))
         assert np.array_equal(mat.col_sums(), dense.sum(axis=0))
         assert mat.col_sums()[0] == n_rows
+        # anchors of all n_rows rows and of about half of them
+        every_row = col_dot_counts(mat, BinaryVector.ones(n_rows))
+        assert np.array_equal(every_row, dense.sum(axis=0))
+        assert every_row[0] == n_rows
+        assert np.array_equal(
+            col_dot_counts(mat, BinaryVector.from_dense(row_mask)),
+            dense.T.astype(np.int64) @ row_mask)
         assert np.array_equal(
             row_dot_counts(mat, BinaryVector.from_dense(over_cols)),
             dense.astype(np.int64) @ over_cols)
@@ -287,10 +294,16 @@ class TestKernelsAtBlockEdges:
             mat = BinaryMatrix.ones(n_rows, 129)
             assert mat.count() == n_rows * 129
             assert mat.col_sums().tolist() == [n_rows] * 129
+            assert col_dot_counts(mat, BinaryVector.ones(n_rows)).tolist() \
+                == [n_rows] * 129
             assert mat.row_sums().tolist() == [129] * n_rows
 
     def test_empty_axes(self):
         assert BinaryMatrix.zeros(300, 0).col_sums().shape == (0,)
+        assert col_dot_counts(BinaryMatrix.zeros(300, 0),
+                              BinaryVector.ones(300)).shape == (0,)
+        assert col_dot_counts(BinaryMatrix.zeros(0, 70),
+                              BinaryVector.ones(0)).tolist() == [0] * 70
         blocks = list(BinaryMatrix.zeros(300, 0).row_blocks())
         assert [(start, block.shape) for start, block in blocks] == [
             (0, (255, 0)), (255, (45, 0))]

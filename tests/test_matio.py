@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from mebf import matio
 from mebf.boolmat import BinaryMatrix, bool_product, elementwise
 from mebf.matio import (
     MatrixFormatError,
@@ -20,6 +21,7 @@ from mebf.matio import (
     read_matrix,
     write_matrix,
 )
+from mebf.simulate import SimulationSpec, simulate
 
 
 # The per-line readers and line-joining writers that the bulk numpy code in
@@ -116,12 +118,21 @@ def outcome(read, *args):
     return mat.shape, mat.to_dense().tolist()
 
 
-def read_content(content: bytes, fmt):
-    with tempfile.TemporaryDirectory() as tmp:
+def read_content(content: bytes, fmt, chunk_bytes=None):
+    """read_matrix of the content, in reads of chunk_bytes if given."""
+    with tempfile.TemporaryDirectory() as tmp, \
+            pytest.MonkeyPatch.context() as mp:
+        if chunk_bytes is not None:
+            mp.setattr(matio, "_CHUNK_BYTES", chunk_bytes)
         path = os.path.join(tmp, "m.dat")
         with open(path, "wb") as fh:
             fh.write(content)
         return read_matrix(path, fmt)
+
+
+# The module's own read size, then reads that cut almost every line, and
+# CRLF pairs, at every offset.
+CHUNK_SIZES = (None, 1, 2, 7, 64)
 
 
 EDIT_BYTES = b"01 \t\r\n2x\v"
@@ -231,6 +242,9 @@ class TestCoo:
         ("2 2 2\n1 1\n", "line 3: expected 2 coordinate lines, found 1"),
         ("2 2 3\n", "line 2: expected 3 coordinate lines, found 0"),
         ("2 2 0\n1 1\n", "line 2: expected 0 coordinate lines, found 1"),
+        # the header is too large to allocate, yet the missing lines win
+        ("9223372036854775807 1 1\n",
+         "line 2: expected 1 coordinate lines, found 0"),
     ])
     def test_line_count_error_names_a_line(self, tmp_path, content,
                                            message):
@@ -300,6 +314,40 @@ class TestCoo:
         assert peak <= 2 * mat._packed.nbytes
 
 
+class TestReadPeakMemory:
+    """A read holds the packed matrix about twice plus one chunk's work.
+
+    The bounds are the measured peaks, in reads of the module's own size;
+    lower them as the readers allocate less, never raise them.
+    """
+
+    @pytest.mark.parametrize("fmt,spec,chunks", [
+        # 4 MB file, 0.5 MB packed: measured 2 x packed + 3.98 chunks
+        # (25.1 x packed when the whole file was read at once)
+        ("dense01", SimulationSpec(2000, 2000, 5, 0.2, 0.01, 0), 4.0),
+        # 14.5 MB file, 1.0 MB packed: measured 2 x packed + 5.37 chunks
+        # (92.8 x packed when the whole file was read at once)
+        ("coo", SimulationSpec(16000, 500, 5, 0.2, 0.01, 0), 5.4),
+    ])
+    def test_peak_is_twice_packed_plus_chunks(self, tmp_path, fmt, spec,
+                                              chunks):
+        path = tmp_path / f"x.{fmt}"
+        x = simulate(spec).X
+        write_matrix(x, path, fmt)
+        # warm up, so that one-off allocations of a first call stay out
+        write_matrix(BinaryMatrix.identity(3), tmp_path / "warm", fmt)
+        read_matrix(tmp_path / "warm", fmt)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            mat = read_matrix(path, fmt)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert mat == x
+        assert peak <= 2 * mat._packed.nbytes + chunks * matio._CHUNK_BYTES
+
+
 class TestNonAscii:
     @pytest.mark.parametrize("fmt,content", [
         ("dense01", "10\n0\u00e9\n"),
@@ -321,6 +369,80 @@ class TestNonAscii:
             read_matrix(path, "dense01")
 
 
+class TestChunkBoundaries:
+    """Reads cut into tiny chunks: lines, breaks and messages span them."""
+
+    @pytest.mark.parametrize("chunk_bytes", range(1, 12))
+    @pytest.mark.parametrize("fmt,content", [
+        ("dense01", b"10\r\n01\r\n11\r\n"),
+        ("coo", b"2 2 2\r\n1 2\r\n2 1\r\n"),
+        ("csv", b"1.5,0\r\n0,2.5\r\n"),
+    ])
+    def test_crlf_at_every_offset(self, fmt, content, chunk_bytes):
+        # a CR that ends one read and the LF that starts the next are one
+        # break; two breaks would make an empty line and a format error
+        expected = read_content(content.replace(b"\r\n", b"\n"), fmt)
+        assert read_content(content, fmt, chunk_bytes) == expected
+
+    @pytest.mark.parametrize("chunk_bytes", [1, 2, 3, 4, 5, 8])
+    def test_no_final_line_end(self, chunk_bytes):
+        assert read_content(b"10\n01", "dense01", chunk_bytes) == \
+            BinaryMatrix.identity(2)
+        assert read_content(b"2 2 1\n1 2", "coo", chunk_bytes) == \
+            BinaryMatrix.from_dense([[0, 1], [0, 0]])
+        assert read_content(b"1.5\r", "csv", chunk_bytes) == \
+            RealMatrix([[1.5]])
+
+    def test_lines_longer_than_a_chunk(self):
+        rng = np.random.default_rng(23)
+        mat = BinaryMatrix.from_dense(rng.random((5, 300)) < 0.5)
+        content = ref_text(mat, "dense01")
+        assert read_content(content, "dense01", 7) == mat
+        rows = content.split(b"\n")
+        rows[3] = rows[3][:-1]
+        assert outcome(read_content, b"\n".join(rows), "dense01", 7) == (
+            "line 4: expected 300 entries, got 299")
+
+    @pytest.mark.parametrize("fmt,line40,message", [
+        ("dense01", b"0110x011", "invalid character 'x', expected '0' or '1'"),
+        ("dense01", b"011", "expected 8 entries, got 3"),
+        ("dense01", b"0110\xff011", "invalid character '\\xff', expected "
+                                    "ASCII text"),
+        ("coo", b"7 8", "duplicate coordinate (7, 8)"),
+        ("coo", b"7 1 1", "expected 'i j', got '7 1 1'"),
+        ("coo", b"1 \xc3", "invalid character '\\xc3', expected ASCII text"),
+        ("csv", b"1.0,x", "invalid numeric field 'x'"),
+    ])
+    def test_faults_in_a_later_chunk_name_their_line(self, fmt, line40,
+                                                     message):
+        # 32-byte reads: line 40 is several chunks into the file
+        lines = {
+            "dense01": [b"01101001"] * 60,
+            "coo": [b"60 8 59"] + [b"%d %d" % (i, i % 8 + 1)
+                                   for i in range(1, 60)],
+            "csv": [b"1.0,2.0"] * 60,
+        }[fmt]
+        lines[39] = line40
+        content = b"\n".join(lines) + b"\n"
+        assert len(b"\n".join(lines[:39])) > 4 * 32
+        assert outcome(read_content, content, fmt, 32) == f"line 40: {message}"
+
+    @pytest.mark.parametrize("fmt,line2", [
+        ("dense01", b"0x"), ("dense01", b"0"),
+        ("coo", b"1 x"), ("coo", b"1 1"), ("coo", b"9 9"),
+        ("csv", b"x,1"),
+    ])
+    def test_later_non_ascii_byte_outranks_earlier_faults(self, fmt, line2):
+        # the ASCII check covers the whole file before any other check
+        line1, good = {"dense01": (b"10", b"10"), "coo": (b"2 2 3", b"1 1"),
+                       "csv": (b"1,2", b"1,2")}[fmt]
+        content = b"\n".join([line1, good, line2] + [good] * 30
+                             + [b"1\xe9"]) + b"\n"
+        message = "line 34: invalid character '\\xe9', expected ASCII text"
+        for chunk_bytes in (None, 4, 64):
+            assert outcome(read_content, content, fmt, chunk_bytes) == message
+
+
 class TestBulkParsersMatchReference:
     """Random byte edits of valid files: same matrix or same message."""
 
@@ -330,8 +452,9 @@ class TestBulkParsersMatchReference:
     def test_random_edits(self, fmt, dense, edits):
         content = apply_edits(ref_text(BinaryMatrix.from_dense(dense), fmt),
                               edits)
-        assert (outcome(read_content, content, fmt)
-                == outcome(ref_read, content, fmt))
+        expected = outcome(ref_read, content, fmt)
+        for chunk_bytes in CHUNK_SIZES:
+            assert outcome(read_content, content, fmt, chunk_bytes) == expected
 
     @pytest.mark.parametrize("fmt", ["dense01", "coo"])
     def test_seeded_sweep(self, fmt):
@@ -346,7 +469,9 @@ class TestBulkParsersMatchReference:
                 ref_text(BinaryMatrix.from_dense(dense < 0.4), fmt), edits)
             expected = outcome(ref_read, content, fmt)
             errors += isinstance(expected, str)
-            assert outcome(read_content, content, fmt) == expected
+            for chunk_bytes in CHUNK_SIZES:
+                assert (outcome(read_content, content, fmt, chunk_bytes)
+                        == expected)
         assert errors > 300  # the edits reach the error paths
 
 
