@@ -32,6 +32,9 @@ __all__ = [
 # Rows per unpacked block: bounds the dense temporaries of a full pass, and
 # a uint8 column tally of one block cannot overflow.
 _BLOCK_ROWS = 255
+# Packed bytes per chunk of a row tally: 8191 bytes hold at most 65528 ones,
+# so a uint16 row tally of one chunk cannot overflow.
+_TALLY_BYTES = 8191
 
 _ELEMENTWISE_UFUNCS = {
     "xor": np.bitwise_xor,
@@ -72,6 +75,20 @@ def _col_tally(packed: np.ndarray, n_cols: int) -> np.ndarray:
     totals = np.zeros(n_cols, dtype=np.int64)
     for _, block in _dense_blocks(packed, n_cols):
         totals += block.sum(axis=0, dtype=np.uint8)
+    return totals
+
+
+def _row_tally(words: np.ndarray, in_place: bool = False) -> np.ndarray:
+    """Ones per row of packed words, tallied in uint16 one chunk at a time.
+
+    With ``in_place`` the words (a temporary of the caller) are overwritten
+    by their popcounts instead of copied.
+    """
+    counts = np.bitwise_count(words, out=words if in_place else None)
+    totals = np.zeros(len(counts), dtype=np.int64)
+    for start in range(0, counts.shape[1], _TALLY_BYTES):
+        totals += counts[:, start:start + _TALLY_BYTES].sum(axis=1,
+                                                            dtype=np.uint16)
     return totals
 
 
@@ -200,7 +217,7 @@ class BinaryMatrix:
         return _popcount(self._packed)
 
     def row_sums(self) -> np.ndarray:
-        return np.bitwise_count(self._packed).sum(axis=1, dtype=np.int64)
+        return _row_tally(self._packed)
 
     def col_sums(self) -> np.ndarray:
         """Ones per column, unpacking one block of rows at a time."""
@@ -239,13 +256,44 @@ class UtlView:
     all-zero rows follow in original order.  ``col_order`` lists all-zero
     columns first in original order, then active columns by non-decreasing
     column sum.  Ties keep original relative order, so the view is a pure
-    function of the matrix.
+    function of the row and column sums, kept as ``row_totals`` and
+    ``col_totals``; :meth:`cleared` updates them when a pattern is cleared,
+    instead of summing the whole matrix again.
     """
 
     row_order: np.ndarray
     col_order: np.ndarray
     n_active: int
     m_active: int
+    row_totals: np.ndarray
+    col_totals: np.ndarray
+
+    @classmethod
+    def from_totals(cls, row_totals: np.ndarray,
+                    col_totals: np.ndarray) -> UtlView:
+        """The view of any matrix with these row and column sums."""
+        return cls(
+            row_order=np.argsort(-row_totals, kind="stable"),
+            col_order=np.argsort(col_totals, kind="stable"),
+            n_active=int((row_totals > 0).sum()),
+            m_active=int((col_totals > 0).sum()),
+            row_totals=row_totals,
+            col_totals=col_totals,
+        )
+
+    def cleared(self, x: BinaryMatrix, row_mask: BinaryVector,
+                col_mask: BinaryVector) -> UtlView:
+        """The view of x once the pattern's ones are set to zero.
+
+        ``self`` must be the view of x.  Only the pattern's rows of x are
+        read: their ones inside the pattern leave the totals.
+        """
+        selected = row_mask.to_dense() == 1
+        hit = x._packed[selected] & col_mask._packed
+        col_totals = self.col_totals - _col_tally(hit, x.n_cols)
+        row_totals = self.row_totals.copy()
+        row_totals[selected] -= _row_tally(hit, in_place=True)
+        return UtlView.from_totals(row_totals, col_totals)
 
     @property
     def active_rows(self) -> np.ndarray:
@@ -260,14 +308,7 @@ class UtlView:
 
 def utl_rearrange(x: BinaryMatrix) -> UtlView:
     """Stable orderings by descending row sums / ascending column sums."""
-    row_totals = x.row_sums()
-    col_totals = x.col_sums()
-    return UtlView(
-        row_order=np.argsort(-row_totals, kind="stable"),
-        col_order=np.argsort(col_totals, kind="stable"),
-        n_active=int((row_totals > 0).sum()),
-        m_active=int((col_totals > 0).sum()),
-    )
+    return UtlView.from_totals(x.row_sums(), x.col_sums())
 
 
 def _check_same_shape(a: BinaryMatrix, b: BinaryMatrix) -> None:
@@ -304,7 +345,8 @@ def elementwise(op: str, a: BinaryMatrix, b: BinaryMatrix) -> BinaryMatrix:
 
 def complement(x: BinaryMatrix) -> BinaryMatrix:
     """Entrywise NOT, with padding bits reset to zero."""
-    packed = ~x._packed & _pad_mask(x.n_cols)
+    packed = ~x._packed
+    packed &= _pad_mask(x.n_cols)
     return BinaryMatrix(x.n_rows, x.n_cols, packed)
 
 
@@ -340,7 +382,7 @@ def row_dot_counts(x: BinaryMatrix, v: BinaryVector) -> np.ndarray:
     """Inner products of every row of x with a vector over the columns."""
     if v.length != x.n_cols:
         raise ValueError(f"length mismatch: {v.length} vs {x.n_cols} cols")
-    return np.bitwise_count(x._packed & v._packed).sum(axis=1, dtype=np.int64)
+    return _row_tally(x._packed & v._packed, in_place=True)
 
 
 def rank1_overlap(row_mask: BinaryVector, col_mask: BinaryVector,

@@ -6,6 +6,9 @@ block, and keeps whichever direction approximates the residual better.
 When that pattern would raise the cost against the input, a weak-signal
 fallback seeds a pattern from the overlap of the two densest columns or
 rows instead.  Accepted patterns zero out the residual entries they cover.
+The row and column sums behind the arrangement are counted once per
+factorization and then lowered by the ones each accepted pattern covers,
+instead of being recounted over the whole residual every round.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from dataclasses import dataclass
 from .boolmat import (
     BinaryMatrix,
     BinaryVector,
+    UtlView,
     col_dot_counts,
     complement,
     elementwise,
@@ -122,16 +126,19 @@ def _overlap(u: BinaryVector, v: BinaryVector) -> BinaryVector | None:
     return both if both.count() else None
 
 
-def bidirectional_growth(x_res: BinaryMatrix, t: float) -> Pattern | None:
+def bidirectional_growth(x_res: BinaryMatrix, t: float,
+                         view: UtlView | None = None) -> Pattern | None:
     """Grow a pattern from the median column and row of the residual.
 
     The residual is viewed upper-triangular-like; the median active column
     anchors a column pattern (columns whose overlap ratio with the anchor
     exceeds t) and the median active row anchors a row pattern.  Returns
     whichever costs less against the residual, the column pattern on ties,
-    or None when the residual has no ones.
+    or None when the residual has no ones.  ``view`` must equal
+    ``utl_rearrange(x_res)``, which is computed when it is not given.
     """
-    view = utl_rearrange(x_res)
+    if view is None:
+        view = utl_rearrange(x_res)
     if view.n_active == 0:
         return None
 
@@ -140,7 +147,8 @@ def bidirectional_growth(x_res: BinaryMatrix, t: float) -> Pattern | None:
     return _grow(x_res, t, x_res.col(med_col), x_res.row(med_row))
 
 
-def weak_signal_detection(x_res: BinaryMatrix, t: float) -> Pattern | None:
+def weak_signal_detection(x_res: BinaryMatrix, t: float,
+                          view: UtlView | None = None) -> Pattern | None:
     """Seed a pattern from the overlap of the two densest columns or rows.
 
     Each candidate anchors on the AND of the two densest lines along one
@@ -148,9 +156,10 @@ def weak_signal_detection(x_res: BinaryMatrix, t: float) -> Pattern | None:
     A candidate is skipped when its axis has fewer than two active lines
     or the overlap is empty.  Returns the cheaper candidate against the
     residual (the column-seeded one on ties), or None when both are
-    skipped.
+    skipped.  ``view`` is as in :func:`bidirectional_growth`.
     """
-    view = utl_rearrange(x_res)
+    if view is None:
+        view = utl_rearrange(x_res)
     anchor_col = anchor_row = None
     if view.m_active >= 2:
         cols = view.active_cols
@@ -188,13 +197,15 @@ def mebf_factorize(x: BinaryMatrix, cfg: MebfConfig) -> FactorResult:
     Accepted patterns are flipped to zero in the residual, so the run also
     ends when the residual empties or the budget is reached.  The cost and
     the residual one-count are kept as running integers, updated from each
-    pattern's overlaps rather than recounted over the whole matrix.
+    pattern's overlaps rather than recounted over the whole matrix, and so
+    is the residual's view, which both pattern finders of a round share.
     """
     if x.n_rows < 1 or x.n_cols < 1:
         raise ValueError(f"matrix must have at least one row and one "
                          f"column, got {x.shape}")
 
     residual = x  # each update builds a new matrix; x is never written
+    view = utl_rearrange(x)
     recon = BinaryMatrix.zeros(x.n_rows, x.n_cols)
     # the empty factorization misses every one of x
     best_cost = residual_count = x.count()
@@ -207,12 +218,12 @@ def mebf_factorize(x: BinaryMatrix, cfg: MebfConfig) -> FactorResult:
 
     while len(row_parts) < cfg.k_max and residual_count:
         iterations += 1
-        pair = bidirectional_growth(residual, cfg.t)
+        pair = bidirectional_growth(residual, cfg.t, view)
         cost, covered = _candidate_cost(pair, best_cost, recon, residual)
         from_weak = False
 
         if row_parts and cost > best_cost:
-            pair = weak_signal_detection(residual, cfg.t)
+            pair = weak_signal_detection(residual, cfg.t, view)
             if pair is None:
                 break
             cost, covered = _candidate_cost(pair, best_cost, recon, residual)
@@ -226,9 +237,15 @@ def mebf_factorize(x: BinaryMatrix, cfg: MebfConfig) -> FactorResult:
                 "factorization cannot progress")
         row_parts.append(pair[0])
         col_parts.append(pair[1])
+        view = view.cleared(residual, *pair)
+        # each n x m temporary is dropped once used, so at most four n x m
+        # matrices are live: residual, recon and the two being combined
         pattern = rank1_product(*pair)
         recon = elementwise("or", recon, pattern)
-        residual = elementwise("and", residual, complement(pattern))
+        keep = complement(pattern)
+        del pattern
+        residual = elementwise("and", residual, keep)
+        del keep
         best_cost = cost
         residual_count -= covered
         cost_history.append(cost)

@@ -101,6 +101,20 @@ class TestStorage:
         assert complement(flipped) == mat
         assert complement(BinaryMatrix.zeros(2, 9)).count() == 18
 
+    @pytest.mark.parametrize("n_cols", [1, 9, 64, 65, 129])
+    def test_complement_leaves_its_input_and_padding(self, n_cols):
+        rng = np.random.default_rng(n_cols)
+        dense = (rng.random((5, n_cols)) < 0.5).astype(np.uint8)
+        mat = BinaryMatrix.from_dense(dense)
+        before = mat._packed.tobytes()
+        flipped = complement(mat)
+        assert mat._packed.tobytes() == before
+        assert np.array_equal(flipped.to_dense(), 1 - dense)
+        # padding bits stay zero: repacking the dense bits gives the same
+        # words
+        assert np.array_equal(flipped._packed,
+                              np.packbits(1 - dense, axis=1))
+
 
 class TestBoolProduct:
     def test_identity_is_neutral(self):
@@ -299,6 +313,7 @@ class TestKernelsAtBlockEdges:
             assert mat.row_sums().tolist() == [129] * n_rows
 
     def test_empty_axes(self):
+        assert BinaryMatrix.zeros(300, 0).row_sums().shape == (300,)
         assert BinaryMatrix.zeros(300, 0).col_sums().shape == (0,)
         assert col_dot_counts(BinaryMatrix.zeros(300, 0),
                               BinaryVector.ones(300)).shape == (0,)
@@ -310,6 +325,32 @@ class TestKernelsAtBlockEdges:
         assert list(BinaryMatrix.zeros(0, 70).row_blocks()) == []
         assert BinaryMatrix.zeros(0, 70).col_sums().tolist() == [0] * 70
         assert BinaryMatrix.zeros(0, 70).count() == 0
+
+
+class TestRowTallyAtChunkEdges:
+    """Row kernels around the 8191-byte chunk of the uint16 row tally.
+
+    A chunk of 8191 bytes holds at most 65528 ones; an all-ones row at
+    8192 bytes or more would overflow a single uint16 sum, so it must spill
+    into a second chunk.
+    """
+
+    @pytest.mark.parametrize("n_cols", [65520, 65528, 65536, 65537, 131064])
+    def test_against_dense(self, n_cols):
+        rng = np.random.default_rng(n_cols)
+        dense = np.vstack([np.ones(n_cols, np.uint8),
+                           (rng.random(n_cols) < 0.5).astype(np.uint8),
+                           np.zeros(n_cols, np.uint8)])
+        mat = BinaryMatrix.from_dense(dense)
+        assert np.array_equal(mat.row_sums(), dense.sum(axis=1))
+        assert mat.row_sums()[0] == n_cols
+        over_cols = (rng.random(n_cols) < 0.5).astype(np.uint8)
+        assert np.array_equal(
+            row_dot_counts(mat, BinaryVector.from_dense(over_cols)),
+            dense.astype(np.int64) @ over_cols)
+        every_col = row_dot_counts(mat, BinaryVector.ones(n_cols))
+        assert every_col.tolist() == dense.sum(axis=1).tolist()
+        assert every_col[0] == n_cols
 
 
 class TestRank1Overlap:
@@ -388,6 +429,24 @@ class TestUtlRearrange:
         inv_rows = np.argsort(view.row_order)
         inv_cols = np.argsort(view.col_order)
         assert np.array_equal(permuted[np.ix_(inv_rows, inv_cols)], dense)
+
+    @given(binary_arrays(9, 12), st.data())
+    def test_cleared_matches_a_fresh_view(self, dense, data):
+        n, m = dense.shape
+        row_mask = data.draw(arrays(np.uint8, n, elements=st.integers(0, 1)))
+        col_mask = data.draw(arrays(np.uint8, m, elements=st.integers(0, 1)))
+        mat = BinaryMatrix.from_dense(dense)
+        view = utl_rearrange(mat).cleared(mat,
+                                          BinaryVector.from_dense(row_mask),
+                                          BinaryVector.from_dense(col_mask))
+        left = dense & (1 - np.outer(row_mask, col_mask)).astype(np.uint8)
+        fresh = utl_rearrange(BinaryMatrix.from_dense(left))
+        assert view.row_totals.tolist() == left.sum(axis=1).tolist()
+        assert view.col_totals.tolist() == left.sum(axis=0).tolist()
+        assert np.array_equal(view.row_order, fresh.row_order)
+        assert np.array_equal(view.col_order, fresh.col_order)
+        assert (view.n_active, view.m_active) == (fresh.n_active,
+                                                  fresh.m_active)
 
     def test_deterministic(self):
         rng = np.random.default_rng(17)

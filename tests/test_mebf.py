@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mebf.factorize
 from mebf.boolmat import (
     BinaryMatrix,
     bool_product,
@@ -20,6 +21,7 @@ from mebf.boolmat import (
     cost_gamma,
     elementwise,
     rank1_product,
+    utl_rearrange,
 )
 from mebf.factorize import (
     FactorResult,
@@ -474,7 +476,7 @@ class TestPlantedInvariants:
         assert x._packed.tobytes() == before
 
     def test_peak_memory_is_a_small_multiple_of_the_input(self):
-        # measured at 5.13x; lower the bound as the loop allocates less,
+        # measured at 4.18x; lower the bound as the loop allocates less,
         # never raise it
         x = simulate(SimulationSpec(n=2000, m=2000, k=5, p0=0.2, p=0.01,
                                     seed=3)).X
@@ -487,7 +489,58 @@ class TestPlantedInvariants:
         finally:
             tracemalloc.stop()
         assert result.k == 10
-        assert peak <= 5.5 * x._packed.nbytes
+        assert peak <= 4.3 * x._packed.nbytes
+
+
+# the planted instances plus a tall one whose weak fallback is accepted
+VIEW_INSTANCES = {
+    **PLANTED,
+    "tall": (SimulationSpec(n=16000, m=500, k=12, p0=0.06, p=0.003,
+                            seed=4), 0.3, 20),
+}
+
+
+class TestSharedView:
+    """The loop keeps one view per round instead of re-sorting the residual.
+
+    Every view it hands to a pattern finder must equal a fresh
+    ``utl_rearrange`` of the residual that finder is given.
+    """
+
+    @pytest.mark.parametrize("name", sorted(VIEW_INSTANCES))
+    def test_view_matches_a_fresh_one(self, name, monkeypatch):
+        spec, t, k_max = VIEW_INSTANCES[name]
+        calls = []
+
+        def recording(finder):
+            def wrapper(x_res, t, view=None):
+                calls.append((finder, x_res, view))
+                return finder(x_res, t, view)
+            return wrapper
+
+        for finder in (bidirectional_growth, weak_signal_detection):
+            monkeypatch.setattr(mebf.factorize, finder.__name__,
+                                recording(finder))
+        result = mebf_factorize(simulate(spec).X,
+                                MebfConfig(t=t, k_max=k_max))
+        monkeypatch.undo()
+
+        if name != "dense_blocks":
+            assert result.weak_signal_uses > 0
+        finders = [finder for finder, _, _ in calls]
+        assert finders.count(bidirectional_growth) == result.iterations
+        assert finders.count(weak_signal_detection) >= \
+            result.weak_signal_uses
+        for _, residual, view in calls:
+            fresh = utl_rearrange(residual)
+            for field in ("row_order", "col_order", "row_totals",
+                          "col_totals"):
+                assert np.array_equal(getattr(view, field),
+                                      getattr(fresh, field)), field
+            assert (view.n_active, view.m_active) == (fresh.n_active,
+                                                      fresh.m_active)
+            for finder in (bidirectional_growth, weak_signal_detection):
+                assert finder(residual, t, fresh) == finder(residual, t)
 
 
 class TestFactorResult:
