@@ -1,8 +1,8 @@
 """Boolean matrix factorization toolkit.
 
 Median-expansion pattern mining over bit-packed binary matrices, with a
-seeded simulation generator, evaluation metrics, an exhaustive
-small-instance search, text-format matrix I/O, and a batch CLI.
+seeded simulation generator, evaluation metrics, text-format matrix I/O,
+and a batch CLI.
 """
 
 from .boolmat import (
@@ -11,7 +11,6 @@ from .boolmat import (
     UtlView,
     bool_product,
     complement,
-    cost_gamma,
     elementwise,
     rank1_product,
     utl_rearrange,
@@ -41,7 +40,6 @@ from .metrics import (
     reconstruction_error,
     report_from_factors,
 )
-from .oracle import exhaustive_bmf, naive_bool_product
 from .simulate import (
     SimulatedInstance,
     SimulationSpec,
@@ -70,14 +68,11 @@ __all__ = [
     "bool_product",
     "build_report",
     "complement",
-    "cost_gamma",
     "coverage_rate",
     "density",
     "elementwise",
-    "exhaustive_bmf",
     "mask_denoise",
     "mebf_factorize",
-    "naive_bool_product",
     "preset_grid",
     "rank1_product",
     "read_matrix",

@@ -20,7 +20,6 @@ __all__ = [
     "bool_product",
     "col_dot_counts",
     "complement",
-    "cost_gamma",
     "elementwise",
     "rank1_cost",
     "rank1_overlap",
@@ -180,10 +179,6 @@ class BinaryMatrix:
         return cls(n_rows, n_cols, packed)
 
     @classmethod
-    def identity(cls, n: int) -> BinaryMatrix:
-        return cls.from_dense(np.eye(n, dtype=np.uint8))
-
-    @classmethod
     def from_rows(cls, rows: list[BinaryVector], n_cols: int) -> BinaryMatrix:
         """Stack vectors of equal length as matrix rows."""
         if any(r.length != n_cols for r in rows):
@@ -311,11 +306,6 @@ def utl_rearrange(x: BinaryMatrix) -> UtlView:
     return UtlView.from_totals(x.row_sums(), x.col_sums())
 
 
-def _check_same_shape(a: BinaryMatrix, b: BinaryMatrix) -> None:
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-
-
 def bool_product(a_mat: BinaryMatrix, b_mat: BinaryMatrix) -> BinaryMatrix:
     """Boolean matrix product: entry (i, j) is OR over l of A[i,l] AND B[l,j].
 
@@ -339,7 +329,8 @@ def elementwise(op: str, a: BinaryMatrix, b: BinaryMatrix) -> BinaryMatrix:
         ufunc = _ELEMENTWISE_UFUNCS[op.lower()]
     except KeyError:
         raise ValueError(f"unknown elementwise op {op!r}") from None
-    _check_same_shape(a, b)
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     return BinaryMatrix(a.n_rows, a.n_cols, ufunc(a._packed, b._packed))
 
 
@@ -357,18 +348,6 @@ def rank1_product(row_mask: BinaryVector,
                    dtype=np.uint8)
     out[row_mask.to_dense() == 1] = col_mask._packed
     return BinaryMatrix(row_mask.length, col_mask.length, out)
-
-
-def cost_gamma(a_mat: BinaryMatrix, b_mat: BinaryMatrix,
-               x: BinaryMatrix) -> int:
-    """Number of entries where x and the Boolean product A B disagree.
-
-    k = 0 factors are valid; the product is then all-zero and the cost is
-    the number of ones in x.
-    """
-    product = bool_product(a_mat, b_mat)
-    _check_same_shape(product, x)
-    return elementwise("xor", x, product).count()
 
 
 def col_dot_counts(x: BinaryMatrix, v: BinaryVector) -> np.ndarray:
@@ -403,7 +382,7 @@ def rank1_cost(row_mask: BinaryVector, col_mask: BinaryVector,
                x: BinaryMatrix) -> int:
     """Cost of approximating x by the single pattern (row_mask, col_mask).
 
-    Equals ``cost_gamma`` of the rank-1 product against x, computed without
+    Counts the entries where x and the rank-1 product disagree without
     materializing the product: |x| + |pattern| - 2 * overlap.
     """
     overlap = rank1_overlap(row_mask, col_mask, x)

@@ -216,7 +216,7 @@ def mebf_factorize(x: BinaryMatrix, cfg: MebfConfig) -> FactorResult:
     iterations = 0
     weak_uses = 0
 
-    while len(row_parts) < cfg.k_max and residual_count:
+    while residual_count:
         iterations += 1
         pair = bidirectional_growth(residual, cfg.t, view)
         cost, covered = _candidate_cost(pair, best_cost, recon, residual)
@@ -237,6 +237,13 @@ def mebf_factorize(x: BinaryMatrix, cfg: MebfConfig) -> FactorResult:
                 "factorization cannot progress")
         row_parts.append(pair[0])
         col_parts.append(pair[1])
+        best_cost = cost
+        residual_count -= covered
+        cost_history.append(cost)
+        residual_history.append(residual_count)
+        weak_uses += from_weak
+        if len(row_parts) == cfg.k_max:
+            break  # nothing reads the view, recon or residual after this
         view = view.cleared(residual, *pair)
         # each n x m temporary is dropped once used, so at most four n x m
         # matrices are live: residual, recon and the two being combined
@@ -246,11 +253,6 @@ def mebf_factorize(x: BinaryMatrix, cfg: MebfConfig) -> FactorResult:
         del pattern
         residual = elementwise("and", residual, keep)
         del keep
-        best_cost = cost
-        residual_count -= covered
-        cost_history.append(cost)
-        residual_history.append(residual_count)
-        weak_uses += from_weak
 
     return FactorResult(
         A=BinaryMatrix.from_columns(row_parts, x.n_rows),

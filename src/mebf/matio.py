@@ -26,6 +26,7 @@ fails a bulk check is read again line by line, to name that line.
 
 from __future__ import annotations
 
+import io
 import itertools
 
 import numpy as np
@@ -137,10 +138,10 @@ def _text_chunks(path):
 
 
 def _lines(chunks):
-    """Yield (line number, line without its LF) for each line of chunks."""
+    """Yield (line number, line without its LF), cut one at a time."""
     for lineno, chunk in chunks:
-        for offset, line in enumerate(chunk.split(b"\n")[:-1]):
-            yield lineno + offset, line
+        for offset, line in enumerate(io.BytesIO(chunk), lineno):
+            yield offset, line[:-1]
 
 
 def _parse_dense01(chunks) -> BinaryMatrix:
@@ -259,15 +260,21 @@ def _coo_error(chunks) -> MatrixFormatError:
     Keeps the order of the checks on the whole file: the coordinate line
     count, the allocation of the packed matrix, then each line in order for
     its token count, digit-only tokens, the range and an earlier equal
-    coordinate.
+    coordinate.  Earlier coordinates are marked in a flat packed bit array,
+    so the scan holds about the packed matrix plus one chunk.
     """
     n, m, nnz, bodies = _coo_header(chunks)
+    failure = None
+    try:
+        seen = memoryview(np.zeros((n, (m + 7) // 8), dtype=np.uint8)
+                          .reshape(-1))
+    except (MemoryError, ValueError) as exc:
+        failure = exc
     error = None
     found = 0
-    seen: set[tuple[int, int]] = set()
     for lineno, line in _lines(bodies):
         found += 1
-        if error is None:
+        if error is None and failure is None:
             error = _coo_line_error(line, lineno, n, m, seen)
     if found != nnz:
         return MatrixFormatError(
@@ -275,7 +282,8 @@ def _coo_error(chunks) -> MatrixFormatError:
             f"found {found}")
     # a header too large to hold fails here, after the line count and
     # before any line check
-    np.zeros((n, (m + 7) // 8), dtype=np.uint8)
+    if failure is not None:
+        raise failure
     if error is None:
         raise AssertionError("a coo file failed a streamed check but has no "
                              "bad line")
@@ -283,8 +291,8 @@ def _coo_error(chunks) -> MatrixFormatError:
 
 
 def _coo_line_error(line: bytes, lineno: int, n: int, m: int,
-                    seen: set) -> MatrixFormatError | None:
-    """The error of one coordinate line, or None after adding it to seen."""
+                    seen: memoryview) -> MatrixFormatError | None:
+    """The error of one coordinate line, or None after marking it in seen."""
     parts = line.split()
     if len(parts) != 2:
         return MatrixFormatError(
@@ -295,10 +303,12 @@ def _coo_line_error(line: bytes, lineno: int, n: int, m: int,
     if not (1 <= i <= n and 1 <= j <= m):
         return MatrixFormatError(
             f"line {lineno}: coordinate ({i}, {j}) outside {n}x{m}")
-    if (i, j) in seen:
+    byte = (i - 1) * ((m + 7) // 8) + ((j - 1) >> 3)
+    bit = 0x80 >> ((j - 1) & 7)
+    if seen[byte] & bit:
         return MatrixFormatError(
             f"line {lineno}: duplicate coordinate ({i}, {j})")
-    seen.add((i, j))
+    seen[byte] |= bit
     return None
 
 

@@ -30,16 +30,15 @@ class UndefinedMetricError(ValueError):
     """A metric's denominator is zero for the given inputs."""
 
 
-def reconstruction_error(u: BinaryMatrix, v: BinaryMatrix,
-                         a_mat: BinaryMatrix, b_mat: BinaryMatrix) -> float:
+def reconstruction_error(truth: BinaryMatrix,
+                         estimate: BinaryMatrix) -> float:
     """Disagreement between the true and estimated products.
 
-    Compares the two reconstructions, not the (possibly noisy) observed
-    matrix, relative to the number of ones in the true product.  Can
-    exceed 1 when the estimate covers far more than the truth.
+    Takes the two Boolean products (e.g. ``bool_product(U, V)`` and
+    ``bool_product(A, B)``), not the (possibly noisy) observed matrix, and
+    counts their disagreement relative to the number of ones in the truth.
+    Can exceed 1 when the estimate covers far more than the truth.
     """
-    truth = bool_product(u, v)
-    estimate = bool_product(a_mat, b_mat)
     denom = truth.count()
     if denom == 0:
         raise UndefinedMetricError(
@@ -60,14 +59,12 @@ def density(a_mat: BinaryMatrix, b_mat: BinaryMatrix) -> float:
                                               * k)
 
 
-def coverage_rate(x: BinaryMatrix, a_mat: BinaryMatrix,
-                  b_mat: BinaryMatrix) -> float:
-    """Fraction of x's ones reproduced by the Boolean product of A and B."""
+def coverage_rate(x: BinaryMatrix, recon: BinaryMatrix) -> float:
+    """Fraction of x's ones reproduced by recon, the product of A and B."""
     denom = x.count()
     if denom == 0:
         raise UndefinedMetricError("coverage_rate undefined: x has no ones")
-    covered = elementwise("and", x, bool_product(a_mat, b_mat)).count()
-    return covered / denom
+    return elementwise("and", x, recon).count() / denom
 
 
 @dataclass(frozen=True)
@@ -111,16 +108,16 @@ class MetricsReport:
         return out
 
 
-def _assemble(x: BinaryMatrix, a_mat: BinaryMatrix, b_mat: BinaryMatrix,
-              cost_history: tuple[int, ...],
+def _assemble(x: BinaryMatrix, recon: BinaryMatrix, a_mat: BinaryMatrix,
+              b_mat: BinaryMatrix, cost_history: tuple[int, ...],
               truth: tuple[BinaryMatrix, BinaryMatrix] | None
               ) -> MetricsReport:
-    recon = bool_product(a_mat, b_mat)
+    """The report of factors A, B of x, whose product is recon."""
     warnings: list[str] = []
 
     cov = None
     try:
-        cov = coverage_rate(x, a_mat, b_mat)
+        cov = coverage_rate(x, recon)
     except UndefinedMetricError as exc:
         warnings.append(str(exc))
 
@@ -133,12 +130,13 @@ def _assemble(x: BinaryMatrix, a_mat: BinaryMatrix, b_mat: BinaryMatrix,
     rec_err = None
     if truth is not None:
         try:
-            rec_err = reconstruction_error(truth[0], truth[1], a_mat, b_mat)
+            rec_err = reconstruction_error(bool_product(*truth), recon)
         except UndefinedMetricError as exc:
             warnings.append(str(exc))
 
     return MetricsReport(
-        final_cost=elementwise("xor", x, recon).count(),
+        # the last cost of the trace; with no patterns, every one of x
+        final_cost=cost_history[-1] if cost_history else x.count(),
         pattern_count=a_mat.n_cols,
         cost_history=cost_history,
         reconstruction_error=rec_err,
@@ -154,10 +152,13 @@ def build_report(x: BinaryMatrix, result: FactorResult,
                  ) -> MetricsReport:
     """Report for a factorization result of x.
 
-    ``truth`` is the optional pair of planted factor matrices; providing
-    it enables the reconstruction error.
+    x must be the matrix that was factorized: the final cost is read from
+    the result's cost trace, not recounted against x.  ``truth`` is the
+    optional pair of planted factor matrices; providing it enables the
+    reconstruction error.
     """
-    return _assemble(x, result.A, result.B, result.cost_history, truth)
+    return _assemble(x, bool_product(result.A, result.B), result.A, result.B,
+                     result.cost_history, truth)
 
 
 def report_from_factors(x: BinaryMatrix, a_mat: BinaryMatrix,
@@ -167,15 +168,19 @@ def report_from_factors(x: BinaryMatrix, a_mat: BinaryMatrix,
     """Report rebuilt from factor matrices alone.
 
     The cost trace is recovered as the cost of each prefix of patterns
-    against x, which reproduces the trace recorded during factorization.
+    against x, which reproduces the trace recorded during factorization;
+    the last prefix is the product of A and B that the report reads.
     """
     if a_mat.n_cols != b_mat.n_rows:
         raise ValueError(
             f"factor shapes disagree: {a_mat.shape} vs {b_mat.shape}")
+    if (a_mat.n_rows, b_mat.n_cols) != x.shape:
+        raise ValueError(f"shape mismatch: {x.shape} vs "
+                         f"{(a_mat.n_rows, b_mat.n_cols)}")
     recon = BinaryMatrix.zeros(x.n_rows, x.n_cols)
     history = []
     for l in range(a_mat.n_cols):
         recon = elementwise(
             "or", recon, rank1_product(a_mat.col(l), b_mat.row(l)))
         history.append(elementwise("xor", x, recon).count())
-    return _assemble(x, a_mat, b_mat, tuple(history), truth)
+    return _assemble(x, recon, a_mat, b_mat, tuple(history), truth)

@@ -1,18 +1,34 @@
-"""Exhaustive exact factorization and naive reference kernels.
+"""Slow, literal references that the tests check the fast code against.
 
-These exist to verify the fast bit-packed kernels and to bound the
-heuristic on small instances.  They are deliberately simple and slow:
-``naive_bool_product`` is a literal triple loop, and ``exhaustive_bmf``
-enumerates every factor pair.
+None of this is used by the package itself: ``naive_bool_product`` is a
+triple loop, ``exhaustive_bmf`` enumerates every factor pair, and
+``cost_gamma`` forms the full product to count the cost.
 """
 
 from __future__ import annotations
 
-from .boolmat import BinaryMatrix
+import numpy as np
+
+from mebf.boolmat import BinaryMatrix, bool_product, elementwise
 
 # 2^((n+m)*k) candidate factor pairs are enumerated; this bound keeps the
 # search space at ~10^6.
 MAX_SEARCH_BITS = 20
+
+
+def identity(n: int) -> BinaryMatrix:
+    """The n x n identity matrix."""
+    return BinaryMatrix.from_dense(np.eye(n, dtype=np.uint8))
+
+
+def cost_gamma(a_mat: BinaryMatrix, b_mat: BinaryMatrix,
+               x: BinaryMatrix) -> int:
+    """Number of entries where x and the Boolean product A B disagree.
+
+    k = 0 factors are valid; the product is then all-zero and the cost is
+    the number of ones in x.
+    """
+    return elementwise("xor", x, bool_product(a_mat, b_mat)).count()
 
 
 def naive_bool_product(a_mat: BinaryMatrix,

@@ -5,9 +5,17 @@ import importlib
 import inspect
 import pkgutil
 
+import pytest
+
 import mebf
+from mebf import boolmat
 from mebf.factorize import MebfConfig
-from mebf.metrics import MetricsReport, build_report
+from mebf.metrics import (
+    MetricsReport,
+    build_report,
+    coverage_rate,
+    reconstruction_error,
+)
 
 
 def test_exports_resolve_and_config_has_two_fields():
@@ -28,3 +36,21 @@ def test_report_fields_and_build_report_parameters():
                       "per_column_coverage", "warnings")
     params = tuple(inspect.signature(build_report).parameters)
     assert params == ("x", "result", "truth")
+
+
+def test_metrics_take_products_not_factor_pairs():
+    assert tuple(inspect.signature(coverage_rate).parameters) == ("x",
+                                                                  "recon")
+    assert tuple(inspect.signature(reconstruction_error).parameters) == (
+        "truth", "estimate")
+
+
+def test_test_only_references_are_not_shipped():
+    for name in ("exhaustive_bmf", "naive_bool_product", "cost_gamma"):
+        assert name not in mebf.__all__
+        assert not hasattr(mebf, name)
+    assert "cost_gamma" not in boolmat.__all__
+    assert not hasattr(boolmat, "cost_gamma")
+    assert not hasattr(boolmat.BinaryMatrix, "identity")
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("mebf.oracle")

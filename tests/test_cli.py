@@ -9,6 +9,7 @@ from mebf.boolmat import BinaryMatrix, bool_product
 from mebf.cli import main
 from mebf.factorize import MebfConfig, mebf_factorize
 from mebf.matio import RealMatrix, binarize, read_matrix, write_matrix
+from reference import identity
 
 BLOCK_DIAGONAL = [[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1]]
 
@@ -256,12 +257,25 @@ class TestMetrics:
         write_matrix(BinaryMatrix.from_dense([[1, 1], [0, 1]]), x_path,
                      "dense01")
         out_a, out_b = tmp_path / "a.txt", tmp_path / "b.txt"
-        write_matrix(BinaryMatrix.identity(2), out_a, "dense01")
-        write_matrix(BinaryMatrix.identity(2), out_b, "dense01")
+        write_matrix(identity(2), out_a, "dense01")
+        write_matrix(identity(2), out_b, "dense01")
         assert main(["metrics", "--input", str(x_path), "--a", str(out_a),
                      "--b", str(out_b)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["coverage_rate"] == 2 / 3
+
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_factors_that_do_not_fit_the_input(self, tmp_path, capsys, k):
+        x_path = tmp_path / "x.txt"
+        write_matrix(BinaryMatrix.ones(3, 4), x_path, "dense01")
+        out_a, out_b = tmp_path / "a.txt", tmp_path / "b.txt"
+        write_matrix(BinaryMatrix.ones(2, k), out_a, "dense01")
+        write_matrix(BinaryMatrix.ones(k, 4), out_b, "dense01")
+        assert main(["metrics", "--input", str(x_path), "--a", str(out_a),
+                     "--b", str(out_b)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: shape mismatch: (3, 4) vs (2, 4)\n"
 
     def test_lone_truth_flag_rejected(self, tmp_path, block_file, capsys):
         out_a, out_b = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -339,7 +353,7 @@ class TestOracleCommand:
 
     def test_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "x.txt"
-        write_matrix(BinaryMatrix.identity(2), path, "dense01")
+        write_matrix(identity(2), path, "dense01")
         with pytest.raises(SystemExit) as excinfo:
             main(["oracle", "--input", str(path), "--k", "1"])
         assert excinfo.value.code == 2

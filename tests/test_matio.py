@@ -22,6 +22,7 @@ from mebf.matio import (
     write_matrix,
 )
 from mebf.simulate import SimulationSpec, simulate
+from reference import identity
 
 
 # The per-line readers and line-joining writers that the bulk numpy code in
@@ -182,12 +183,12 @@ class TestDense01:
     def test_read_identity(self, tmp_path):
         path = tmp_path / "x.txt"
         path.write_text("10\n01\n")
-        assert read_matrix(path, "dense01") == BinaryMatrix.identity(2)
+        assert read_matrix(path, "dense01") == identity(2)
 
     def test_read_with_spaces(self, tmp_path):
         path = tmp_path / "x.txt"
         path.write_text("1 0\n0 1\n")
-        assert read_matrix(path, "dense01") == BinaryMatrix.identity(2)
+        assert read_matrix(path, "dense01") == identity(2)
 
     def test_invalid_character_reports_line(self, tmp_path):
         path = tmp_path / "x.txt"
@@ -203,7 +204,7 @@ class TestDense01:
 
     def test_written_form_is_canonical(self, tmp_path):
         path = tmp_path / "x.txt"
-        write_matrix(BinaryMatrix.identity(2), path, "dense01")
+        write_matrix(identity(2), path, "dense01")
         assert path.read_text() == "10\n01\n"
 
 
@@ -251,6 +252,13 @@ class TestCoo:
         path = tmp_path / "x.coo"
         path.write_text(content)
         with pytest.raises(MatrixFormatError, match=f"^{message}$"):
+            read_matrix(path, "coo")
+
+    def test_unallocatable_header_outranks_a_bad_line(self, tmp_path):
+        # the line count holds, so the allocation fails before any line check
+        path = tmp_path / "x.coo"
+        path.write_text("9223372036854775807 1 1\n1 x\n")
+        with pytest.raises(MemoryError, match="^Unable to allocate"):
             read_matrix(path, "coo")
 
     @pytest.mark.parametrize("token", ["+1", "1_0", "-1", "1.0"])
@@ -335,7 +343,7 @@ class TestReadPeakMemory:
         x = simulate(spec).X
         write_matrix(x, path, fmt)
         # warm up, so that one-off allocations of a first call stay out
-        write_matrix(BinaryMatrix.identity(3), tmp_path / "warm", fmt)
+        write_matrix(identity(3), tmp_path / "warm", fmt)
         read_matrix(tmp_path / "warm", fmt)
         tracemalloc.start()
         try:
@@ -346,6 +354,37 @@ class TestReadPeakMemory:
             tracemalloc.stop()
         assert mat == x
         assert peak <= 2 * mat._packed.nbytes + chunks * matio._CHUNK_BYTES
+
+
+    def test_late_bad_coo_line(self, tmp_path):
+        # the error scan marks coordinates in a packed bit array, so a bad
+        # last line holds the packed matrix once plus the chunk work: 0.73
+        # MB file, 1.0 MB packed, measured 1 x packed + 8.87 chunks (59
+        # chunks with a set of every coordinate)
+        n, m = 4000, 2000
+        flat = np.unique(np.random.default_rng(137).integers(0, n * m,
+                                                             80_000))
+        lines = [f"{n} {m} {flat.size}"] + [
+            f"{i + 1} {j + 1}" for i, j in zip(*np.divmod(flat, m))]
+        lines[-1] = lines[-1].replace(" ", " x ")
+        path = tmp_path / "x.coo"
+        path.write_text("\n".join(lines) + "\n", encoding="ascii")
+        warm = tmp_path / "warm.coo"
+        warm.write_bytes(b"2 2 1\n1 x\n")
+        with pytest.raises(MatrixFormatError):
+            read_matrix(warm, "coo")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with pytest.raises(MatrixFormatError) as raised:
+                read_matrix(path, "coo")
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert str(raised.value) == (f"line {flat.size + 1}: expected 'i j', "
+                                     f"got {lines[-1]!r}")
+        packed = n * ((m + 7) // 8)
+        assert peak <= packed + 9.0 * matio._CHUNK_BYTES
 
 
 class TestNonAscii:
@@ -387,7 +426,7 @@ class TestChunkBoundaries:
     @pytest.mark.parametrize("chunk_bytes", [1, 2, 3, 4, 5, 8])
     def test_no_final_line_end(self, chunk_bytes):
         assert read_content(b"10\n01", "dense01", chunk_bytes) == \
-            BinaryMatrix.identity(2)
+            identity(2)
         assert read_content(b"2 2 1\n1 2", "coo", chunk_bytes) == \
             BinaryMatrix.from_dense([[0, 1], [0, 0]])
         assert read_content(b"1.5\r", "csv", chunk_bytes) == \
@@ -621,7 +660,7 @@ class TestBinarize:
 
     def test_hand_example(self):
         real = RealMatrix([[1.5, 0.0], [0.0, 2.0]])
-        assert binarize(real) == BinaryMatrix.identity(2)
+        assert binarize(real) == identity(2)
 
     def test_threshold_override(self):
         real = RealMatrix([[1.5, 0.0], [0.0, 2.0]])

@@ -18,7 +18,6 @@ from mebf.boolmat import (
     BinaryMatrix,
     bool_product,
     complement,
-    cost_gamma,
     elementwise,
     rank1_product,
     utl_rearrange,
@@ -31,6 +30,7 @@ from mebf.factorize import (
     weak_signal_detection,
 )
 from mebf.simulate import SimulationSpec, simulate
+from reference import cost_gamma, identity
 
 # fixture known to exercise the weak-signal fallback inside the loop
 WEAK_PATH_DENSE = [
@@ -186,7 +186,7 @@ class TestBidirectionalGrowth:
         assert rows.count() == 3 and cols.count() == 5
 
     def test_identity_tie_prefers_column_candidate(self):
-        rows, cols = bidirectional_growth(BinaryMatrix.identity(2), 0.5)
+        rows, cols = bidirectional_growth(identity(2), 0.5)
         # both candidates cover one diagonal entry at cost 1
         assert rows.to_dense().tolist() == [1, 0]
         assert cols.to_dense().tolist() == [1, 0]
@@ -222,7 +222,7 @@ class TestWeakSignalDetection:
         assert rows.to_dense().tolist() == [1, 1, 0]
 
     def test_both_candidates_invalid(self):
-        assert weak_signal_detection(BinaryMatrix.identity(2), 0.5) is None
+        assert weak_signal_detection(identity(2), 0.5) is None
 
     def test_all_zero(self):
         assert weak_signal_detection(BinaryMatrix.zeros(4, 4), 0.5) is None
@@ -306,6 +306,24 @@ class TestFactorize:
         result = mebf_factorize(mat, MebfConfig(t=0.4, k_max=3))
         assert result.k <= 3
         assert result.A.n_cols == result.k and result.B.n_rows == result.k
+
+    @pytest.mark.parametrize("k_max", [1, 3, 6, 10])
+    def test_pattern_that_fills_the_budget_is_not_applied(self, k_max,
+                                                          monkeypatch):
+        # nothing reads the residual or recon after the last pattern, so
+        # only the patterns before it are applied to them
+        applied = []
+
+        def recording(rows, cols):
+            applied.append((rows, cols))
+            return rank1_product(rows, cols)
+
+        monkeypatch.setattr(mebf.factorize, "rank1_product", recording)
+        mat = BinaryMatrix.from_dense(WEAK_PATH_DENSE)
+        result = mebf_factorize(mat, MebfConfig(t=WEAK_PATH_T, k_max=k_max))
+        assert result.k == min(k_max, 6)
+        assert applied == [result.pattern(l)
+                           for l in range(result.k - (result.k == k_max))]
 
     def test_deterministic(self):
         rng = np.random.default_rng(53)

@@ -1,10 +1,12 @@
 """Metric tests with hand-derived fixtures and definitional cross-checks."""
 
+import re
+
 import numpy as np
 import pytest
 
 from mebf.boolmat import BinaryMatrix, bool_product, complement, elementwise
-from mebf.factorize import MebfConfig, mebf_factorize
+from mebf.factorize import FactorResult, MebfConfig, mebf_factorize
 from mebf.metrics import (
     MetricsReport,
     UndefinedMetricError,
@@ -14,6 +16,7 @@ from mebf.metrics import (
     reconstruction_error,
     report_from_factors,
 )
+from reference import identity
 
 
 def mats(*denses):
@@ -23,13 +26,15 @@ def mats(*denses):
 class TestReconstructionError:
     def test_exact_recovery_is_zero(self):
         u, v = mats([[1, 0], [1, 1]], [[0, 1], [1, 1]])
-        assert reconstruction_error(u, v, u, v) == 0.0
+        assert reconstruction_error(bool_product(u, v),
+                                    bool_product(u, v)) == 0.0
 
     def test_empty_estimate_is_one(self):
         u, v = mats([[1, 0], [1, 1]], [[0, 1], [1, 1]])
         a = BinaryMatrix.zeros(2, 0)
         b = BinaryMatrix.zeros(0, 2)
-        assert reconstruction_error(u, v, a, b) == 1.0
+        assert reconstruction_error(bool_product(u, v),
+                                    bool_product(a, b)) == 1.0
 
     def test_hand_example_one_third(self):
         # truth product [[1,1],[1,0]] vs estimate [[1,0],[1,0]]
@@ -41,18 +46,20 @@ class TestReconstructionError:
         assert estimate.tolist() == [[1, 0], [1, 0]]
         expected = int((truth ^ estimate).sum()) / int(truth.sum())
         assert expected == 1 / 3
-        assert reconstruction_error(u, v, a, b) == expected
+        assert reconstruction_error(bool_product(u, v),
+                                    bool_product(a, b)) == expected
 
     def test_can_exceed_one(self):
         u, v = mats([[1], [0]], [[1, 0]])
         a, b = mats([[1], [1]], [[1, 1]])
-        assert reconstruction_error(u, v, a, b) == 3.0
+        assert reconstruction_error(bool_product(u, v),
+                                    bool_product(a, b)) == 3.0
 
     def test_undefined_for_empty_truth(self):
         u = BinaryMatrix.zeros(2, 1)
         v = BinaryMatrix.zeros(1, 2)
         with pytest.raises(UndefinedMetricError):
-            reconstruction_error(u, v, u, v)
+            reconstruction_error(bool_product(u, v), bool_product(u, v))
 
 
 class TestDensity:
@@ -78,23 +85,25 @@ class TestCoverageRate:
     def test_full_cover(self):
         x, = mats([[1, 1], [0, 1]])
         a, b = mats([[1], [1]], [[1, 1]])
-        assert coverage_rate(x, a, b) == 1.0
+        assert coverage_rate(x, bool_product(a, b)) == 1.0
 
     def test_empty_factorization_covers_nothing(self):
         x, = mats([[1, 1], [0, 1]])
-        assert coverage_rate(x, BinaryMatrix.zeros(2, 0),
-                             BinaryMatrix.zeros(0, 2)) == 0.0
+        empty = bool_product(BinaryMatrix.zeros(2, 0),
+                             BinaryMatrix.zeros(0, 2))
+        assert coverage_rate(x, empty) == 0.0
 
     def test_hand_example_two_thirds(self):
         x, = mats([[1, 1], [0, 1]])
-        a = BinaryMatrix.identity(2)
-        b = BinaryMatrix.identity(2)
-        assert coverage_rate(x, a, b) == 2 / 3
+        a = identity(2)
+        b = identity(2)
+        assert coverage_rate(x, bool_product(a, b)) == 2 / 3
 
     def test_undefined_for_empty_input(self):
         with pytest.raises(UndefinedMetricError):
-            coverage_rate(BinaryMatrix.zeros(2, 2), BinaryMatrix.zeros(2, 1),
-                          BinaryMatrix.zeros(1, 2))
+            coverage_rate(BinaryMatrix.zeros(2, 2),
+                          bool_product(BinaryMatrix.zeros(2, 1),
+                                       BinaryMatrix.zeros(1, 2)))
 
     def test_full_coverage_iff_no_uncovered_ones(self):
         rng = np.random.default_rng(83)
@@ -109,7 +118,8 @@ class TestCoverageRate:
             x = BinaryMatrix.from_dense(x_dense)
             uncovered = elementwise(
                 "and", x, complement(bool_product(a, b))).count()
-            assert (coverage_rate(x, a, b) == 1.0) == (uncovered == 0)
+            assert ((coverage_rate(x, bool_product(a, b)) == 1.0)
+                    == (uncovered == 0))
 
 
 class TestRanges:
@@ -118,8 +128,8 @@ class TestRanges:
         for seed in range(5):
             inst = simulate(SimulationSpec(n=15, m=12, k=3, p0=0.4,
                                            p=0.02, seed=seed))
-            assert reconstruction_error(inst.U, inst.V,
-                                        inst.U, inst.V) == 0.0
+            assert reconstruction_error(bool_product(inst.U, inst.V),
+                                        bool_product(inst.U, inst.V)) == 0.0
 
     def test_ratios_bounded_on_random_instances(self):
         rng = np.random.default_rng(89)
@@ -131,7 +141,7 @@ class TestRanges:
             b = BinaryMatrix.from_dense(rng.random((k, m)) < 0.5)
             assert 0.0 <= density(a, b) <= 1.0
             if x.count():
-                assert 0.0 <= coverage_rate(x, a, b) <= 1.0
+                assert 0.0 <= coverage_rate(x, bool_product(a, b)) <= 1.0
 
 
 class TestBuildReport:
@@ -185,6 +195,84 @@ class TestBuildReport:
             truth=(BinaryMatrix.zeros(2, 1), BinaryMatrix.zeros(1, 2)))
         assert report.reconstruction_error is None
         assert any("reconstruction_error" in w for w in report.warnings)
+
+
+# factor pairs that MEBF would not return, as (columns of A, rows of B)
+FOREIGN = {
+    "overlapping": ([[1, 1, 1, 0, 0, 0], [0, 1, 1, 1, 0, 0]],
+                    [[1, 1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 1, 0, 0]]),
+    "repeated": ([[1, 1, 0, 0, 1, 0], [1, 1, 0, 0, 1, 0]],
+                 [[0, 1, 1, 0, 0, 1, 0], [0, 1, 1, 0, 0, 1, 0]]),
+    "empty_rows": ([[0, 0, 0, 0, 0, 0], [1, 0, 1, 0, 1, 0]],
+                   [[1, 1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, 1, 1]]),
+    "empty_cols": ([[1, 1, 1, 1, 0, 0], [0, 0, 1, 1, 1, 1]],
+                   [[0, 0, 0, 0, 0, 0, 0], [1, 0, 0, 1, 0, 0, 1]]),
+    "no_patterns": ([], []),
+}
+
+
+def foreign_factors(name):
+    """(A, B) as matrices and dense arrays, for a 6 x 7 input."""
+    cols, rows = FOREIGN[name]
+    a = np.array(cols, dtype=np.uint8).reshape(-1, 6).T
+    b = np.array(rows, dtype=np.uint8).reshape(-1, 7)
+    return BinaryMatrix.from_dense(a), BinaryMatrix.from_dense(b), a, b
+
+
+def numpy_costs(x, a, b):
+    """Cost of each prefix of patterns against x, in plain numpy."""
+    return [int((x ^ (a[:, :l + 1] @ b[:l + 1] > 0)).sum())
+            for l in range(a.shape[1])]
+
+
+class TestForeignFactors:
+    """Reports of factors that MEBF did not produce, against plain numpy."""
+
+    @pytest.mark.parametrize("name", sorted(FOREIGN))
+    def test_report_from_factors_matches_numpy(self, name):
+        rng = np.random.default_rng(131)
+        x = (rng.random((6, 7)) < 0.5).astype(np.uint8)
+        u = (rng.random((6, 2)) < 0.5).astype(np.uint8)
+        v = (rng.random((2, 7)) < 0.5).astype(np.uint8)
+        a_mat, b_mat, a, b = foreign_factors(name)
+        report = report_from_factors(
+            BinaryMatrix.from_dense(x), a_mat, b_mat,
+            truth=(BinaryMatrix.from_dense(u), BinaryMatrix.from_dense(v)))
+        recon = (a @ b > 0).astype(np.uint8)
+        truth = (u @ v > 0).astype(np.uint8)
+        assert report.cost_history == tuple(numpy_costs(x, a, b))
+        assert report.final_cost == int((x ^ recon).sum())
+        assert report.coverage_rate == int((x & recon).sum()) / int(x.sum())
+        assert report.per_column_coverage == tuple(recon.sum(axis=0))
+        assert report.reconstruction_error == (int((truth ^ recon).sum())
+                                               / int(truth.sum()))
+
+    @pytest.mark.parametrize("name", sorted(FOREIGN))
+    def test_build_report_final_cost_matches_numpy(self, name):
+        a_mat, b_mat, a, b = foreign_factors(name)
+        # ones added outside the patterns keep the cost trace non-increasing
+        x = (a @ b > 0).astype(np.uint8)
+        x[0, 6] = x[5, 0] = 1
+        history = numpy_costs(x, a, b)
+        result = FactorResult(A=a_mat, B=b_mat, cost_history=tuple(history),
+                              k=len(history), iterations=len(history),
+                              weak_signal_uses=0, residual_history=())
+        report = build_report(BinaryMatrix.from_dense(x), result)
+        assert report.final_cost == int((x ^ (a @ b > 0)).sum())
+
+
+class TestReportShapes:
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("x_shape,message", [
+        ((3, 4), "shape mismatch: (3, 4) vs (2, 4)"),
+        ((2, 5), "shape mismatch: (2, 5) vs (2, 4)"),
+    ])
+    def test_factors_that_do_not_fit_x_are_rejected(self, k, x_shape,
+                                                    message):
+        x = BinaryMatrix.ones(*x_shape)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            report_from_factors(x, BinaryMatrix.ones(2, k),
+                                BinaryMatrix.ones(k, 4))
 
 
 class TestSerialization:
