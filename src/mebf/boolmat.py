@@ -115,10 +115,6 @@ class BinaryVector:
     def zeros(cls, length: int) -> BinaryVector:
         return cls(length, np.zeros(_packed_width(length), dtype=np.uint8))
 
-    @classmethod
-    def ones(cls, length: int) -> BinaryVector:
-        return cls(length, _pad_mask(length))
-
     def to_dense(self) -> np.ndarray:
         return np.unpackbits(self._packed, count=self.length)
 
@@ -171,11 +167,6 @@ class BinaryMatrix:
     @classmethod
     def zeros(cls, n_rows: int, n_cols: int) -> BinaryMatrix:
         packed = np.zeros((n_rows, _packed_width(n_cols)), dtype=np.uint8)
-        return cls(n_rows, n_cols, packed)
-
-    @classmethod
-    def ones(cls, n_rows: int, n_cols: int) -> BinaryMatrix:
-        packed = np.tile(_pad_mask(n_cols), (n_rows, 1))
         return cls(n_rows, n_cols, packed)
 
     @classmethod
@@ -245,19 +236,19 @@ class BinaryMatrix:
 
 @dataclass(frozen=True, eq=False)
 class UtlView:
-    """Row/column orderings that arrange a matrix upper-triangular-like.
+    """The upper-triangular-like (UTL) order of a matrix, by its line sums.
 
-    ``row_order`` lists active rows first, by non-increasing row sum;
-    all-zero rows follow in original order.  ``col_order`` lists all-zero
-    columns first in original order, then active columns by non-decreasing
-    column sum.  Ties keep original relative order, so the view is a pure
-    function of the row and column sums, kept as ``row_totals`` and
-    ``col_totals``; :meth:`cleared` updates them when a pattern is cleared,
-    instead of summing the whole matrix again.
+    The row order lists active rows first, by non-increasing row sum;
+    all-zero rows follow in original order.  The column order lists
+    all-zero columns first in original order, then active columns by
+    non-decreasing column sum.  Ties keep original relative order, so the
+    order is a pure function of the row and column sums, kept as
+    ``row_totals`` and ``col_totals``.  It is never sorted:
+    :meth:`row_at` and :meth:`col_at` select the line at one position, and
+    :meth:`cleared` updates the sums when a pattern is cleared, instead of
+    summing the whole matrix again.
     """
 
-    row_order: np.ndarray
-    col_order: np.ndarray
     n_active: int
     m_active: int
     row_totals: np.ndarray
@@ -268,13 +259,19 @@ class UtlView:
                     col_totals: np.ndarray) -> UtlView:
         """The view of any matrix with these row and column sums."""
         return cls(
-            row_order=np.argsort(-row_totals, kind="stable"),
-            col_order=np.argsort(col_totals, kind="stable"),
             n_active=int((row_totals > 0).sum()),
             m_active=int((col_totals > 0).sum()),
             row_totals=row_totals,
             col_totals=col_totals,
         )
+
+    def row_at(self, rank: int) -> int:
+        """The row at position ``rank`` of the row order, in O(n)."""
+        return _line_at(self.row_totals.max() - self.row_totals, rank)
+
+    def col_at(self, rank: int) -> int:
+        """The column at position ``rank`` of the column order, in O(m)."""
+        return _line_at(self.col_totals, rank)
 
     def cleared(self, x: BinaryMatrix, row_mask: BinaryVector,
                 col_mask: BinaryVector) -> UtlView:
@@ -290,19 +287,19 @@ class UtlView:
         row_totals[selected] -= _row_tally(hit, in_place=True)
         return UtlView.from_totals(row_totals, col_totals)
 
-    @property
-    def active_rows(self) -> np.ndarray:
-        """Active row indices in view order (densest first)."""
-        return self.row_order[:self.n_active]
 
-    @property
-    def active_cols(self) -> np.ndarray:
-        """Active column indices in view order (densest last)."""
-        return self.col_order[len(self.col_order) - self.m_active:]
+def _line_at(keys: np.ndarray, rank: int) -> int:
+    """The line at position ``rank`` of the stable ascending order of keys.
+
+    Selects instead of sorting: ``key * n + index`` is unique per line and
+    ascends in exactly that order.
+    """
+    n = len(keys)
+    return int(np.partition(keys * n + np.arange(n), rank)[rank]) % n
 
 
 def utl_rearrange(x: BinaryMatrix) -> UtlView:
-    """Stable orderings by descending row sums / ascending column sums."""
+    """The UTL view of x, from its row and column sums."""
     return UtlView.from_totals(x.row_sums(), x.col_sums())
 
 

@@ -8,7 +8,10 @@ fallback seeds a pattern from the overlap of the two densest columns or
 rows instead.  Accepted patterns zero out the residual entries they cover.
 The row and column sums behind the arrangement are counted once per
 factorization and then lowered by the ones each accepted pattern covers,
-instead of being recounted over the whole residual every round.
+instead of being recounted over the whole residual every round.  The
+arrangement itself is never sorted: the few lines a round reads (the
+medians, and the two densest of each axis for the fallback) are selected
+from the sums in linear time.
 """
 
 from __future__ import annotations
@@ -94,10 +97,6 @@ class FactorResult:
                                       self.residual_history[1:])):
             raise ValueError("residual history must strictly decrease")
 
-    def pattern(self, l: int) -> Pattern:
-        """The l-th rank-1 pattern as (rows vector, columns vector)."""
-        return self.A.col(l), self.B.row(l)
-
 
 def _grow(x_res: BinaryMatrix, t: float, anchor_col: BinaryVector | None,
           anchor_row: BinaryVector | None) -> Pattern | None:
@@ -142,8 +141,10 @@ def bidirectional_growth(x_res: BinaryMatrix, t: float,
     if view.n_active == 0:
         return None
 
-    med_col = int(view.active_cols[(view.m_active + 1) // 2 - 1])
-    med_row = int(view.active_rows[(view.n_active + 1) // 2 - 1])
+    # the active columns are the last m_active of the column order
+    med_col = view.col_at(x_res.n_cols - view.m_active
+                          + (view.m_active + 1) // 2 - 1)
+    med_row = view.row_at((view.n_active + 1) // 2 - 1)
     return _grow(x_res, t, x_res.col(med_col), x_res.row(med_row))
 
 
@@ -162,13 +163,12 @@ def weak_signal_detection(x_res: BinaryMatrix, t: float,
         view = utl_rearrange(x_res)
     anchor_col = anchor_row = None
     if view.m_active >= 2:
-        cols = view.active_cols
-        anchor_col = _overlap(x_res.col(int(cols[-1])),
-                              x_res.col(int(cols[-2])))
+        m = x_res.n_cols
+        anchor_col = _overlap(x_res.col(view.col_at(m - 1)),
+                              x_res.col(view.col_at(m - 2)))
     if view.n_active >= 2:
-        rows = view.active_rows
-        anchor_row = _overlap(x_res.row(int(rows[0])),
-                              x_res.row(int(rows[1])))
+        anchor_row = _overlap(x_res.row(view.row_at(0)),
+                              x_res.row(view.row_at(1)))
     return _grow(x_res, t, anchor_col, anchor_row)
 
 

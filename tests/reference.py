@@ -2,14 +2,17 @@
 
 None of this is used by the package itself: ``naive_bool_product`` is a
 triple loop, ``exhaustive_bmf`` enumerates every factor pair, and
-``cost_gamma`` forms the full product to count the cost.
+``cost_gamma`` forms the full product to count the cost.  The builders
+``identity``, ``ones`` and ``ones_vector`` and the ``pattern`` accessor
+serve only the tests.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from mebf.boolmat import BinaryMatrix, bool_product, elementwise
+from mebf.boolmat import BinaryMatrix, BinaryVector, bool_product, elementwise
+from mebf.factorize import FactorResult
 
 # 2^((n+m)*k) candidate factor pairs are enumerated; this bound keeps the
 # search space at ~10^6.
@@ -19,6 +22,22 @@ MAX_SEARCH_BITS = 20
 def identity(n: int) -> BinaryMatrix:
     """The n x n identity matrix."""
     return BinaryMatrix.from_dense(np.eye(n, dtype=np.uint8))
+
+
+def ones(n_rows: int, n_cols: int) -> BinaryMatrix:
+    """The n_rows x n_cols all-ones matrix."""
+    return BinaryMatrix.from_dense(np.ones((n_rows, n_cols), dtype=np.uint8))
+
+
+def ones_vector(length: int) -> BinaryVector:
+    """The all-ones vector of this length."""
+    return BinaryVector.from_dense(np.ones(length, dtype=np.uint8))
+
+
+def pattern(result: FactorResult,
+            l: int) -> tuple[BinaryVector, BinaryVector]:
+    """The l-th rank-1 pattern of a result as (rows vector, columns vector)."""
+    return result.A.col(l), result.B.row(l)
 
 
 def cost_gamma(a_mat: BinaryMatrix, b_mat: BinaryMatrix,

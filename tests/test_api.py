@@ -9,7 +9,8 @@ import pytest
 
 import mebf
 from mebf import boolmat
-from mebf.factorize import MebfConfig
+from mebf.boolmat import BinaryMatrix, BinaryVector, UtlView
+from mebf.factorize import FactorResult, MebfConfig
 from mebf.metrics import (
     MetricsReport,
     build_report,
@@ -51,6 +52,18 @@ def test_test_only_references_are_not_shipped():
         assert not hasattr(mebf, name)
     assert "cost_gamma" not in boolmat.__all__
     assert not hasattr(boolmat, "cost_gamma")
-    assert not hasattr(boolmat.BinaryMatrix, "identity")
+    assert not hasattr(BinaryMatrix, "identity")
+    assert not hasattr(BinaryMatrix, "ones")
+    assert not hasattr(BinaryVector, "ones")
+    assert not hasattr(FactorResult, "pattern")
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("mebf.oracle")
+
+
+def test_utl_view_keeps_totals_and_selects_single_positions():
+    fields = tuple(f.name for f in dataclasses.fields(UtlView))
+    assert fields == ("n_active", "m_active", "row_totals", "col_totals")
+    for name in ("row_at", "col_at"):
+        assert callable(getattr(UtlView, name))
+    for gone in ("row_order", "col_order", "active_rows", "active_cols"):
+        assert not hasattr(UtlView, gone)

@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from mebf.boolmat import (
     BinaryMatrix,
     BinaryVector,
+    UtlView,
     bool_product,
     col_dot_counts,
     complement,
@@ -21,7 +22,13 @@ from mebf.boolmat import (
     row_dot_counts,
     utl_rearrange,
 )
-from reference import cost_gamma, identity, naive_bool_product
+from reference import (
+    cost_gamma,
+    identity,
+    naive_bool_product,
+    ones,
+    ones_vector,
+)
 
 
 def binary_arrays(max_rows=8, max_cols=12, min_rows=0, min_cols=0):
@@ -60,7 +67,7 @@ class TestStorage:
 
     def test_zeros_ones_identity(self):
         assert BinaryMatrix.zeros(3, 9).count() == 0
-        assert BinaryMatrix.ones(3, 9).count() == 27
+        assert ones(3, 9).count() == 27
         eye = identity(4)
         assert np.array_equal(eye.to_dense(), np.eye(4, dtype=np.uint8))
 
@@ -128,7 +135,7 @@ class TestBoolProduct:
         assert bool_product(a, b).to_dense().tolist() == [[1, 1], [1, 1]]
 
     def test_zero_annihilates(self):
-        b = BinaryMatrix.ones(3, 5)
+        b = ones(3, 5)
         assert bool_product(BinaryMatrix.zeros(4, 3), b).count() == 0
 
     def test_dimension_mismatch(self):
@@ -174,7 +181,7 @@ class TestElementwise:
 
     def test_and_with_ones_is_identity(self):
         mat = BinaryMatrix.from_dense([[1, 0, 1], [0, 1, 1]])
-        assert elementwise("and", mat, BinaryMatrix.ones(2, 3)) == mat
+        assert elementwise("and", mat, ones(2, 3)) == mat
 
     def test_xor_truth_table(self):
         a = BinaryMatrix.from_dense([[1, 0], [0, 1]])
@@ -206,11 +213,11 @@ class TestElementwise:
 
 class TestRank1Product:
     def test_all_ones(self):
-        out = rank1_product(BinaryVector.ones(3), BinaryVector.ones(4))
-        assert out == BinaryMatrix.ones(3, 4)
+        out = rank1_product(ones_vector(3), ones_vector(4))
+        assert out == ones(3, 4)
 
     def test_zero_rows(self):
-        out = rank1_product(BinaryVector.zeros(3), BinaryVector.ones(4))
+        out = rank1_product(BinaryVector.zeros(3), ones_vector(4))
         assert out.count() == 0
 
     def test_hand_example(self):
@@ -243,7 +250,7 @@ class TestSumsAndDots:
         v = BinaryVector.from_dense([1, 1, 0, 1])
         assert (u & v).count() == 2
         with pytest.raises(ValueError, match="length mismatch"):
-            u & BinaryVector.ones(3)
+            u & ones_vector(3)
 
     def test_dot_counts_match_dense(self):
         rng = np.random.default_rng(5)
@@ -286,7 +293,7 @@ class TestKernelsAtBlockEdges:
         assert np.array_equal(mat.col_sums(), dense.sum(axis=0))
         assert mat.col_sums()[0] == n_rows
         # anchors of all n_rows rows and of about half of them
-        every_row = col_dot_counts(mat, BinaryVector.ones(n_rows))
+        every_row = col_dot_counts(mat, ones_vector(n_rows))
         assert np.array_equal(every_row, dense.sum(axis=0))
         assert every_row[0] == n_rows
         assert np.array_equal(
@@ -304,10 +311,10 @@ class TestKernelsAtBlockEdges:
 
     def test_all_ones(self):
         for n_rows in (254, 255, 256, 511):
-            mat = BinaryMatrix.ones(n_rows, 129)
+            mat = ones(n_rows, 129)
             assert mat.count() == n_rows * 129
             assert mat.col_sums().tolist() == [n_rows] * 129
-            assert col_dot_counts(mat, BinaryVector.ones(n_rows)).tolist() \
+            assert col_dot_counts(mat, ones_vector(n_rows)).tolist() \
                 == [n_rows] * 129
             assert mat.row_sums().tolist() == [129] * n_rows
 
@@ -315,9 +322,9 @@ class TestKernelsAtBlockEdges:
         assert BinaryMatrix.zeros(300, 0).row_sums().shape == (300,)
         assert BinaryMatrix.zeros(300, 0).col_sums().shape == (0,)
         assert col_dot_counts(BinaryMatrix.zeros(300, 0),
-                              BinaryVector.ones(300)).shape == (0,)
+                              ones_vector(300)).shape == (0,)
         assert col_dot_counts(BinaryMatrix.zeros(0, 70),
-                              BinaryVector.ones(0)).tolist() == [0] * 70
+                              ones_vector(0)).tolist() == [0] * 70
         blocks = list(BinaryMatrix.zeros(300, 0).row_blocks())
         assert [(start, block.shape) for start, block in blocks] == [
             (0, (255, 0)), (255, (45, 0))]
@@ -347,7 +354,7 @@ class TestRowTallyAtChunkEdges:
         assert np.array_equal(
             row_dot_counts(mat, BinaryVector.from_dense(over_cols)),
             dense.astype(np.int64) @ over_cols)
-        every_col = row_dot_counts(mat, BinaryVector.ones(n_cols))
+        every_col = row_dot_counts(mat, ones_vector(n_cols))
         assert every_col.tolist() == dense.sum(axis=1).tolist()
         assert every_col[0] == n_cols
 
@@ -360,15 +367,15 @@ class TestRank1Overlap:
         assert rank1_overlap(rows, cols, x) == 3
 
     def test_empty_pattern(self):
-        x = BinaryMatrix.ones(4, 5)
-        assert rank1_overlap(BinaryVector.zeros(4), BinaryVector.ones(5),
+        x = ones(4, 5)
+        assert rank1_overlap(BinaryVector.zeros(4), ones_vector(5),
                              x) == 0
-        assert rank1_overlap(BinaryVector.ones(4), BinaryVector.zeros(5),
+        assert rank1_overlap(ones_vector(4), BinaryVector.zeros(5),
                              x) == 0
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="does not fit"):
-            rank1_overlap(BinaryVector.ones(3), BinaryVector.ones(4),
+            rank1_overlap(ones_vector(3), ones_vector(4),
                           BinaryMatrix.zeros(4, 4))
 
     @given(binary_arrays(min_rows=1, min_cols=1), st.data())
@@ -382,42 +389,72 @@ class TestRank1Overlap:
         assert got == int((dense & np.outer(row_mask, col_mask)).sum())
 
 
+def view_orders(view):
+    """The view's row and column orders, read one rank at a time."""
+    return ([view.row_at(r) for r in range(len(view.row_totals))],
+            [view.col_at(r) for r in range(len(view.col_totals))])
+
+
+def line_totals():
+    """Line sums with heavy ties and zeros, including lengths 1 and 2,
+    all-equal lines and sums far above the line count."""
+    lengths = st.integers(1, 40)
+    tied = lengths.flatmap(lambda n: arrays(
+        np.int64, n, elements=st.integers(0, 3)))
+    equal = st.tuples(lengths, st.integers(0, 5)).map(
+        lambda nv: np.full(nv[0], nv[1], dtype=np.int64))
+    wide = lengths.flatmap(lambda n: arrays(
+        np.int64, n, elements=st.integers(0, 10**9)))
+    return st.one_of(tied, equal, wide)
+
+
 class TestUtlRearrange:
+    @given(line_totals(), line_totals())
+    @settings(max_examples=300)
+    def test_selection_matches_a_stable_sort(self, rows, cols):
+        # the spec: the stable argsort by descending row sums and by
+        # ascending column sums, read at every rank
+        view = UtlView.from_totals(rows, cols)
+        assert view_orders(view) == (
+            np.argsort(-rows, kind="stable").tolist(),
+            np.argsort(cols, kind="stable").tolist())
+        assert (view.n_active, view.m_active) == (int((rows > 0).sum()),
+                                                  int((cols > 0).sum()))
+
     def test_hand_example(self):
         view = utl_rearrange(BinaryMatrix.from_dense([[0, 1], [1, 1]]))
-        assert view.row_order.tolist() == [1, 0]
-        assert view.col_order.tolist() == [0, 1]
+        assert view_orders(view) == ([1, 0], [0, 1])
         assert (view.n_active, view.m_active) == (2, 2)
 
     def test_already_arranged_is_identity(self):
         view = utl_rearrange(BinaryMatrix.from_dense([[1, 1], [0, 1]]))
-        assert view.row_order.tolist() == [0, 1]
-        assert view.col_order.tolist() == [0, 1]
+        assert view_orders(view) == ([0, 1], [0, 1])
 
     def test_zero_lines_excluded_from_active(self):
         mat = BinaryMatrix.from_dense([[0, 1, 0], [0, 0, 0], [0, 1, 1]])
         view = utl_rearrange(mat)
+        rows, cols = view_orders(view)
         assert view.n_active == 2 and view.m_active == 2
-        assert view.row_order.tolist()[-1] == 1       # zero row last
-        assert view.col_order.tolist()[0] == 0        # zero column first
-        assert 0 not in view.active_cols.tolist()
+        assert rows[-1] == 1       # zero row last
+        assert cols[0] == 0        # zero column first
+        assert 0 not in cols[len(cols) - view.m_active:]
 
     def test_all_zero(self):
         view = utl_rearrange(BinaryMatrix.zeros(3, 4))
         assert view.n_active == 0 and view.m_active == 0
-        assert sorted(view.row_order.tolist()) == [0, 1, 2]
+        assert sorted(view_orders(view)[0]) == [0, 1, 2]
 
     def test_stable_ties(self):
         # equal sums everywhere: orderings must stay in original order
-        view = utl_rearrange(BinaryMatrix.ones(4, 5))
-        assert view.row_order.tolist() == [0, 1, 2, 3]
-        assert view.col_order.tolist() == [0, 1, 2, 3, 4]
+        view = utl_rearrange(ones(4, 5))
+        assert view_orders(view) == ([0, 1, 2, 3], [0, 1, 2, 3, 4])
 
     @given(binary_arrays(9, 9))
     def test_view_properties(self, dense):
         mat = BinaryMatrix.from_dense(dense)
         view = utl_rearrange(mat)
-        permuted = dense[np.ix_(view.row_order, view.col_order)]
+        row_order, col_order = view_orders(view)
+        permuted = dense[np.ix_(row_order, col_order)]
         active = permuted[:view.n_active,
                           dense.shape[1] - view.m_active:]
         row_totals = active.sum(axis=1)
@@ -425,8 +462,8 @@ class TestUtlRearrange:
         assert np.all(row_totals[:-1] >= row_totals[1:])
         assert np.all(col_totals[:-1] <= col_totals[1:])
         # inverse permutations recover the original exactly
-        inv_rows = np.argsort(view.row_order)
-        inv_cols = np.argsort(view.col_order)
+        inv_rows = np.argsort(row_order)
+        inv_cols = np.argsort(col_order)
         assert np.array_equal(permuted[np.ix_(inv_rows, inv_cols)], dense)
 
     @given(binary_arrays(9, 12), st.data())
@@ -442,8 +479,7 @@ class TestUtlRearrange:
         fresh = utl_rearrange(BinaryMatrix.from_dense(left))
         assert view.row_totals.tolist() == left.sum(axis=1).tolist()
         assert view.col_totals.tolist() == left.sum(axis=0).tolist()
-        assert np.array_equal(view.row_order, fresh.row_order)
-        assert np.array_equal(view.col_order, fresh.col_order)
+        assert view_orders(view) == view_orders(fresh)
         assert (view.n_active, view.m_active) == (fresh.n_active,
                                                   fresh.m_active)
 
@@ -452,8 +488,7 @@ class TestUtlRearrange:
         dense = (rng.random((8, 8)) < 0.3).astype(np.uint8)
         mat = BinaryMatrix.from_dense(dense)
         first, second = utl_rearrange(mat), utl_rearrange(mat)
-        assert np.array_equal(first.row_order, second.row_order)
-        assert np.array_equal(first.col_order, second.col_order)
+        assert view_orders(first) == view_orders(second)
 
 
 class TestCostGamma:

@@ -9,7 +9,7 @@ from mebf.boolmat import BinaryMatrix, bool_product
 from mebf.cli import main
 from mebf.factorize import MebfConfig, mebf_factorize
 from mebf.matio import RealMatrix, binarize, read_matrix, write_matrix
-from reference import identity
+from reference import identity, ones
 
 BLOCK_DIAGONAL = [[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1]]
 
@@ -267,10 +267,10 @@ class TestMetrics:
     @pytest.mark.parametrize("k", [0, 2])
     def test_factors_that_do_not_fit_the_input(self, tmp_path, capsys, k):
         x_path = tmp_path / "x.txt"
-        write_matrix(BinaryMatrix.ones(3, 4), x_path, "dense01")
+        write_matrix(ones(3, 4), x_path, "dense01")
         out_a, out_b = tmp_path / "a.txt", tmp_path / "b.txt"
-        write_matrix(BinaryMatrix.ones(2, k), out_a, "dense01")
-        write_matrix(BinaryMatrix.ones(k, 4), out_b, "dense01")
+        write_matrix(ones(2, k), out_a, "dense01")
+        write_matrix(ones(k, 4), out_b, "dense01")
         assert main(["metrics", "--input", str(x_path), "--a", str(out_a),
                      "--b", str(out_b)]) == 1
         captured = capsys.readouterr()

@@ -22,7 +22,7 @@ from mebf.matio import (
     write_matrix,
 )
 from mebf.simulate import SimulationSpec, simulate
-from reference import identity
+from reference import identity, ones
 
 
 # The per-line readers and line-joining writers that the bulk numpy code in
@@ -671,8 +671,8 @@ class TestBinarize:
 class TestMaskDenoise:
     def test_full_support_keeps_everything(self):
         real = RealMatrix([[1.5, -2.0], [0.25, 3.0]])
-        a = BinaryMatrix.ones(2, 1)
-        b = BinaryMatrix.ones(1, 2)
+        a = ones(2, 1)
+        b = ones(1, 2)
         assert mask_denoise(real, a, b) == real
 
     def test_empty_support_zeroes_everything(self):
@@ -690,7 +690,7 @@ class TestMaskDenoise:
 
     def test_masked_negative_entries_are_positive_zero(self, tmp_path):
         real = RealMatrix([[-1.5, 2.0], [3.0, -4.0]])
-        a, b = BinaryMatrix.from_dense([[1], [0]]), BinaryMatrix.ones(1, 2)
+        a, b = BinaryMatrix.from_dense([[1], [0]]), ones(1, 2)
         masked = mask_denoise(real, a, b)
         assert not np.signbit(masked.values[1]).any()
         path = tmp_path / "masked.csv"

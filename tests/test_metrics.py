@@ -16,7 +16,7 @@ from mebf.metrics import (
     reconstruction_error,
     report_from_factors,
 )
-from reference import identity
+from reference import identity, ones
 
 
 def mats(*denses):
@@ -64,7 +64,7 @@ class TestReconstructionError:
 
 class TestDensity:
     def test_extremes(self):
-        assert density(BinaryMatrix.ones(3, 2), BinaryMatrix.ones(2, 4)) == 1
+        assert density(ones(3, 2), ones(2, 4)) == 1
         assert density(BinaryMatrix.zeros(3, 2),
                        BinaryMatrix.zeros(2, 4)) == 0
 
@@ -269,10 +269,10 @@ class TestReportShapes:
     ])
     def test_factors_that_do_not_fit_x_are_rejected(self, k, x_shape,
                                                     message):
-        x = BinaryMatrix.ones(*x_shape)
+        x = ones(*x_shape)
         with pytest.raises(ValueError, match=re.escape(message)):
-            report_from_factors(x, BinaryMatrix.ones(2, k),
-                                BinaryMatrix.ones(k, 4))
+            report_from_factors(x, ones(2, k),
+                                ones(k, 4))
 
 
 class TestSerialization:

@@ -18,6 +18,7 @@ from reference import (
     exhaustive_bmf,
     identity,
     naive_bool_product,
+    ones,
 )
 
 
@@ -36,7 +37,7 @@ def test_naive_product_hand_examples():
     b = BinaryMatrix.from_dense([[1, 1], [0, 1]])
     assert naive_bool_product(a, b).to_dense().tolist() == [[1, 1], [1, 1]]
     assert naive_bool_product(BinaryMatrix.zeros(3, 2),
-                              BinaryMatrix.ones(2, 4)).count() == 0
+                              ones(2, 4)).count() == 0
 
 
 def test_naive_product_shape_check():
