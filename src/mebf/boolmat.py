@@ -21,8 +21,9 @@ __all__ = [
     "col_dot_counts",
     "complement",
     "elementwise",
+    "or_pattern",
     "rank1_cost",
-    "rank1_overlap",
+    "rank1_gain",
     "rank1_product",
     "row_dot_counts",
     "utl_rearrange",
@@ -134,9 +135,6 @@ class BinaryVector:
         return self.length == other.length and np.array_equal(
             self._packed, other._packed)
 
-    def __hash__(self):
-        return hash((self.length, self._packed.tobytes()))
-
     def __repr__(self) -> str:
         return f"BinaryVector(length={self.length}, ones={self.count()})"
 
@@ -226,9 +224,6 @@ class BinaryMatrix:
         return self.shape == other.shape and np.array_equal(
             self._packed, other._packed)
 
-    def __hash__(self):
-        return hash((self.shape, self._packed.tobytes()))
-
     def __repr__(self) -> str:
         return (f"BinaryMatrix(shape={self.n_rows}x{self.n_cols}, "
                 f"ones={self.count()})")
@@ -306,18 +301,21 @@ def utl_rearrange(x: BinaryMatrix) -> UtlView:
 def bool_product(a_mat: BinaryMatrix, b_mat: BinaryMatrix) -> BinaryMatrix:
     """Boolean matrix product: entry (i, j) is OR over l of A[i,l] AND B[l,j].
 
-    Accumulates one packed row of B per inner index into the rows of the
-    result selected by the matching column of A.
+    Each pattern l (column l of A with row l of B) is ORed into the result.
     """
     if a_mat.n_cols != b_mat.n_rows:
         raise ValueError(
             f"incompatible shapes for product: {a_mat.shape} x {b_mat.shape}")
-    out = np.zeros((a_mat.n_rows, _packed_width(b_mat.n_cols)),
-                   dtype=np.uint8)
+    out = BinaryMatrix.zeros(a_mat.n_rows, b_mat.n_cols)
     for l in range(a_mat.n_cols):
-        selected = ((a_mat._packed[:, l >> 3] >> (7 - (l & 7))) & 1) == 1
-        out[selected] |= b_mat._packed[l]
-    return BinaryMatrix(a_mat.n_rows, b_mat.n_cols, out)
+        or_pattern(out, a_mat.col(l), b_mat.row(l))
+    return out
+
+
+def or_pattern(recon: BinaryMatrix, row_mask: BinaryVector,
+               col_mask: BinaryVector) -> None:
+    """OR the pattern into recon in place, writing the pattern's rows only."""
+    recon._packed[_pattern_rows(row_mask, col_mask, recon)] |= col_mask._packed
 
 
 def elementwise(op: str, a: BinaryMatrix, b: BinaryMatrix) -> BinaryMatrix:
@@ -361,18 +359,14 @@ def row_dot_counts(x: BinaryMatrix, v: BinaryVector) -> np.ndarray:
     return _row_tally(x._packed & v._packed, in_place=True)
 
 
-def rank1_overlap(row_mask: BinaryVector, col_mask: BinaryVector,
-                  x: BinaryMatrix) -> int:
-    """Number of ones of x inside the pattern (row_mask, col_mask).
-
-    Only the pattern's rows of x are read.
-    """
+def _pattern_rows(row_mask: BinaryVector, col_mask: BinaryVector,
+                  x: BinaryMatrix) -> np.ndarray:
+    """The pattern's rows, as a boolean row selection of x it must fit."""
     if row_mask.length != x.n_rows or col_mask.length != x.n_cols:
         raise ValueError(
             f"pattern ({row_mask.length}, {col_mask.length}) does not fit "
             f"matrix {x.shape}")
-    selected = x._packed[row_mask.to_dense() == 1]
-    return _popcount(selected & col_mask._packed)
+    return row_mask.to_dense() == 1
 
 
 def rank1_cost(row_mask: BinaryVector, col_mask: BinaryVector,
@@ -382,5 +376,22 @@ def rank1_cost(row_mask: BinaryVector, col_mask: BinaryVector,
     Counts the entries where x and the rank-1 product disagree without
     materializing the product: |x| + |pattern| - 2 * overlap.
     """
-    overlap = rank1_overlap(row_mask, col_mask, x)
+    selected = x._packed[_pattern_rows(row_mask, col_mask, x)]
+    overlap = _popcount(selected & col_mask._packed)
     return x.count() + row_mask.count() * col_mask.count() - 2 * overlap
+
+
+def rank1_gain(row_mask: BinaryVector, col_mask: BinaryVector,
+               x: BinaryMatrix, recon: BinaryMatrix) -> tuple[int, int]:
+    """(change of |x xor recon|, ones of x newly covered) on ORing the
+    pattern into recon: it flips N = pattern AND NOT recon, so the cost
+    moves by |N| - 2 |N and x|.  Reads the pattern's rows only.
+    """
+    if recon.shape != x.shape:
+        raise ValueError(f"shape mismatch: {x.shape} vs {recon.shape}")
+    selected = _pattern_rows(row_mask, col_mask, x)
+    added = ~recon._packed[selected] & col_mask._packed
+    hit = x._packed[selected]
+    hit &= added
+    covered = _popcount(hit)
+    return _popcount(added) - 2 * covered, covered

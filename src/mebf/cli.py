@@ -67,13 +67,16 @@ def _load_binary(path: str, format: str, threshold: float):
     return mat
 
 
-def _emit_report(report: MetricsReport, path: str | None) -> None:
-    payload = json.dumps(report.to_json_dict(), indent=2) + "\n"
+def _emit(payload: str, path: str | None) -> None:
     if path:
         with open(path, "w", encoding="ascii", newline="\n") as fh:
             fh.write(payload)
     else:
         sys.stdout.write(payload)
+
+
+def _emit_report(report: MetricsReport, path: str | None) -> None:
+    _emit(json.dumps(report.to_json_dict(), indent=2) + "\n", path)
 
 
 def cmd_factorize(args) -> int:
@@ -176,12 +179,7 @@ def cmd_bench(args) -> int:
                 repr(elapsed),
             ]))
 
-    payload = "\n".join(rows) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    _emit("\n".join(rows) + "\n", args.out)
     return 0
 
 

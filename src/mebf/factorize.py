@@ -6,6 +6,8 @@ block, and keeps whichever direction approximates the residual better.
 When that pattern would raise the cost against the input, a weak-signal
 fallback seeds a pattern from the overlap of the two densest columns or
 rows instead.  Accepted patterns zero out the residual entries they cover.
+A candidate is priced by ``rank1_gain``, its change to the cost |x xor
+recon| read from its own rows; the report rebuilds its trace the same way.
 The row and column sums behind the arrangement are counted once per
 factorization and then lowered by the ones each accepted pattern covers,
 instead of being recounted over the whole residual every round.  The
@@ -26,7 +28,7 @@ from .boolmat import (
     complement,
     elementwise,
     rank1_cost,
-    rank1_overlap,
+    rank1_gain,
     rank1_product,
     row_dot_counts,
     utl_rearrange,
@@ -126,7 +128,7 @@ def _overlap(u: BinaryVector, v: BinaryVector) -> BinaryVector | None:
 
 
 def bidirectional_growth(x_res: BinaryMatrix, t: float,
-                         view: UtlView | None = None) -> Pattern | None:
+                         view: UtlView) -> Pattern | None:
     """Grow a pattern from the median column and row of the residual.
 
     The residual is viewed upper-triangular-like; the median active column
@@ -134,10 +136,8 @@ def bidirectional_growth(x_res: BinaryMatrix, t: float,
     exceeds t) and the median active row anchors a row pattern.  Returns
     whichever costs less against the residual, the column pattern on ties,
     or None when the residual has no ones.  ``view`` must equal
-    ``utl_rearrange(x_res)``, which is computed when it is not given.
+    ``utl_rearrange(x_res)``.
     """
-    if view is None:
-        view = utl_rearrange(x_res)
     if view.n_active == 0:
         return None
 
@@ -149,7 +149,7 @@ def bidirectional_growth(x_res: BinaryMatrix, t: float,
 
 
 def weak_signal_detection(x_res: BinaryMatrix, t: float,
-                          view: UtlView | None = None) -> Pattern | None:
+                          view: UtlView) -> Pattern | None:
     """Seed a pattern from the overlap of the two densest columns or rows.
 
     Each candidate anchors on the AND of the two densest lines along one
@@ -159,8 +159,6 @@ def weak_signal_detection(x_res: BinaryMatrix, t: float,
     residual (the column-seeded one on ties), or None when both are
     skipped.  ``view`` is as in :func:`bidirectional_growth`.
     """
-    if view is None:
-        view = utl_rearrange(x_res)
     anchor_col = anchor_row = None
     if view.m_active >= 2:
         m = x_res.n_cols
@@ -172,21 +170,6 @@ def weak_signal_detection(x_res: BinaryMatrix, t: float,
     return _grow(x_res, t, anchor_col, anchor_row)
 
 
-def _candidate_cost(pair: Pattern, best_cost: int, recon: BinaryMatrix,
-                    residual: BinaryMatrix) -> tuple[int, int]:
-    """(cost against x after adding the pattern, residual ones it covers).
-
-    Adding pattern P to recon flips the entries of P outside recon: those
-    in the residual (ones of x) lower the cost and the rest raise it, so
-    the cost moves by |P| - |P and recon| - 2 |P and residual|.
-    """
-    rows, cols = pair
-    covered = rank1_overlap(rows, cols, residual)
-    size = rows.count() * cols.count()
-    return (best_cost + size - rank1_overlap(rows, cols, recon)
-            - 2 * covered, covered)
-
-
 def mebf_factorize(x: BinaryMatrix, cfg: MebfConfig) -> FactorResult:
     """Factorize x into at most cfg.k_max rank-1 patterns.
 
@@ -196,9 +179,10 @@ def mebf_factorize(x: BinaryMatrix, cfg: MebfConfig) -> FactorResult:
     weak-signal fallback; if that candidate is also rejected the run ends.
     Accepted patterns are flipped to zero in the residual, so the run also
     ends when the residual empties or the budget is reached.  The cost and
-    the residual one-count are kept as running integers, updated from each
-    pattern's overlaps rather than recounted over the whole matrix, and so
-    is the residual's view, which both pattern finders of a round share.
+    the residual one-count are kept as running integers, moved by each
+    pattern's ``rank1_gain`` rather than recounted over the whole matrix;
+    the residual's view, which both pattern finders of a round share, is
+    updated from the pattern's rows as well.
     """
     if x.n_rows < 1 or x.n_cols < 1:
         raise ValueError(f"matrix must have at least one row and one "
@@ -219,15 +203,15 @@ def mebf_factorize(x: BinaryMatrix, cfg: MebfConfig) -> FactorResult:
     while residual_count:
         iterations += 1
         pair = bidirectional_growth(residual, cfg.t, view)
-        cost, covered = _candidate_cost(pair, best_cost, recon, residual)
+        delta, covered = rank1_gain(*pair, x, recon)
         from_weak = False
 
-        if row_parts and cost > best_cost:
+        if row_parts and delta > 0:
             pair = weak_signal_detection(residual, cfg.t, view)
             if pair is None:
                 break
-            cost, covered = _candidate_cost(pair, best_cost, recon, residual)
-            if cost > best_cost:
+            delta, covered = rank1_gain(*pair, x, recon)
+            if delta > 0:
                 break
             from_weak = True
 
@@ -237,9 +221,9 @@ def mebf_factorize(x: BinaryMatrix, cfg: MebfConfig) -> FactorResult:
                 "factorization cannot progress")
         row_parts.append(pair[0])
         col_parts.append(pair[1])
-        best_cost = cost
+        best_cost += delta
         residual_count -= covered
-        cost_history.append(cost)
+        cost_history.append(best_cost)
         residual_history.append(residual_count)
         weak_uses += from_weak
         if len(row_parts) == cfg.k_max:

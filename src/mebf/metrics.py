@@ -6,13 +6,16 @@ ones), density (average fill of the factor matrices), and coverage rate
 (fraction of the input's ones reproduced by the product).  A metric whose
 denominator is zero raises :class:`UndefinedMetricError`; report builders
 turn that into an absent field plus a warning instead of serializing NaN.
+A report rebuilt from factor files alone recovers the cost trace with the
+factorization loop's own pricing, ``rank1_gain``, one pattern at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .boolmat import BinaryMatrix, bool_product, elementwise, rank1_product
+from .boolmat import (BinaryMatrix, bool_product, elementwise, or_pattern,
+                      rank1_gain)
 from .factorize import FactorResult
 
 __all__ = [
@@ -168,8 +171,10 @@ def report_from_factors(x: BinaryMatrix, a_mat: BinaryMatrix,
     """Report rebuilt from factor matrices alone.
 
     The cost trace is recovered as the cost of each prefix of patterns
-    against x, which reproduces the trace recorded during factorization;
-    the last prefix is the product of A and B that the report reads.
+    against x, which reproduces the trace recorded during factorization:
+    from |x|, each pattern moves the cost by its ``rank1_gain`` against
+    the product of the patterns before it, then is ORed into it, on its
+    own rows only.  The last product is the product of A and B.
     """
     if a_mat.n_cols != b_mat.n_rows:
         raise ValueError(
@@ -178,9 +183,11 @@ def report_from_factors(x: BinaryMatrix, a_mat: BinaryMatrix,
         raise ValueError(f"shape mismatch: {x.shape} vs "
                          f"{(a_mat.n_rows, b_mat.n_cols)}")
     recon = BinaryMatrix.zeros(x.n_rows, x.n_cols)
+    cost = x.count()
     history = []
     for l in range(a_mat.n_cols):
-        recon = elementwise(
-            "or", recon, rank1_product(a_mat.col(l), b_mat.row(l)))
-        history.append(elementwise("xor", x, recon).count())
+        rows, cols = a_mat.col(l), b_mat.row(l)
+        cost += rank1_gain(rows, cols, x, recon)[0]
+        or_pattern(recon, rows, cols)
+        history.append(cost)
     return _assemble(x, recon, a_mat, b_mat, tuple(history), truth)

@@ -67,3 +67,20 @@ def test_utl_view_keeps_totals_and_selects_single_positions():
         assert callable(getattr(UtlView, name))
     for gone in ("row_order", "col_order", "active_rows", "active_cols"):
         assert not hasattr(UtlView, gone)
+
+
+def test_mutable_matrices_are_unhashable():
+    # the report ORs patterns into its product in place, so a content hash
+    # could go stale while the object sits in a set or dict
+    for value in (BinaryMatrix.zeros(2, 3), BinaryVector.zeros(3)):
+        with pytest.raises(TypeError):
+            hash(value)
+
+
+def test_one_kernel_prices_a_pattern():
+    assert "rank1_gain" in boolmat.__all__
+    assert "rank1_overlap" not in boolmat.__all__
+    assert not hasattr(boolmat, "rank1_overlap")
+    for finder in (mebf.bidirectional_growth, mebf.weak_signal_detection):
+        view = inspect.signature(finder).parameters["view"]
+        assert view.default is inspect.Parameter.empty

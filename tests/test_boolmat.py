@@ -16,8 +16,9 @@ from mebf.boolmat import (
     col_dot_counts,
     complement,
     elementwise,
+    or_pattern,
     rank1_cost,
-    rank1_overlap,
+    rank1_gain,
     rank1_product,
     row_dot_counts,
     utl_rearrange,
@@ -302,8 +303,8 @@ class TestKernelsAtBlockEdges:
         assert np.array_equal(
             row_dot_counts(mat, BinaryVector.from_dense(over_cols)),
             dense.astype(np.int64) @ over_cols)
-        assert rank1_overlap(BinaryVector.from_dense(row_mask),
-                             BinaryVector.from_dense(col_mask), mat) == int(
+        assert gain_on_empty(BinaryVector.from_dense(row_mask),
+                             BinaryVector.from_dense(col_mask), mat)[1] == int(
             (dense & np.outer(row_mask, col_mask)).sum())
         starts, blocks = zip(*mat.row_blocks())
         assert starts == tuple(range(0, n_rows, 255))
@@ -359,34 +360,76 @@ class TestRowTallyAtChunkEdges:
         assert every_col[0] == n_cols
 
 
-class TestRank1Overlap:
+def gain_on_empty(row_mask, col_mask, x):
+    """rank1_gain against an all-zero recon: the pattern covers exactly its
+    overlap with x, and the cost moves by |pattern| - 2 * overlap."""
+    return rank1_gain(row_mask, col_mask, x, BinaryMatrix.zeros(*x.shape))
+
+
+class TestRank1Gain:
     def test_hand_example(self):
         x = BinaryMatrix.from_dense([[1, 1, 0], [0, 1, 1], [1, 1, 1]])
         rows = BinaryVector.from_dense([1, 0, 1])
         cols = BinaryVector.from_dense([0, 1, 1])
-        assert rank1_overlap(rows, cols, x) == 3
+        assert gain_on_empty(rows, cols, x) == (4 - 2 * 3, 3)
+        # entries already in recon are not flipped again: only (0, 2) and
+        # (2, 2) are added, one of which is a one of x
+        recon = BinaryMatrix.from_dense([[1, 1, 0], [0, 0, 0], [0, 1, 0]])
+        assert rank1_gain(rows, cols, x, recon) == (2 - 2 * 1, 1)
+        assert rank1_gain(rows, cols, x, ones(3, 3)) == (0, 0)
 
     def test_empty_pattern(self):
         x = ones(4, 5)
-        assert rank1_overlap(BinaryVector.zeros(4), ones_vector(5),
-                             x) == 0
-        assert rank1_overlap(ones_vector(4), BinaryVector.zeros(5),
-                             x) == 0
+        assert gain_on_empty(BinaryVector.zeros(4), ones_vector(5),
+                             x) == (0, 0)
+        assert gain_on_empty(ones_vector(4), BinaryVector.zeros(5),
+                             x) == (0, 0)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="does not fit"):
-            rank1_overlap(ones_vector(3), ones_vector(4),
+            gain_on_empty(ones_vector(3), ones_vector(4),
                           BinaryMatrix.zeros(4, 4))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            rank1_gain(ones_vector(4), ones_vector(4),
+                       BinaryMatrix.zeros(4, 4), BinaryMatrix.zeros(4, 5))
 
     @given(binary_arrays(min_rows=1, min_cols=1), st.data())
     def test_against_numpy(self, dense, data):
         n, m = dense.shape
         row_mask = data.draw(arrays(np.uint8, n, elements=st.integers(0, 1)))
         col_mask = data.draw(arrays(np.uint8, m, elements=st.integers(0, 1)))
-        got = rank1_overlap(BinaryVector.from_dense(row_mask),
-                            BinaryVector.from_dense(col_mask),
-                            BinaryMatrix.from_dense(dense))
-        assert got == int((dense & np.outer(row_mask, col_mask)).sum())
+        recon = data.draw(arrays(np.uint8, (n, m),
+                                 elements=st.integers(0, 1)))
+        rows = BinaryVector.from_dense(row_mask)
+        cols = BinaryVector.from_dense(col_mask)
+        x = BinaryMatrix.from_dense(dense)
+        pattern = np.outer(row_mask, col_mask)
+        overlap = int((dense & pattern).sum())
+        assert gain_on_empty(rows, cols, x) == (
+            int(pattern.sum()) - 2 * overlap, overlap)
+        after = recon | pattern
+        assert rank1_gain(rows, cols, x, BinaryMatrix.from_dense(recon)) == (
+            int((dense ^ after).sum()) - int((dense ^ recon).sum()),
+            int((dense & after).sum()) - int((dense & recon).sum()))
+
+
+class TestOrPattern:
+    @given(binary_arrays(min_rows=1, min_cols=1), st.data())
+    def test_against_numpy(self, dense, data):
+        n, m = dense.shape
+        row_mask = data.draw(arrays(np.uint8, n, elements=st.integers(0, 1)))
+        col_mask = data.draw(arrays(np.uint8, m, elements=st.integers(0, 1)))
+        recon = BinaryMatrix.from_dense(dense)
+        or_pattern(recon, BinaryVector.from_dense(row_mask),
+                   BinaryVector.from_dense(col_mask))
+        assert np.array_equal(recon.to_dense(),
+                              dense | np.outer(row_mask, col_mask))
+        assert recon == BinaryMatrix.from_dense(recon.to_dense())
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError, match="does not fit"):
+            or_pattern(BinaryMatrix.zeros(4, 4), ones_vector(4),
+                       ones_vector(5))
 
 
 def view_orders(view):

@@ -176,23 +176,26 @@ class TestBidirectionalGrowth:
         dense = np.zeros((4, 4), np.uint8)
         dense[np.ix_([0, 1, 2], [1, 2, 3])] = 1
         for t in (0.1, 0.5, 0.9):
-            rows, cols = bidirectional_growth(BinaryMatrix.from_dense(dense),
-                                              t)
+            x = BinaryMatrix.from_dense(dense)
+            rows, cols = bidirectional_growth(x, t, utl_rearrange(x))
             assert rows.to_dense().tolist() == [1, 1, 1, 0]
             assert cols.to_dense().tolist() == [0, 1, 1, 1]
 
     def test_all_ones(self):
-        rows, cols = bidirectional_growth(ones(3, 5), 0.7)
+        x = ones(3, 5)
+        rows, cols = bidirectional_growth(x, 0.7, utl_rearrange(x))
         assert rows.count() == 3 and cols.count() == 5
 
     def test_identity_tie_prefers_column_candidate(self):
-        rows, cols = bidirectional_growth(identity(2), 0.5)
+        x = identity(2)
+        rows, cols = bidirectional_growth(x, 0.5, utl_rearrange(x))
         # both candidates cover one diagonal entry at cost 1
         assert rows.to_dense().tolist() == [1, 0]
         assert cols.to_dense().tolist() == [1, 0]
 
     def test_empty_residual(self):
-        assert bidirectional_growth(BinaryMatrix.zeros(3, 3), 0.5) is None
+        x = BinaryMatrix.zeros(3, 3)
+        assert bidirectional_growth(x, 0.5, utl_rearrange(x)) is None
 
     def test_matches_reference(self):
         rng = np.random.default_rng(41)
@@ -201,7 +204,8 @@ class TestBidirectionalGrowth:
             if not dense.any():
                 continue
             t = float(rng.uniform(0.05, 0.95))
-            got = bidirectional_growth(BinaryMatrix.from_dense(dense), t)
+            x = BinaryMatrix.from_dense(dense)
+            got = bidirectional_growth(x, t, utl_rearrange(x))
             want = ref_growth(dense, t)
             assert got[0].to_dense().tolist() == want[0].tolist()
             assert got[1].to_dense().tolist() == want[1].tolist()
@@ -210,22 +214,24 @@ class TestBidirectionalGrowth:
 class TestWeakSignalDetection:
     def test_hand_example(self):
         mat = BinaryMatrix.from_dense([[1, 1, 0], [1, 1, 0], [0, 1, 1]])
-        rows, cols = weak_signal_detection(mat, 0.6)
+        rows, cols = weak_signal_detection(mat, 0.6, utl_rearrange(mat))
         assert rows.to_dense().tolist() == [1, 1, 0]
         assert cols.to_dense().tolist() == [1, 1, 0]
 
     def test_disjoint_densest_columns_fall_back_to_rows(self):
         # columns never overlap, rows 0 and 1 do
         mat = BinaryMatrix.from_dense([[1, 0], [1, 0], [0, 1]])
-        rows, cols = weak_signal_detection(mat, 0.5)
+        rows, cols = weak_signal_detection(mat, 0.5, utl_rearrange(mat))
         assert cols.to_dense().tolist() == [1, 0]
         assert rows.to_dense().tolist() == [1, 1, 0]
 
     def test_both_candidates_invalid(self):
-        assert weak_signal_detection(identity(2), 0.5) is None
+        x = identity(2)
+        assert weak_signal_detection(x, 0.5, utl_rearrange(x)) is None
 
     def test_all_zero(self):
-        assert weak_signal_detection(BinaryMatrix.zeros(4, 4), 0.5) is None
+        x = BinaryMatrix.zeros(4, 4)
+        assert weak_signal_detection(x, 0.5, utl_rearrange(x)) is None
 
     def test_matches_reference(self):
         rng = np.random.default_rng(43)
@@ -233,7 +239,8 @@ class TestWeakSignalDetection:
         for _ in range(300):
             dense = random_matrix(rng)
             t = float(rng.uniform(0.05, 0.95))
-            got = weak_signal_detection(BinaryMatrix.from_dense(dense), t)
+            x = BinaryMatrix.from_dense(dense)
+            got = weak_signal_detection(x, t, utl_rearrange(x))
             want = ref_weak(dense, t)
             if want is None:
                 assert got is None
@@ -251,8 +258,11 @@ def test_overlap_ratio_equal_to_t_stays_out():
         dense = random_matrix(rng)
         t = float(rng.choice([0.25, 0.5, 0.75]))
         x = BinaryMatrix.from_dense(dense)
-        for got, want in ((bidirectional_growth(x, t), ref_growth(dense, t)),
-                          (weak_signal_detection(x, t), ref_weak(dense, t))):
+        view = utl_rearrange(x)
+        for got, want in ((bidirectional_growth(x, t, view),
+                           ref_growth(dense, t)),
+                          (weak_signal_detection(x, t, view),
+                           ref_weak(dense, t))):
             assert (got is None) == (want is None)
             if got is not None:
                 assert got[0].to_dense().tolist() == want[0].tolist()
@@ -531,7 +541,7 @@ class TestSharedView:
         calls = []
 
         def recording(finder):
-            def wrapper(x_res, t, view=None):
+            def wrapper(x_res, t, view):
                 calls.append((finder, x_res, view))
                 return finder(x_res, t, view)
             return wrapper
@@ -568,7 +578,8 @@ class TestSharedView:
             cols = range(residual.n_cols)
             assert [view.col_at(r) for r in cols] == col_order.tolist()
             for finder in (bidirectional_growth, weak_signal_detection):
-                assert finder(residual, t, fresh) == finder(residual, t)
+                assert finder(residual, t, view) == finder(residual, t,
+                                                           fresh)
 
 
 def spec_ranks(view):

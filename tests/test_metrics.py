@@ -1,11 +1,22 @@
 """Metric tests with hand-derived fixtures and definitional cross-checks."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from mebf.boolmat import BinaryMatrix, bool_product, complement, elementwise
+from mebf.boolmat import (
+    BinaryMatrix,
+    bool_product,
+    complement,
+    elementwise,
+    or_pattern,
+    rank1_gain,
+)
 from mebf.factorize import FactorResult, MebfConfig, mebf_factorize
 from mebf.metrics import (
     MetricsReport,
@@ -259,6 +270,78 @@ class TestForeignFactors:
                               weak_signal_uses=0, residual_history=())
         report = build_report(BinaryMatrix.from_dense(x), result)
         assert report.final_cost == int((x ^ (a @ b > 0)).sum())
+
+
+@st.composite
+def factor_instances(draw):
+    """(x, A, B) in numpy with widths around the 8-bit byte and the 64-bit
+    word, and factors MEBF would not return: overlapping, repeated and
+    empty patterns, or none at all."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.sampled_from([1, 7, 8, 9, 63, 64, 65]))
+    bits = st.integers(0, 1)
+    x = draw(arrays(np.uint8, (n, m), elements=bits))
+    cols, rows = [], []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["fresh", "repeat", "empty"]))
+        if kind == "repeat" and cols:
+            l = draw(st.integers(0, len(cols) - 1))
+            col, row = cols[l], rows[l]
+        else:
+            col = draw(arrays(np.uint8, n, elements=bits))
+            row = draw(arrays(np.uint8, m, elements=bits))
+            if kind == "empty":
+                (col if draw(st.booleans()) else row)[:] = 0
+        cols.append(col)
+        rows.append(row)
+    a = np.array(cols, dtype=np.uint8).reshape(-1, n).T
+    b = np.array(rows, dtype=np.uint8).reshape(-1, m)
+    return x, a, b
+
+
+class TestPricingAgainstNumpy:
+    """rank1_gain and the report's trace on arbitrary factors."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(factor_instances())
+    def test_gain_and_report_match_numpy(self, instance):
+        x, a, b = instance
+        x_mat, a_mat, b_mat = mats(x, a, b)
+        recon = BinaryMatrix.zeros(*x.shape)
+        before = np.zeros_like(x)
+        for l in range(a.shape[1]):
+            after = before | np.outer(a[:, l], b[l])
+            assert rank1_gain(a_mat.col(l), b_mat.row(l), x_mat, recon) == (
+                int((x ^ after).sum()) - int((x ^ before).sum()),
+                int((x & after).sum()) - int((x & before).sum()))
+            or_pattern(recon, a_mat.col(l), b_mat.row(l))
+            assert np.array_equal(recon.to_dense(), after)
+            before = after
+
+        report = report_from_factors(x_mat, a_mat, b_mat)
+        product = (a.astype(np.int64) @ b > 0).astype(np.uint8)
+        assert report.cost_history == tuple(numpy_costs(x, a, b))
+        assert report.final_cost == int((x ^ product).sum())
+        assert report.per_column_coverage == tuple(product.sum(axis=0))
+        assert report.pattern_count == a.shape[1]
+
+    def test_peak_memory_with_truth(self):
+        # measured at 3.26x the packed input; lower the bound as the report
+        # allocates less, never raise it
+        from mebf.simulate import SimulationSpec, simulate
+        inst = simulate(SimulationSpec(n=2000, m=2000, k=5, p0=0.2, p=0.01,
+                                       seed=3))
+        result = mebf_factorize(inst.X, MebfConfig(t=0.8, k_max=10))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            report = report_from_factors(inst.X, result.A, result.B,
+                                         truth=(inst.U, inst.V))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert report.cost_history == result.cost_history
+        assert peak <= 3.27 * inst.X._packed.nbytes
 
 
 class TestReportShapes:
