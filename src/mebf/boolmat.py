@@ -5,6 +5,13 @@ bit first (the ``np.packbits`` convention).  Padding bits past the last
 column of each row are kept at zero, so whole-word AND/XOR/OR and popcounts
 are valid without masking.  Popcounts use ``np.bitwise_count``; whole-array
 totals read contiguous bytes as uint64 words when their count allows it.
+
+Row growth reads only what its anchor can hit: when at most a quarter of
+the anchor's packed bytes are non-zero, ``row_dot_counts`` gathers those
+byte columns of x and tallies them, instead of ANDing every byte of every
+row.  A mining round still costs O(nm) elsewhere: accepting a pattern
+builds four n x m matrices (``rank1_product``, ``complement`` and two
+``elementwise``), and ``rank1_cost`` recounts |x| for each candidate.
 """
 
 from __future__ import annotations
@@ -35,6 +42,10 @@ _BLOCK_ROWS = 255
 # Packed bytes per chunk of a row tally: 8191 bytes hold at most 65528 ones,
 # so a uint16 row tally of one chunk cannot overflow.
 _TALLY_BYTES = 8191
+# row_dot_counts gathers the anchor's non-zero bytes when this many times
+# their number is at most the packed width; denser anchors take the full
+# AND, which reads contiguous rows.
+_GATHER_RATIO = 4
 
 _ELEMENTWISE_UFUNCS = {
     "xor": np.bitwise_xor,
@@ -53,14 +64,6 @@ def _popcount(words: np.ndarray) -> int:
     if flat.flags.c_contiguous and flat.size % 8 == 0:
         flat = flat.view(np.uint64)
     return int(np.bitwise_count(flat).sum(dtype=np.int64))
-
-
-def _pad_mask(n_cols: int) -> np.ndarray:
-    """uint8 row mask: ones on real column bits, zeros on padding bits."""
-    mask = np.full(_packed_width(n_cols), 0xFF, dtype=np.uint8)
-    if n_cols % 8:
-        mask[-1] = (0xFF << (8 - n_cols % 8)) & 0xFF
-    return mask
 
 
 def _dense_blocks(packed: np.ndarray, n_cols: int):
@@ -330,9 +333,11 @@ def elementwise(op: str, a: BinaryMatrix, b: BinaryMatrix) -> BinaryMatrix:
 
 
 def complement(x: BinaryMatrix) -> BinaryMatrix:
-    """Entrywise NOT, with padding bits reset to zero."""
+    """Entrywise NOT, with the padding bits of each row's last byte reset
+    to zero."""
     packed = ~x._packed
-    packed &= _pad_mask(x.n_cols)
+    if x.n_cols % 8:
+        packed[:, -1] &= (0xFF << (8 - x.n_cols % 8)) & 0xFF
     return BinaryMatrix(x.n_rows, x.n_cols, packed)
 
 
@@ -353,10 +358,20 @@ def col_dot_counts(x: BinaryMatrix, v: BinaryVector) -> np.ndarray:
 
 
 def row_dot_counts(x: BinaryMatrix, v: BinaryVector) -> np.ndarray:
-    """Inner products of every row of x with a vector over the columns."""
+    """Inner products of every row of x with a vector over the columns.
+
+    A sparse v (see ``_GATHER_RATIO``) reads only the byte columns where v
+    has ones; both paths tally a fresh array, so x is never written.
+    """
     if v.length != x.n_cols:
         raise ValueError(f"length mismatch: {v.length} vs {x.n_cols} cols")
-    return _row_tally(x._packed & v._packed, in_place=True)
+    touched = np.flatnonzero(v._packed)
+    if _GATHER_RATIO * len(touched) <= len(v._packed):
+        words = x._packed[:, touched]
+        words &= v._packed[touched]
+    else:
+        words = x._packed & v._packed
+    return _row_tally(words, in_place=True)
 
 
 def _pattern_rows(row_mask: BinaryVector, col_mask: BinaryVector,

@@ -108,19 +108,22 @@ class TestStorage:
         assert complement(flipped) == mat
         assert complement(BinaryMatrix.zeros(2, 9)).count() == 18
 
-    @pytest.mark.parametrize("n_cols", [1, 9, 64, 65, 129])
+    # widths with a padding byte and without one, and empty axes
+    @pytest.mark.parametrize("n_cols", [0, 1, 8, 9, 64, 65, 129])
     def test_complement_leaves_its_input_and_padding(self, n_cols):
         rng = np.random.default_rng(n_cols)
-        dense = (rng.random((5, n_cols)) < 0.5).astype(np.uint8)
-        mat = BinaryMatrix.from_dense(dense)
-        before = mat._packed.tobytes()
-        flipped = complement(mat)
-        assert mat._packed.tobytes() == before
-        assert np.array_equal(flipped.to_dense(), 1 - dense)
-        # padding bits stay zero: repacking the dense bits gives the same
-        # words
-        assert np.array_equal(flipped._packed,
-                              np.packbits(1 - dense, axis=1))
+        for n_rows in (5, 0):
+            dense = (rng.random((n_rows, n_cols)) < 0.5).astype(np.uint8)
+            mat = BinaryMatrix.from_dense(dense)
+            before = mat._packed.tobytes()
+            flipped = complement(mat)
+            assert mat._packed.tobytes() == before
+            assert not np.shares_memory(flipped._packed, mat._packed)
+            assert np.array_equal(flipped.to_dense(), 1 - dense)
+            # padding bits stay zero: repacking the dense bits gives the
+            # same words
+            assert np.array_equal(flipped._packed,
+                                  np.packbits(1 - dense, axis=1))
 
 
 class TestBoolProduct:
@@ -358,6 +361,76 @@ class TestRowTallyAtChunkEdges:
         every_col = row_dot_counts(mat, ones_vector(n_cols))
         assert every_col.tolist() == dense.sum(axis=1).tolist()
         assert every_col[0] == n_cols
+
+
+GATHER_WIDTHS = [1, 7, 8, 9, 63, 64, 65, 500]
+
+
+def anchor_with_bytes(n_cols, touched, data):
+    """A dense anchor whose non-zero packed bytes are exactly ``touched``."""
+    anchor = np.zeros(n_cols, np.uint8)
+    for byte in touched:
+        lo, hi = 8 * byte, min(8 * byte + 8, n_cols)
+        bits = data.draw(arrays(np.uint8, hi - lo, elements=st.integers(0, 1)))
+        bits[data.draw(st.integers(0, hi - lo - 1))] = 1
+        anchor[lo:hi] = bits
+    return anchor
+
+
+def assert_row_dots(dense, anchor):
+    """row_dot_counts equals numpy's and leaves x as it was."""
+    mat = BinaryMatrix.from_dense(dense)
+    before = mat._packed.tobytes()
+    counts = row_dot_counts(mat, BinaryVector.from_dense(anchor))
+    assert mat._packed.tobytes() == before
+    assert not np.shares_memory(counts, mat._packed)
+    assert np.array_equal(counts, dense.astype(np.int64) @ anchor)
+
+
+class TestRowDotCountsGather:
+    """row_dot_counts around the cutoff of its byte gather.
+
+    An anchor with at most a quarter of its packed bytes non-zero is
+    tallied over those bytes only; a denser one over whole rows.  Anchors
+    with floor(w/4) non-zero bytes of a w-byte width sit on the gather
+    side, one byte more on the full side.
+    """
+
+    @given(st.data())
+    @settings(max_examples=200)
+    def test_against_numpy_at_the_cutoff(self, data):
+        n_cols = data.draw(st.sampled_from(GATHER_WIDTHS))
+        width = (n_cols + 7) // 8
+        n_touched = min(max(width // 4 + data.draw(st.sampled_from(
+            [-1, 0, 1])), 0), width)
+        touched = data.draw(st.lists(st.integers(0, width - 1),
+                                     min_size=n_touched, max_size=n_touched,
+                                     unique=True))
+        anchor = anchor_with_bytes(n_cols, touched, data)
+        n_rows = data.draw(st.integers(0, 12))
+        dense = data.draw(st.one_of(
+            arrays(np.uint8, (n_rows, n_cols), elements=st.integers(0, 1)),
+            st.just(np.ones((n_rows, n_cols), np.uint8))))
+        assert_row_dots(dense, anchor)
+
+    @pytest.mark.parametrize("n_cols", GATHER_WIDTHS)
+    @pytest.mark.parametrize("anchor_ones", ["none", "last", "all"])
+    def test_all_one_rows_and_no_rows(self, n_cols, anchor_ones):
+        anchor = np.zeros(n_cols, np.uint8)
+        anchor[{"none": slice(0), "last": slice(-1, None),
+                "all": slice(None)}[anchor_ones]] = 1
+        assert_row_dots(np.ones((5, n_cols), np.uint8), anchor)
+        assert_row_dots(np.zeros((0, n_cols), np.uint8), anchor)
+
+    @pytest.mark.parametrize("anchor_bytes", [1, 2, 7, 8])
+    def test_both_paths_leave_x_unchanged(self, anchor_bytes):
+        # 64 columns: 1 and 2 non-zero bytes gather, 7 and 8 AND whole rows;
+        # the anchor's zeros meet ones of x, so any write into x shows
+        rng = np.random.default_rng(anchor_bytes)
+        dense = (rng.random((40, 64)) < 0.5).astype(np.uint8)
+        anchor = np.zeros(64, np.uint8)
+        anchor[0:8 * anchor_bytes:2] = 1
+        assert_row_dots(dense, anchor)
 
 
 def gain_on_empty(row_mask, col_mask, x):
