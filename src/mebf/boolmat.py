@@ -9,9 +9,9 @@ totals read contiguous bytes as uint64 words when their count allows it.
 Row growth reads only what its anchor can hit: when at most a quarter of
 the anchor's packed bytes are non-zero, ``row_dot_counts`` gathers those
 byte columns of x and tallies them, instead of ANDing every byte of every
-row.  A mining round still costs O(nm) elsewhere: accepting a pattern
-builds four n x m matrices (``rank1_product``, ``complement`` and two
-``elementwise``), and ``rank1_cost`` recounts |x| for each candidate.
+row.  ``rank1_cost`` and ``rank1_gain`` price a pattern from its own rows.
+A mining round still costs O(nm) to clear an accepted pattern from the
+residual: ``rank1_product``, ``complement`` and an ``elementwise`` AND.
 """
 
 from __future__ import annotations
@@ -386,14 +386,14 @@ def _pattern_rows(row_mask: BinaryVector, col_mask: BinaryVector,
 
 def rank1_cost(row_mask: BinaryVector, col_mask: BinaryVector,
                x: BinaryMatrix) -> int:
-    """Cost of approximating x by the single pattern (row_mask, col_mask).
-
-    Counts the entries where x and the rank-1 product disagree without
-    materializing the product: |x| + |pattern| - 2 * overlap.
+    """Change of cost when the pattern (row_mask, col_mask) alone
+    approximates x: |pattern| - 2 |pattern and x|, read from the pattern's
+    rows.  This is ``rank1_gain``'s delta against an all-zero recon; the
+    absolute cost adds |x|, which every candidate against one x shares.
     """
     selected = x._packed[_pattern_rows(row_mask, col_mask, x)]
     overlap = _popcount(selected & col_mask._packed)
-    return x.count() + row_mask.count() * col_mask.count() - 2 * overlap
+    return row_mask.count() * col_mask.count() - 2 * overlap
 
 
 def rank1_gain(row_mask: BinaryVector, col_mask: BinaryVector,

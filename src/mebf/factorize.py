@@ -5,9 +5,10 @@ rank-1 pattern out of the median column and median row of the active
 block, and keeps whichever direction approximates the residual better.
 When that pattern would raise the cost against the input, a weak-signal
 fallback seeds a pattern from the overlap of the two densest columns or
-rows instead.  Accepted patterns zero out the residual entries they cover.
-A candidate is priced by ``rank1_gain``, its change to the cost |x xor
-recon| read from its own rows; the report rebuilds its trace the same way.
+rows instead.  Accepted patterns zero out the residual entries they cover
+and are ORed into the reconstruction in place.  ``rank1_cost`` picks the
+direction and ``rank1_gain`` accepts, each by a change of cost read from
+the pattern's rows only; the report rebuilds its trace the same way.
 The row and column sums behind the arrangement are counted once per
 factorization and then lowered by the ones each accepted pattern covers,
 instead of being recounted over the whole residual every round.  The
@@ -27,6 +28,7 @@ from .boolmat import (
     col_dot_counts,
     complement,
     elementwise,
+    or_pattern,
     rank1_cost,
     rank1_gain,
     rank1_product,
@@ -229,14 +231,9 @@ def mebf_factorize(x: BinaryMatrix, cfg: MebfConfig) -> FactorResult:
         if len(row_parts) == cfg.k_max:
             break  # nothing reads the view, recon or residual after this
         view = view.cleared(residual, *pair)
-        # each n x m temporary is dropped once used, so at most four n x m
-        # matrices are live: residual, recon and the two being combined
-        pattern = rank1_product(*pair)
-        recon = elementwise("or", recon, pattern)
-        keep = complement(pattern)
-        del pattern
-        residual = elementwise("and", residual, keep)
-        del keep
+        or_pattern(recon, *pair)
+        residual = elementwise("and", residual,
+                               complement(rank1_product(*pair)))
 
     return FactorResult(
         A=BinaryMatrix.from_columns(row_parts, x.n_rows),

@@ -272,10 +272,13 @@ def _coo_error(chunks) -> MatrixFormatError:
         failure = exc
     error = None
     found = 0
-    for lineno, line in _lines(bodies):
-        found += 1
+    for first, chunk in bodies:
+        # lines are checked up to the first error, and after it only counted
         if error is None and failure is None:
-            error = _coo_line_error(line, lineno, n, m, seen)
+            errors = (_coo_line_error(line, lineno, n, m, seen)
+                      for lineno, line in _lines([(first, chunk)]))
+            error = next(filter(None, errors), None)
+        found += chunk.count(b"\n")
     if found != nnz:
         return MatrixFormatError(
             f"line {min(found, nnz) + 2}: expected {nnz} coordinate lines, "

@@ -643,6 +643,8 @@ class TestCostGamma:
             assert fast == int((x_dense.astype(bool) ^ recon).sum())
 
     def test_rank1_cost_matches_cost_gamma(self):
+        # rank1_cost is the change from the empty factorization, whose cost
+        # is |x|
         rng = np.random.default_rng(29)
         for _ in range(50):
             n, m = rng.integers(1, 10, size=2)
@@ -653,4 +655,17 @@ class TestCostGamma:
             b = BinaryMatrix.from_dense(col_mask.reshape(1, -1))
             assert rank1_cost(BinaryVector.from_dense(row_mask),
                               BinaryVector.from_dense(col_mask),
-                              x) == cost_gamma(a, b, x)
+                              x) == cost_gamma(a, b, x) - x.count()
+
+    @pytest.mark.parametrize("width", [1, 7, 8, 9, 63, 64, 65])
+    def test_rank1_cost_is_the_gain_on_an_empty_recon(self, width):
+        rng = np.random.default_rng(width)
+        n = 11
+        x = BinaryMatrix.from_dense(rng.random((n, width)) < 0.5)
+        row_masks = [BinaryVector.zeros(n), ones_vector(n),
+                     BinaryVector.from_dense(rng.random(n) < 0.5)]
+        col_masks = [BinaryVector.zeros(width), ones_vector(width),
+                     BinaryVector.from_dense(rng.random(width) < 0.5)]
+        for rows, cols in itertools.product(row_masks, col_masks):
+            assert rank1_cost(rows, cols, x) == gain_on_empty(rows, cols,
+                                                              x)[0]

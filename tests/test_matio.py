@@ -286,6 +286,41 @@ class TestCoo:
                            match=r"^line 3: duplicate coordinate \(2, 2\)$"):
             read_matrix(path, "coo")
 
+    @pytest.mark.parametrize("bad_line,extra_lines", [
+        (b"1 x", 0), (b"1 1", 0), (b"99 9", 0), (b"1 2 3", 0),
+        # the line count outranks the bad line, which still ends the scan
+        (b"1 x", 1), (b"1 x", -1),
+    ])
+    def test_lines_after_the_first_error_are_only_counted(
+            self, bad_line, extra_lines, monkeypatch):
+        # line 4 of 401 is bad, in reads of 64 bytes: the scan checks lines
+        # 2 to 4 and counts the remaining chunks in bulk
+        coords = [f"{i} {j}" for i in range(1, 21) for j in range(1, 21)]
+        lines = [b"20 20 %d" % (len(coords) - extra_lines)]
+        lines += [c.encode() for c in coords]
+        lines[3] = bad_line
+        content = b"\n".join(lines) + b"\n"
+        assert len(content) > 30 * 64
+        checked = []
+        split = []
+        line_error, lines_of = matio._coo_line_error, matio._lines
+
+        def recording(line, lineno, n, m, seen):
+            checked.append(lineno)
+            return line_error(line, lineno, n, m, seen)
+
+        def recording_lines(chunks):
+            for lineno, line in lines_of(chunks):
+                split.append(lineno)
+                yield lineno, line
+
+        monkeypatch.setattr(matio, "_coo_line_error", recording)
+        monkeypatch.setattr(matio, "_lines", recording_lines)
+        got = outcome(read_content, content, "coo", 64)
+        assert checked == split == [2, 3, 4]
+        assert got == outcome(ref_read, content, "coo")
+        assert got.startswith("line ")
+
     def test_huge_coordinate_reports_its_value(self, tmp_path):
         path = tmp_path / "x.coo"
         path.write_text("2 2 1\n1 99999999999999999999999\n")
