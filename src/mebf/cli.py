@@ -85,7 +85,6 @@ def cmd_factorize(args) -> int:
     start = time.perf_counter()
     result = mebf_factorize(x, cfg)
     elapsed = time.perf_counter() - start
-    report = build_report(x, result)
 
     print(" ".join(str(c) for c in result.cost_history))
     if args.out_a:
@@ -93,9 +92,11 @@ def cmd_factorize(args) -> int:
     if args.out_b:
         write_matrix(result.B, args.out_b, "dense01")
     if args.report:
-        _emit_report(report, args.report)
+        _emit_report(build_report(x, result), args.report)
+    # as in the report: the last cost, or with no patterns every one of x
+    final_cost = result.cost_history[-1] if result.cost_history else x.count()
     _log(f"{x.n_rows}x{x.n_cols} input: {result.k} patterns, final cost "
-         f"{report.final_cost}, {elapsed:.3f}s")
+         f"{final_cost}, {elapsed:.3f}s")
     return 0
 
 

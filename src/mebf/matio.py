@@ -17,11 +17,13 @@ every line with LF.
 
 A malformed file raises :class:`MatrixFormatError` with a message that
 starts ``line N:`` at the first bad line.  Files are read in
-line-aligned chunks, so a ``dense01`` or ``coo`` read holds about twice
-the packed matrix plus the work on one chunk, whatever the file's size.
+line-aligned chunks, so a ``dense01`` read holds about twice the packed
+matrix and a ``coo`` read about once, plus the work on a few chunks,
+whatever the file's size.
 ``dense01`` and ``coo`` are parsed in numpy passes over each chunk and
-formatted in numpy passes over blocks of rows; only a ``coo`` file that
-fails a bulk check is read again line by line, to name that line.
+formatted in numpy passes over blocks of rows.  A file is read once, so a
+pipe works too: the first ``coo`` chunk that fails a bulk check is
+scanned line by line to name its bad line, and the rest are only counted.
 """
 
 from __future__ import annotations
@@ -199,40 +201,80 @@ def _coo_header(chunks):
     return n, m, nnz, itertools.chain([(2, first[split + 1:])], chunks)
 
 
-def _parse_coo(chunks) -> BinaryMatrix | None:
-    """The matrix of a coo file, or None if a streamed check fails.
+def _parse_coo(chunks) -> BinaryMatrix:
+    """The matrix of a coo file, read in one streamed pass.
 
-    Bits are set straight into the packed matrix, one chunk of coordinate
-    lines at a time.
+    Each chunk of coordinate lines is checked in bulk and its bits are set
+    straight into the packed matrix.  The first chunk that fails is scanned
+    line by line against the bits of the chunks before it, to name its bad
+    line; the lines after it are only counted.  The faults rank as in a
+    check of the whole file: the coordinate line count, the allocation of
+    the packed matrix, then the first bad line.
     """
     n, m, nnz, bodies = _coo_header(chunks)
-    # allocated first, so that the bit index arithmetic below cannot overflow
+    failure = error = None
+    # allocated first, so that the bit index arithmetic cannot overflow
     try:
         packed = np.zeros((n, (m + 7) // 8), dtype=np.uint8)
-    except (MemoryError, ValueError):
-        return None
-    found = 0
-    for _, body in bodies:
-        if not body:
+    except (MemoryError, ValueError) as exc:
+        failure = exc
+    first, body = 2, b""
+    for first, body in bodies:
+        # after the first fault the lines are only counted
+        if failure or error or not body or _add_coords(body, packed, m):
             continue
-        if not _two_tokens_per_line(np.frombuffer(body, dtype=np.uint8)):
-            return None
-        # every line is two digit runs, so text-mode parsing reads them
-        # all; a value past int64 saturates and fails the range check
-        coords = np.fromstring(body, dtype=np.int64, sep=" ").reshape(-1, 2)
-        coords -= 1
-        rows, cols = coords[:, 0], coords[:, 1]
-        if not ((rows >= 0) & (rows < n) & (cols >= 0) & (cols < m)).all():
-            return None
-        np.add.at(packed.reshape(-1), rows * packed.shape[1] + (cols >> 3),
-                  (0x80 >> (cols & 7)).astype(np.uint8))
-        found += len(coords)
-    # adding a bit that is already set carries or wraps, so each duplicate
-    # leaves the matrix with fewer ones than coordinate lines
-    mat = BinaryMatrix(n, m, packed)
-    if found != nnz or mat.count() != nnz:
-        return None
-    return mat
+        # a chunk that fails in bulk is added line by line up to its first
+        # bad line
+        seen = memoryview(packed.reshape(-1))
+        errors = (_coo_line_error(line, lineno, n, m, seen)
+                  for lineno, line in _lines([(first, body)]))
+        error = next(filter(None, errors), None)
+    # the lines before the last chunk are counted by its first line number
+    found = first - 2 + body.count(b"\n")
+    if found != nnz:
+        raise MatrixFormatError(
+            f"line {min(found, nnz) + 2}: expected {nnz} coordinate lines, "
+            f"found {found}")
+    if failure or error:
+        raise failure or error
+    return BinaryMatrix(n, m, packed)
+
+
+def _add_coords(body: bytes, packed: np.ndarray, m: int) -> bool:
+    """Set the bits of a chunk of coordinate lines if every line holds.
+
+    A line holds when it is two digit runs amid spaces and tabs that name
+    an entry inside the matrix that no line before it has set.  If a line
+    fails, no bit is set.
+    """
+    if not _two_tokens_per_line(np.frombuffer(body, dtype=np.uint8)):
+        return False
+    # every line is two digit runs, so text-mode parsing reads them all; a
+    # value past int64 saturates and fails the range check
+    coords = np.fromstring(body, dtype=np.int64, sep=" ").reshape(-1, 2)
+    coords -= 1
+    rows, cols = coords[:, 0], coords[:, 1]
+    if not ((rows >= 0) & (rows < packed.shape[0]) & (cols >= 0)
+            & (cols < m)).all():
+        return False
+    # the bit index of each coordinate, in place of its row; files written
+    # row by row have them increasing, with no sort needed to find repeats
+    bits = rows
+    bits *= 8 * packed.shape[1]
+    bits += cols
+    if not (bits[1:] > bits[:-1]).all():
+        ordered = np.sort(bits)
+        if (ordered[1:] == ordered[:-1]).any():
+            return False
+    # each coordinate's bit in its byte, then the byte's index
+    masks = np.right_shift(0x80, bits.astype(np.uint8) & 7)
+    bits >>= 3
+    flat = packed.reshape(-1)
+    if (flat[bits] & masks).any():
+        return False
+    # no bit is set twice, so adding ORs; numpy's add.at is the fast one
+    np.add.at(flat, bits, masks)
+    return True
 
 
 def _two_tokens_per_line(buf: np.ndarray) -> bool:
@@ -252,45 +294,6 @@ def _two_tokens_per_line(buf: np.ndarray) -> bool:
                              dtype=np.uint8)
     return bool(np.count_nonzero(token_starts) == 2 * line_starts.size
                 and (tokens == 2).all())
-
-
-def _coo_error(chunks) -> MatrixFormatError:
-    """The error of a coo file whose header holds but a streamed check fails.
-
-    Keeps the order of the checks on the whole file: the coordinate line
-    count, the allocation of the packed matrix, then each line in order for
-    its token count, digit-only tokens, the range and an earlier equal
-    coordinate.  Earlier coordinates are marked in a flat packed bit array,
-    so the scan holds about the packed matrix plus one chunk.
-    """
-    n, m, nnz, bodies = _coo_header(chunks)
-    failure = None
-    try:
-        seen = memoryview(np.zeros((n, (m + 7) // 8), dtype=np.uint8)
-                          .reshape(-1))
-    except (MemoryError, ValueError) as exc:
-        failure = exc
-    error = None
-    found = 0
-    for first, chunk in bodies:
-        # lines are checked up to the first error, and after it only counted
-        if error is None and failure is None:
-            errors = (_coo_line_error(line, lineno, n, m, seen)
-                      for lineno, line in _lines([(first, chunk)]))
-            error = next(filter(None, errors), None)
-        found += chunk.count(b"\n")
-    if found != nnz:
-        return MatrixFormatError(
-            f"line {min(found, nnz) + 2}: expected {nnz} coordinate lines, "
-            f"found {found}")
-    # a header too large to hold fails here, after the line count and
-    # before any line check
-    if failure is not None:
-        raise failure
-    if error is None:
-        raise AssertionError("a coo file failed a streamed check but has no "
-                             "bad line")
-    return error
 
 
 def _coo_line_error(line: bytes, lineno: int, n: int, m: int,
@@ -352,14 +355,9 @@ def read_matrix(path, format: str) -> BinaryMatrix | RealMatrix:
     try:
         if format == "dense01":
             return _parse_dense01(chunks)
-        if format == "csv":
-            return _read_csv(chunks)
-        mat = _parse_coo(chunks)
-        if mat is None:
-            # read again: the message may name a line already passed
-            chunks = _text_chunks(path)
-            raise _coo_error(chunks)
-        return mat
+        if format == "coo":
+            return _parse_coo(chunks)
+        return _read_csv(chunks)
     except MatrixFormatError:
         # a non-ASCII byte anywhere in the file outranks every other fault:
         # read the rest for the ASCII check before raising

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from mebf import metrics
 from mebf.boolmat import BinaryMatrix, bool_product
 from mebf.cli import main
 from mebf.factorize import MebfConfig, mebf_factorize
@@ -53,6 +54,33 @@ class TestFactorize:
         assert report["pattern_count"] == 0
         assert report["final_cost"] == 0
         assert "coverage_rate" not in report
+
+    @pytest.mark.parametrize("dense", [BLOCK_DIAGONAL, [[0] * 3] * 3])
+    def test_no_report_means_no_product(self, tmp_path, monkeypatch, capsys,
+                                        dense):
+        # without --report the logged final cost comes from the cost trace
+        path = tmp_path / "x.txt"
+        write_matrix(BinaryMatrix.from_dense(dense), path, "dense01")
+        report_path = tmp_path / "report.json"
+        args = ["factorize", "--input", str(path), "--t", "0.5", "--k", "2"]
+        assert main(args + ["--report", str(report_path)]) == 0
+        with_report = capsys.readouterr()
+        products = []
+
+        def recording(*factors):
+            products.append(factors)
+            return bool_product(*factors)
+
+        monkeypatch.setattr(metrics, "bool_product", recording)
+        assert main(args) == 0
+        without = capsys.readouterr()
+        assert products == []
+        assert without.out == with_report.out
+        # the same log line up to the elapsed time
+        assert (without.err.rsplit(",", 1)[0]
+                == with_report.err.rsplit(",", 1)[0])
+        final_cost = json.loads(report_path.read_text())["final_cost"]
+        assert f", final cost {final_cost}, " in without.err
 
     def test_missing_file_is_runtime_error(self, tmp_path, capsys):
         code = main(["factorize", "--input", str(tmp_path / "nope.txt"),

@@ -2,6 +2,8 @@
 
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 
@@ -119,8 +121,8 @@ def outcome(read, *args):
     return mat.shape, mat.to_dense().tolist()
 
 
-def read_content(content: bytes, fmt, chunk_bytes=None):
-    """read_matrix of the content, in reads of chunk_bytes if given."""
+def in_file(content: bytes, chunk_bytes, read):
+    """read(path) of a file of the content, in reads of chunk_bytes if given."""
     with tempfile.TemporaryDirectory() as tmp, \
             pytest.MonkeyPatch.context() as mp:
         if chunk_bytes is not None:
@@ -128,7 +130,12 @@ def read_content(content: bytes, fmt, chunk_bytes=None):
         path = os.path.join(tmp, "m.dat")
         with open(path, "wb") as fh:
             fh.write(content)
-        return read_matrix(path, fmt)
+        return read(path)
+
+
+def read_content(content: bytes, fmt, chunk_bytes=None):
+    """read_matrix of the content, in reads of chunk_bytes if given."""
+    return in_file(content, chunk_bytes, lambda path: read_matrix(path, fmt))
 
 
 # The module's own read size, then reads that cut almost every line, and
@@ -368,9 +375,9 @@ class TestReadPeakMemory:
         # 4 MB file, 0.5 MB packed: measured 2 x packed + 3.98 chunks
         # (25.1 x packed when the whole file was read at once)
         ("dense01", SimulationSpec(2000, 2000, 5, 0.2, 0.01, 0), 4.0),
-        # 14.5 MB file, 1.0 MB packed: measured 2 x packed + 5.37 chunks
+        # 14.5 MB file, 1.0 MB packed: measured 2 x packed + 3.32 chunks
         # (92.8 x packed when the whole file was read at once)
-        ("coo", SimulationSpec(16000, 500, 5, 0.2, 0.01, 0), 5.4),
+        ("coo", SimulationSpec(16000, 500, 5, 0.2, 0.01, 0), 3.35),
     ])
     def test_peak_is_twice_packed_plus_chunks(self, tmp_path, fmt, spec,
                                               chunks):
@@ -392,10 +399,12 @@ class TestReadPeakMemory:
 
 
     def test_late_bad_coo_line(self, tmp_path):
-        # the error scan marks coordinates in a packed bit array, so a bad
-        # last line holds the packed matrix once plus the chunk work: 0.73
-        # MB file, 1.0 MB packed, measured 1 x packed + 8.87 chunks (59
-        # chunks with a set of every coordinate)
+        # the one pass scans the last chunk against the packed matrix the
+        # chunks before it built, so a bad last line holds the packed
+        # matrix once plus the chunk work: 0.73 MB file, 1.0 MB packed,
+        # measured 1 x packed + 7.02 chunks (8.87 when the file was read
+        # a second time to name the line, 59 with a set of every
+        # coordinate)
         n, m = 4000, 2000
         flat = np.unique(np.random.default_rng(137).integers(0, n * m,
                                                              80_000))
@@ -419,7 +428,7 @@ class TestReadPeakMemory:
         assert str(raised.value) == (f"line {flat.size + 1}: expected 'i j', "
                                      f"got {lines[-1]!r}")
         packed = n * ((m + 7) // 8)
-        assert peak <= packed + 9.0 * matio._CHUNK_BYTES
+        assert peak <= packed + 7.05 * matio._CHUNK_BYTES
 
 
 class TestNonAscii:
@@ -547,6 +556,136 @@ class TestBulkParsersMatchReference:
                 assert (outcome(read_content, content, fmt, chunk_bytes)
                         == expected)
         assert errors > 300  # the edits reach the error paths
+
+
+def chunk_first_lines(content: bytes, chunk_bytes: int) -> list[int]:
+    """The first line number of each chunk the reader cuts the content into."""
+    return in_file(content, chunk_bytes, lambda path: [
+        first for first, _ in matio._text_chunks(path)])
+
+
+class TestOnePassCoo:
+    """A coo file is read once, in any line order, faults and pipes too."""
+
+    def test_unordered_lines_and_repeats(self):
+        # shuffled lines; a repeat of the line before, of the first line at
+        # the end, or of the last line of a 64-byte chunk at the next
+        # chunk's first line
+        rng = np.random.default_rng(29)
+        repeats = 0
+        for trial in range(240):
+            n, m = (int(v) for v in rng.integers(1, 30, 2))
+            rows, cols = np.nonzero(rng.random((n, m)) < 0.3)
+            order = rng.permutation(rows.size)
+            lines = [b"%d %d %d" % (n, m, rows.size)] + [
+                b"%d %d" % (i + 1, j + 1)
+                for i, j in zip(rows[order], cols[order])]
+            kind = trial % 4
+            repeated = kind > 0 and len(lines) > 3
+            if repeated:
+                if kind == 1:
+                    b = int(rng.integers(2, len(lines)))
+                    a = b - 1
+                elif kind == 2:
+                    a, b = 1, len(lines) - 1
+                else:
+                    content = b"\n".join(lines) + b"\n"
+                    edges = [e for e in chunk_first_lines(content, 64)
+                             if e > 2]
+                    if not edges:
+                        continue
+                    b = edges[int(rng.integers(0, len(edges)))] - 1
+                    a = b - 1
+                lines[b] = lines[a]
+                repeats += 1
+            content = b"\n".join(lines) + b"\n"
+            expected = outcome(ref_read, content, "coo")
+            assert repeated == ("duplicate coordinate" in str(expected))
+            for chunk_bytes in CHUNK_SIZES:
+                assert (outcome(read_content, content, "coo", chunk_bytes)
+                        == expected)
+        assert repeats > 150
+
+    @pytest.mark.parametrize("line40", [b"7 8", b"7 1 1", b"61 1", b"7 x"])
+    def test_a_later_bad_line_scans_only_its_chunk(self, monkeypatch,
+                                                   line40):
+        # 32-byte reads: every chunk up to line 40's is checked in bulk,
+        # only line 40's chunk is scanned line by line, up to line 40, and
+        # the chunks after it are not checked at all
+        lines = [b"60 8 59"] + [b"%d %d" % (i, i % 8 + 1)
+                                for i in range(1, 60)]
+        lines[39] = line40
+        content = b"\n".join(lines) + b"\n"
+        firsts = chunk_first_lines(content, 32)
+        failing = max(i for i, first in enumerate(firsts) if first <= 40)
+        assert failing > 3 and failing + 1 < len(firsts)
+        bulk, checked = [], []
+        add_coords, line_error = matio._add_coords, matio._coo_line_error
+
+        def recording_bulk(body, packed, m):
+            bulk.append(body)
+            return add_coords(body, packed, m)
+
+        def recording(line, lineno, n, m, seen):
+            checked.append(lineno)
+            return line_error(line, lineno, n, m, seen)
+
+        monkeypatch.setattr(matio, "_add_coords", recording_bulk)
+        monkeypatch.setattr(matio, "_coo_line_error", recording)
+        got = outcome(read_content, content, "coo", 32)
+        assert got == outcome(ref_read, content, "coo")
+        assert got.startswith("line 40: ")
+        assert len(bulk) == failing + 1
+        assert checked == list(range(firsts[failing], 41))
+
+    @pytest.mark.parametrize("content", [
+        b"2 2 2\n1 2\n2 1\n",
+        b"",
+        b"2 2 2\n1 1\n1 1\n",
+        b"2 2 1\n1 x\n",
+        b"2 2 1\n3 1\n",
+        b"2 2 2\n1 1\n",
+        b"2 2 1\n1 \xc3\n",
+        b"9223372036854775807 1 1\n1 x\n",
+    ])
+    def test_opens_the_file_once(self, tmp_path, monkeypatch, content):
+        path = tmp_path / "x.coo"
+        path.write_bytes(content)
+        opened = []
+
+        def recording_open(file, *args, **kwargs):
+            opened.append(file)
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(matio, "open", recording_open, raising=False)
+        try:
+            read_matrix(path, "coo")
+        except (MatrixFormatError, MemoryError):
+            pass
+        assert opened == [path]
+
+    @pytest.mark.parametrize("content", [
+        b"2 3 2\n1 1\n1 1\n",
+        b"2 3 2\n1 1\n3 1\n",
+        b"2 3 2\n1 1\n1 2\n2 2\n",
+        b"2 3 2\n1 1\n2 3\n",
+    ])
+    def test_cli_reads_a_pipe(self, content):
+        src = os.path.dirname(os.path.dirname(matio.__file__))
+        path = os.pathsep.join(filter(None, [src,
+                                             os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mebf.cli", "factorize", "--input",
+             "/dev/stdin", "--format", "coo", "--t", "0.5", "--k", "2"],
+            input=content, capture_output=True,
+            env=dict(os.environ, PYTHONPATH=path), check=False)
+        expected = outcome(ref_read, content, "coo")
+        if isinstance(expected, str):
+            assert (proc.returncode, proc.stderr.decode()) == (
+                1, f"error: {expected}\n")
+        else:
+            assert proc.returncode == 0
+            assert proc.stderr.decode().startswith("2x3 input: ")
 
 
 class TestWritersMatchReference:
