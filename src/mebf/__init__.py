@@ -2,19 +2,11 @@
 
 Median-expansion pattern mining over bit-packed binary matrices, with a
 seeded simulation generator, evaluation metrics, text-format matrix I/O,
-and a batch CLI.
+and a batch CLI.  The loop's kernels, among them the UTL view and the
+entrywise operations, are in :mod:`mebf.boolmat`.
 """
 
-from .boolmat import (
-    BinaryMatrix,
-    BinaryVector,
-    UtlView,
-    bool_product,
-    complement,
-    elementwise,
-    rank1_product,
-    utl_rearrange,
-)
+from .boolmat import BinaryMatrix, BinaryVector, bool_product
 from .factorize import (
     FactorResult,
     MebfConfig,
@@ -62,25 +54,20 @@ __all__ = [
     "SimulatedInstance",
     "SimulationSpec",
     "UndefinedMetricError",
-    "UtlView",
     "bidirectional_growth",
     "binarize",
     "bool_product",
     "build_report",
-    "complement",
     "coverage_rate",
     "density",
-    "elementwise",
     "mask_denoise",
     "mebf_factorize",
     "preset_grid",
-    "rank1_product",
     "read_matrix",
     "reconstruction_error",
     "replicate_seed",
     "report_from_factors",
     "simulate",
-    "utl_rearrange",
     "weak_signal_detection",
     "write_matrix",
 ]

@@ -247,21 +247,18 @@ class UtlView:
     summing the whole matrix again.
     """
 
-    n_active: int
-    m_active: int
     row_totals: np.ndarray
     col_totals: np.ndarray
 
-    @classmethod
-    def from_totals(cls, row_totals: np.ndarray,
-                    col_totals: np.ndarray) -> UtlView:
-        """The view of any matrix with these row and column sums."""
-        return cls(
-            n_active=int((row_totals > 0).sum()),
-            m_active=int((col_totals > 0).sum()),
-            row_totals=row_totals,
-            col_totals=col_totals,
-        )
+    @property
+    def n_active(self) -> int:
+        """Rows with at least one one: the first n_active of the order."""
+        return int(np.count_nonzero(self.row_totals))
+
+    @property
+    def m_active(self) -> int:
+        """Columns with at least one one: the last m_active of the order."""
+        return int(np.count_nonzero(self.col_totals))
 
     def row_at(self, rank: int) -> int:
         """The row at position ``rank`` of the row order, in O(n)."""
@@ -283,7 +280,7 @@ class UtlView:
         col_totals = self.col_totals - _col_tally(hit, x.n_cols)
         row_totals = self.row_totals.copy()
         row_totals[selected] -= _row_tally(hit, in_place=True)
-        return UtlView.from_totals(row_totals, col_totals)
+        return UtlView(row_totals, col_totals)
 
 
 def _line_at(keys: np.ndarray, rank: int) -> int:
@@ -298,7 +295,7 @@ def _line_at(keys: np.ndarray, rank: int) -> int:
 
 def utl_rearrange(x: BinaryMatrix) -> UtlView:
     """The UTL view of x, from its row and column sums."""
-    return UtlView.from_totals(x.row_sums(), x.col_sums())
+    return UtlView(x.row_sums(), x.col_sums())
 
 
 def bool_product(a_mat: BinaryMatrix, b_mat: BinaryMatrix) -> BinaryMatrix:

@@ -12,7 +12,7 @@ import sys
 import time
 
 from .boolmat import BinaryMatrix
-from .factorize import MebfConfig, mebf_factorize
+from .factorize import FactorResult, MebfConfig, mebf_factorize
 from .matio import (
     FORMATS,
     MatrixFormatError,
@@ -79,6 +79,16 @@ def _emit_report(report: MetricsReport, path: str | None) -> None:
     _emit(json.dumps(report.to_json_dict(), indent=2) + "\n", path)
 
 
+def _write_outputs(x: BinaryMatrix, result: FactorResult, args) -> None:
+    """Write the factors and the report of x's factorization, if asked."""
+    if args.out_a:
+        write_matrix(result.A, args.out_a, "dense01")
+    if args.out_b:
+        write_matrix(result.B, args.out_b, "dense01")
+    if args.report:
+        _emit_report(build_report(x, result), args.report)
+
+
 def cmd_factorize(args) -> int:
     x = _load_binary(args.input, args.format, args.threshold)
     cfg = MebfConfig(t=args.t, k_max=args.k)
@@ -87,12 +97,7 @@ def cmd_factorize(args) -> int:
     elapsed = time.perf_counter() - start
 
     print(" ".join(str(c) for c in result.cost_history))
-    if args.out_a:
-        write_matrix(result.A, args.out_a, "dense01")
-    if args.out_b:
-        write_matrix(result.B, args.out_b, "dense01")
-    if args.report:
-        _emit_report(build_report(x, result), args.report)
+    _write_outputs(x, result, args)
     # as in the report: the last cost, or with no patterns every one of x
     final_cost = result.cost_history[-1] if result.cost_history else x.count()
     _log(f"{x.n_rows}x{x.n_cols} input: {result.k} patterns, final cost "
@@ -194,12 +199,7 @@ def cmd_denoise(args) -> int:
     masked = mask_denoise(real, result.A, result.B)
 
     write_matrix(masked, args.out, "csv")
-    if args.out_a:
-        write_matrix(result.A, args.out_a, "dense01")
-    if args.out_b:
-        write_matrix(result.B, args.out_b, "dense01")
-    if args.report:
-        _emit_report(build_report(observed, result), args.report)
+    _write_outputs(observed, result, args)
     kept = int((masked.values != 0).sum())
     total = int((real.values != 0).sum())
     _log(f"denoised {real.n_rows}x{real.n_cols}: {result.k} patterns, "

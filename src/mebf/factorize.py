@@ -84,13 +84,17 @@ class FactorResult:
     A: BinaryMatrix
     B: BinaryMatrix
     cost_history: tuple[int, ...]
-    k: int
     iterations: int
     weak_signal_uses: int
     residual_history: tuple[int, ...]
 
+    @property
+    def k(self) -> int:
+        """The number of accepted patterns: the columns of A."""
+        return self.A.n_cols
+
     def __post_init__(self):
-        if self.A.n_cols != self.k or self.B.n_rows != self.k:
+        if self.A.n_cols != self.B.n_rows:
             raise ValueError("factor shapes disagree with the pattern count")
         if len(self.cost_history) != self.k:
             raise ValueError("cost history length must equal k")
@@ -140,13 +144,13 @@ def bidirectional_growth(x_res: BinaryMatrix, t: float,
     or None when the residual has no ones.  ``view`` must equal
     ``utl_rearrange(x_res)``.
     """
-    if view.n_active == 0:
+    n_active, m_active = view.n_active, view.m_active
+    if n_active == 0:
         return None
 
     # the active columns are the last m_active of the column order
-    med_col = view.col_at(x_res.n_cols - view.m_active
-                          + (view.m_active + 1) // 2 - 1)
-    med_row = view.row_at((view.n_active + 1) // 2 - 1)
+    med_col = view.col_at(x_res.n_cols - m_active + (m_active + 1) // 2 - 1)
+    med_row = view.row_at((n_active + 1) // 2 - 1)
     return _grow(x_res, t, x_res.col(med_col), x_res.row(med_row))
 
 
@@ -239,7 +243,6 @@ def mebf_factorize(x: BinaryMatrix, cfg: MebfConfig) -> FactorResult:
         A=BinaryMatrix.from_columns(row_parts, x.n_rows),
         B=BinaryMatrix.from_rows(col_parts, x.n_cols),
         cost_history=tuple(cost_history),
-        k=len(row_parts),
         iterations=iterations,
         weak_signal_uses=weak_uses,
         residual_history=tuple(residual_history),

@@ -110,15 +110,18 @@ def _text_chunks(path):
             # pieces are joined in linear time
             block = fh.read(max(_CHUNK_BYTES, len(carry)))
             data = carry + block
+            # the read is released before the cut copies the chunk
+            more = bool(block)
+            del block
             # a CR that ends a read may be the first half of a CRLF
-            held = b"\r" if block and data.endswith(b"\r") else b""
+            held = b"\r" if more and data.endswith(b"\r") else b""
             if held:
                 data = data[:-1]
             # a scan for each break byte is cheaper than a translate that
             # finds none
             if any(byte in data for byte in _OTHER_BREAKS):
                 data = data.replace(b"\r\n", b"\n").translate(_TO_LF)
-            if block:
+            if more:
                 cut = data.rfind(b"\n") + 1
                 data, carry = data[:cut], data[cut:] + held
             elif data and not data.endswith(b"\n"):
@@ -135,7 +138,7 @@ def _text_chunks(path):
                 # numpy counts bytes faster than bytes.count
                 lineno += int(np.count_nonzero(
                     np.frombuffer(data, dtype=np.uint8) == 10))
-            if not block:
+            if not more:
                 return
 
 

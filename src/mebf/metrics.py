@@ -80,13 +80,17 @@ class MetricsReport:
     """
 
     final_cost: int
-    pattern_count: int
     cost_history: tuple[int, ...]
     reconstruction_error: float | None = None
     density: float | None = None
     coverage_rate: float | None = None
     per_column_coverage: tuple[int, ...] | None = None
     warnings: tuple[str, ...] = ()
+
+    @property
+    def pattern_count(self) -> int:
+        """One cost per pattern, so the length of the cost trace."""
+        return len(self.cost_history)
 
     def to_json_dict(self) -> dict:
         """JSON-ready view with fixed key order; absent metrics are omitted.
@@ -140,7 +144,6 @@ def _assemble(x: BinaryMatrix, recon: BinaryMatrix, a_mat: BinaryMatrix,
     return MetricsReport(
         # the last cost of the trace; with no patterns, every one of x
         final_cost=cost_history[-1] if cost_history else x.count(),
-        pattern_count=a_mat.n_cols,
         cost_history=cost_history,
         reconstruction_error=rec_err,
         density=dens,

@@ -10,12 +10,13 @@ import pytest
 import mebf
 from mebf import boolmat
 from mebf.boolmat import BinaryMatrix, BinaryVector, UtlView
-from mebf.factorize import FactorResult, MebfConfig
+from mebf.factorize import FactorResult, MebfConfig, mebf_factorize
 from mebf.metrics import (
     MetricsReport,
     build_report,
     coverage_rate,
     reconstruction_error,
+    report_from_factors,
 )
 
 
@@ -30,11 +31,28 @@ def test_exports_resolve_and_config_has_two_fields():
     assert fields == ("t", "k_max")
 
 
+def test_package_root_exports_what_a_user_calls():
+    assert sorted(mebf.__all__) == [
+        "BinaryMatrix", "BinaryVector", "FORMATS", "FactorResult",
+        "MatrixFormatError", "MebfConfig", "MetricsReport", "RealMatrix",
+        "SimulatedInstance", "SimulationSpec", "UndefinedMetricError",
+        "bidirectional_growth", "binarize", "bool_product", "build_report",
+        "coverage_rate", "density", "mask_denoise", "mebf_factorize",
+        "preset_grid", "read_matrix", "reconstruction_error",
+        "replicate_seed", "report_from_factors", "simulate",
+        "weak_signal_detection", "write_matrix"]
+    # the loop's kernels stay public where the loop imports them
+    for name in ("UtlView", "utl_rearrange", "complement", "elementwise",
+                 "rank1_product"):
+        assert not hasattr(mebf, name)
+        assert name in boolmat.__all__
+
+
 def test_report_fields_and_build_report_parameters():
     fields = tuple(f.name for f in dataclasses.fields(MetricsReport))
-    assert fields == ("final_cost", "pattern_count", "cost_history",
-                      "reconstruction_error", "density", "coverage_rate",
-                      "per_column_coverage", "warnings")
+    assert fields == ("final_cost", "cost_history", "reconstruction_error",
+                      "density", "coverage_rate", "per_column_coverage",
+                      "warnings")
     params = tuple(inspect.signature(build_report).parameters)
     assert params == ("x", "result", "truth")
 
@@ -62,11 +80,29 @@ def test_test_only_references_are_not_shipped():
 
 def test_utl_view_keeps_totals_and_selects_single_positions():
     fields = tuple(f.name for f in dataclasses.fields(UtlView))
-    assert fields == ("n_active", "m_active", "row_totals", "col_totals")
+    assert fields == ("row_totals", "col_totals")
     for name in ("row_at", "col_at"):
         assert callable(getattr(UtlView, name))
-    for gone in ("row_order", "col_order", "active_rows", "active_cols"):
+    for name in ("n_active", "m_active"):
+        assert isinstance(getattr(UtlView, name), property)
+    for gone in ("row_order", "col_order", "active_rows", "active_cols",
+                 "from_totals"):
         assert not hasattr(UtlView, gone)
+
+
+def test_counts_are_derived_not_stored():
+    assert "k" not in {f.name for f in dataclasses.fields(FactorResult)}
+    assert "pattern_count" not in {
+        f.name for f in dataclasses.fields(MetricsReport)}
+    blocks = BinaryMatrix.from_dense([[1, 1, 0, 0], [1, 1, 0, 0],
+                                      [0, 0, 1, 1], [0, 0, 1, 1]])
+    for x, k in ((BinaryMatrix.zeros(4, 4), 0), (blocks, 2)):
+        result = mebf_factorize(x, MebfConfig(t=0.5, k_max=3))
+        assert result.k == result.A.n_cols == result.B.n_rows == k
+        for report in (build_report(x, result),
+                       report_from_factors(x, result.A, result.B)):
+            assert report.pattern_count == len(report.cost_history) == k
+            assert report.to_json_dict()["pattern_count"] == k
 
 
 def test_mutable_matrices_are_unhashable():

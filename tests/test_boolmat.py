@@ -530,7 +530,7 @@ class TestUtlRearrange:
     def test_selection_matches_a_stable_sort(self, rows, cols):
         # the spec: the stable argsort by descending row sums and by
         # ascending column sums, read at every rank
-        view = UtlView.from_totals(rows, cols)
+        view = UtlView(rows, cols)
         assert view_orders(view) == (
             np.argsort(-rows, kind="stable").tolist(),
             np.argsort(cols, kind="stable").tolist())

@@ -365,22 +365,26 @@ class TestCoo:
 
 
 class TestReadPeakMemory:
-    """A read holds the packed matrix about twice plus one chunk's work.
+    """A read holds the packed matrix once or twice plus a few chunks' work.
 
     The bounds are the measured peaks, in reads of the module's own size;
     lower them as the readers allocate less, never raise them.
     """
 
-    @pytest.mark.parametrize("fmt,spec,chunks", [
-        # 4 MB file, 0.5 MB packed: measured 2 x packed + 3.98 chunks
-        # (25.1 x packed when the whole file was read at once)
-        ("dense01", SimulationSpec(2000, 2000, 5, 0.2, 0.01, 0), 4.0),
-        # 14.5 MB file, 1.0 MB packed: measured 2 x packed + 3.32 chunks
-        # (92.8 x packed when the whole file was read at once)
-        ("coo", SimulationSpec(16000, 500, 5, 0.2, 0.01, 0), 3.35),
+    @pytest.mark.parametrize("fmt,spec,copies,chunks", [
+        # 4 MB file, 0.5 MB packed: each chunk is packed, then joined;
+        # measured 2 x packed + 2.98 chunks (25.1 x packed when the whole
+        # file was read at once, 3.98 chunks when the chunk reader held
+        # its read block while it cut the chunk)
+        ("dense01", SimulationSpec(2000, 2000, 5, 0.2, 0.01, 0), 2, 3.0),
+        # 14.5 MB file, 1.0 MB packed: the bits are set in place;
+        # measured 1 x packed + 6.16 chunks (92.8 x packed when the whole
+        # file was read at once, 7.16 chunks when the chunk reader held
+        # its read block while it cut the chunk)
+        ("coo", SimulationSpec(16000, 500, 5, 0.2, 0.01, 0), 1, 6.19),
     ])
-    def test_peak_is_twice_packed_plus_chunks(self, tmp_path, fmt, spec,
-                                              chunks):
+    def test_peak_is_packed_copies_plus_chunks(self, tmp_path, fmt, spec,
+                                               copies, chunks):
         path = tmp_path / f"x.{fmt}"
         x = simulate(spec).X
         write_matrix(x, path, fmt)
@@ -395,15 +399,17 @@ class TestReadPeakMemory:
         finally:
             tracemalloc.stop()
         assert mat == x
-        assert peak <= 2 * mat._packed.nbytes + chunks * matio._CHUNK_BYTES
+        assert peak <= (copies * mat._packed.nbytes
+                        + chunks * matio._CHUNK_BYTES)
 
 
     def test_late_bad_coo_line(self, tmp_path):
         # the one pass scans the last chunk against the packed matrix the
         # chunks before it built, so a bad last line holds the packed
         # matrix once plus the chunk work: 0.73 MB file, 1.0 MB packed,
-        # measured 1 x packed + 7.02 chunks (8.87 when the file was read
-        # a second time to name the line, 59 with a set of every
+        # measured 1 x packed + 6.02 chunks (7.02 when the chunk reader
+        # held its read block while it cut the chunk, 8.87 when the file
+        # was read a second time to name the line, 59 with a set of every
         # coordinate)
         n, m = 4000, 2000
         flat = np.unique(np.random.default_rng(137).integers(0, n * m,
@@ -428,7 +434,7 @@ class TestReadPeakMemory:
         assert str(raised.value) == (f"line {flat.size + 1}: expected 'i j', "
                                      f"got {lines[-1]!r}")
         packed = n * ((m + 7) // 8)
-        assert peak <= packed + 7.05 * matio._CHUNK_BYTES
+        assert peak <= packed + 6.05 * matio._CHUNK_BYTES
 
 
 class TestNonAscii:

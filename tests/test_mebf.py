@@ -640,7 +640,7 @@ class TestFactorResult:
             FactorResult(
                 A=BinaryMatrix.from_dense([[1, 0], [1, 1]]),
                 B=BinaryMatrix.from_dense([[1, 1], [0, 1]]),
-                cost_history=(1, 2), k=2, iterations=2,
+                cost_history=(1, 2), iterations=2,
                 weak_signal_uses=0, residual_history=(2, 1))
 
     def test_rejects_stalled_residual(self):
@@ -648,7 +648,7 @@ class TestFactorResult:
             FactorResult(
                 A=BinaryMatrix.from_dense([[1, 0], [1, 1]]),
                 B=BinaryMatrix.from_dense([[1, 1], [0, 1]]),
-                cost_history=(2, 1), k=2, iterations=2,
+                cost_history=(2, 1), iterations=2,
                 weak_signal_uses=0, residual_history=(2, 2))
 
     def test_rejects_mismatched_history_length(self):
@@ -656,8 +656,16 @@ class TestFactorResult:
             FactorResult(
                 A=BinaryMatrix.from_dense([[1], [1]]),
                 B=BinaryMatrix.from_dense([[1, 1]]),
-                cost_history=(2, 1), k=1, iterations=1,
+                cost_history=(2, 1), iterations=1,
                 weak_signal_uses=0, residual_history=(0,))
+
+    def test_rejects_factors_that_disagree(self):
+        with pytest.raises(ValueError, match="factor shapes disagree"):
+            FactorResult(
+                A=BinaryMatrix.from_dense([[1, 0], [1, 1]]),
+                B=BinaryMatrix.from_dense([[1, 1]]),
+                cost_history=(2, 1), iterations=2,
+                weak_signal_uses=0, residual_history=(2, 1))
 
     def test_pattern_pairing(self):
         mat = BinaryMatrix.from_dense([[1, 1, 0, 0], [1, 1, 0, 0],

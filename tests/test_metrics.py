@@ -266,8 +266,8 @@ class TestForeignFactors:
         x[0, 6] = x[5, 0] = 1
         history = numpy_costs(x, a, b)
         result = FactorResult(A=a_mat, B=b_mat, cost_history=tuple(history),
-                              k=len(history), iterations=len(history),
-                              weak_signal_uses=0, residual_history=())
+                              iterations=len(history), weak_signal_uses=0,
+                              residual_history=())
         report = build_report(BinaryMatrix.from_dense(x), result)
         assert report.final_cost == int((x ^ (a @ b > 0)).sum())
 
@@ -360,18 +360,18 @@ class TestReportShapes:
 
 class TestSerialization:
     def test_key_order_and_omission(self):
-        report = MetricsReport(final_cost=3, pattern_count=2,
-                               cost_history=(5, 3), density=0.25,
-                               coverage_rate=0.75,
+        report = MetricsReport(final_cost=3, cost_history=(5, 3),
+                               density=0.25, coverage_rate=0.75,
                                per_column_coverage=(1, 2))
         payload = report.to_json_dict()
         assert list(payload) == ["density", "coverage_rate", "final_cost",
                                  "pattern_count", "cost_history",
                                  "per_column_coverage"]
+        assert payload["pattern_count"] == 2
         assert "reconstruction_error" not in payload
         assert "wall_time_s" not in payload
 
     def test_warnings_serialized_when_present(self):
-        report = MetricsReport(final_cost=0, pattern_count=0,
-                               cost_history=(), warnings=("oops",))
+        report = MetricsReport(final_cost=0, cost_history=(),
+                               warnings=("oops",))
         assert report.to_json_dict()["warnings"] == ["oops"]
