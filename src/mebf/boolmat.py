@@ -10,8 +10,10 @@ Row growth reads only what its anchor can hit: when at most a quarter of
 the anchor's packed bytes are non-zero, ``row_dot_counts`` gathers those
 byte columns of x and tallies them, instead of ANDing every byte of every
 row.  ``rank1_cost`` and ``rank1_gain`` price a pattern from its own rows.
-A mining round still costs O(nm) to clear an accepted pattern from the
-residual: ``rank1_product``, ``complement`` and an ``elementwise`` AND.
+``UtlView`` holds a factorization's residual with its line sums, and
+``UtlView.clear`` is the one place that clears an accepted pattern from
+it.  That still costs O(nm) per round: ``rank1_product``, ``complement``
+and an ``elementwise`` AND.
 """
 
 from __future__ import annotations
@@ -195,8 +197,6 @@ class BinaryMatrix:
         return (self.n_rows, self.n_cols)
 
     def to_dense(self) -> np.ndarray:
-        if self.n_cols == 0:
-            return np.zeros((self.n_rows, 0), dtype=np.uint8)
         return np.unpackbits(self._packed, axis=1, count=self.n_cols)
 
     def count(self) -> int:
@@ -232,21 +232,23 @@ class BinaryMatrix:
                 f"ones={self.count()})")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class UtlView:
-    """The upper-triangular-like (UTL) order of a matrix, by its line sums.
+    """The residual of a factorization in upper-triangular-like (UTL) order.
 
-    The row order lists active rows first, by non-increasing row sum;
-    all-zero rows follow in original order.  The column order lists
-    all-zero columns first in original order, then active columns by
+    ``x`` is the residual and ``row_totals`` and ``col_totals`` are its
+    line sums.  The row order lists active rows first, by non-increasing
+    row sum; all-zero rows follow in original order.  The column order
+    lists all-zero columns first in original order, then active columns by
     non-decreasing column sum.  Ties keep original relative order, so the
-    order is a pure function of the row and column sums, kept as
-    ``row_totals`` and ``col_totals``.  It is never sorted:
-    :meth:`row_at` and :meth:`col_at` select the line at one position, and
-    :meth:`cleared` updates the sums when a pattern is cleared, instead of
-    summing the whole matrix again.
+    order is a pure function of the totals.  It is never sorted:
+    :meth:`row_at` and :meth:`col_at` select the line at one position.
+    :meth:`clear` is the one place that sets a pattern's ones of the
+    residual to zero; it lowers the totals from the pattern's rows instead
+    of summing the whole residual again.
     """
 
+    x: BinaryMatrix
     row_totals: np.ndarray
     col_totals: np.ndarray
 
@@ -268,19 +270,20 @@ class UtlView:
         """The column at position ``rank`` of the column order, in O(m)."""
         return _line_at(self.col_totals, rank)
 
-    def cleared(self, x: BinaryMatrix, row_mask: BinaryVector,
-                col_mask: BinaryVector) -> UtlView:
-        """The view of x once the pattern's ones are set to zero.
+    def clear(self, row_mask: BinaryVector, col_mask: BinaryVector) -> None:
+        """Set the pattern's ones of the residual to zero.
 
-        ``self`` must be the view of x.  Only the pattern's rows of x are
-        read: their ones inside the pattern leave the totals.
+        The totals are lowered in place by the residual's ones inside the
+        pattern, read from the pattern's rows only.  The residual is then
+        replaced by a new matrix, so no matrix is ever written.
         """
         selected = row_mask.to_dense() == 1
-        hit = x._packed[selected] & col_mask._packed
-        col_totals = self.col_totals - _col_tally(hit, x.n_cols)
-        row_totals = self.row_totals.copy()
-        row_totals[selected] -= _row_tally(hit, in_place=True)
-        return UtlView(row_totals, col_totals)
+        hit = self.x._packed[selected] & col_mask._packed
+        self.col_totals -= _col_tally(hit, self.x.n_cols)
+        self.row_totals[selected] -= _row_tally(hit, in_place=True)
+        del selected, hit  # not held while the residual is rebuilt
+        self.x = elementwise("and", self.x,
+                             complement(rank1_product(row_mask, col_mask)))
 
 
 def _line_at(keys: np.ndarray, rank: int) -> int:
@@ -294,8 +297,8 @@ def _line_at(keys: np.ndarray, rank: int) -> int:
 
 
 def utl_rearrange(x: BinaryMatrix) -> UtlView:
-    """The UTL view of x, from its row and column sums."""
-    return UtlView(x.row_sums(), x.col_sums())
+    """x as a residual in UTL order, from its row and column sums."""
+    return UtlView(x, x.row_sums(), x.col_sums())
 
 
 def bool_product(a_mat: BinaryMatrix, b_mat: BinaryMatrix) -> BinaryMatrix:
@@ -321,7 +324,7 @@ def or_pattern(recon: BinaryMatrix, row_mask: BinaryVector,
 def elementwise(op: str, a: BinaryMatrix, b: BinaryMatrix) -> BinaryMatrix:
     """Entrywise ``xor`` (symmetric difference), ``and``, or ``or``."""
     try:
-        ufunc = _ELEMENTWISE_UFUNCS[op.lower()]
+        ufunc = _ELEMENTWISE_UFUNCS[op]
     except KeyError:
         raise ValueError(f"unknown elementwise op {op!r}") from None
     if a.shape != b.shape:

@@ -225,9 +225,9 @@ def cmd_metrics(args) -> int:
     return 0
 
 
-def _add_input_flags(p, default_format: str = "dense01") -> None:
+def _add_input_flags(p) -> None:
     p.add_argument("--input", required=True, help="matrix file to read")
-    p.add_argument("--format", choices=FORMATS, default=default_format,
+    p.add_argument("--format", choices=FORMATS, default="dense01",
                    help="input file format")
     p.add_argument("--threshold", type=float, default=0.0,
                    help="binarization threshold applied to csv inputs")

@@ -5,10 +5,14 @@ rank-1 pattern out of the median column and median row of the active
 block, and keeps whichever direction approximates the residual better.
 When that pattern would raise the cost against the input, a weak-signal
 fallback seeds a pattern from the overlap of the two densest columns or
-rows instead.  Accepted patterns zero out the residual entries they cover
-and are ORed into the reconstruction in place.  ``rank1_cost`` picks the
-direction and ``rank1_gain`` accepts, each by a change of cost read from
-the pattern's rows only; the report rebuilds its trace the same way.
+rows instead.  For t >= 1/2 that never happens: every line a grown
+pattern takes shares more than half of the anchor's ones, so its change
+of cost is below (1 - 2t)|pattern| <= 0.  Accepted patterns zero out the
+residual entries they cover (``UtlView.clear``, the residual's only
+update) and are ORed into the reconstruction in place.  ``rank1_cost``
+picks the direction and ``rank1_gain`` accepts, each by a change of cost
+read from the pattern's rows only; the report rebuilds its trace the same
+way.
 The row and column sums behind the arrangement are counted once per
 factorization and then lowered by the ones each accepted pattern covers,
 instead of being recounted over the whole residual every round.  The
@@ -26,12 +30,9 @@ from .boolmat import (
     BinaryVector,
     UtlView,
     col_dot_counts,
-    complement,
-    elementwise,
     or_pattern,
     rank1_cost,
     rank1_gain,
-    rank1_product,
     row_dot_counts,
     utl_rearrange,
 )
@@ -133,17 +134,16 @@ def _overlap(u: BinaryVector, v: BinaryVector) -> BinaryVector | None:
     return both if both.count() else None
 
 
-def bidirectional_growth(x_res: BinaryMatrix, t: float,
-                         view: UtlView) -> Pattern | None:
+def bidirectional_growth(view: UtlView, t: float) -> Pattern | None:
     """Grow a pattern from the median column and row of the residual.
 
-    The residual is viewed upper-triangular-like; the median active column
+    In the residual's upper-triangular-like view the median active column
     anchors a column pattern (columns whose overlap ratio with the anchor
     exceeds t) and the median active row anchors a row pattern.  Returns
     whichever costs less against the residual, the column pattern on ties,
-    or None when the residual has no ones.  ``view`` must equal
-    ``utl_rearrange(x_res)``.
+    or None when the residual has no ones.
     """
+    x_res = view.x
     n_active, m_active = view.n_active, view.m_active
     if n_active == 0:
         return None
@@ -154,8 +154,7 @@ def bidirectional_growth(x_res: BinaryMatrix, t: float,
     return _grow(x_res, t, x_res.col(med_col), x_res.row(med_row))
 
 
-def weak_signal_detection(x_res: BinaryMatrix, t: float,
-                          view: UtlView) -> Pattern | None:
+def weak_signal_detection(view: UtlView, t: float) -> Pattern | None:
     """Seed a pattern from the overlap of the two densest columns or rows.
 
     Each candidate anchors on the AND of the two densest lines along one
@@ -163,8 +162,9 @@ def weak_signal_detection(x_res: BinaryMatrix, t: float,
     A candidate is skipped when its axis has fewer than two active lines
     or the overlap is empty.  Returns the cheaper candidate against the
     residual (the column-seeded one on ties), or None when both are
-    skipped.  ``view`` is as in :func:`bidirectional_growth`.
+    skipped.
     """
+    x_res = view.x
     anchor_col = anchor_row = None
     if view.m_active >= 2:
         m = x_res.n_cols
@@ -186,16 +186,15 @@ def mebf_factorize(x: BinaryMatrix, cfg: MebfConfig) -> FactorResult:
     Accepted patterns are flipped to zero in the residual, so the run also
     ends when the residual empties or the budget is reached.  The cost and
     the residual one-count are kept as running integers, moved by each
-    pattern's ``rank1_gain`` rather than recounted over the whole matrix;
-    the residual's view, which both pattern finders of a round share, is
-    updated from the pattern's rows as well.
+    pattern's ``rank1_gain`` rather than recounted over the whole matrix.
+    The residual lives in its view, which both pattern finders of a round
+    share; ``view.clear`` updates its line sums from the pattern's rows.
     """
     if x.n_rows < 1 or x.n_cols < 1:
         raise ValueError(f"matrix must have at least one row and one "
                          f"column, got {x.shape}")
 
-    residual = x  # each update builds a new matrix; x is never written
-    view = utl_rearrange(x)
+    view = utl_rearrange(x)  # clearing builds a new residual; x is unchanged
     recon = BinaryMatrix.zeros(x.n_rows, x.n_cols)
     # the empty factorization misses every one of x
     best_cost = residual_count = x.count()
@@ -208,12 +207,12 @@ def mebf_factorize(x: BinaryMatrix, cfg: MebfConfig) -> FactorResult:
 
     while residual_count:
         iterations += 1
-        pair = bidirectional_growth(residual, cfg.t, view)
+        pair = bidirectional_growth(view, cfg.t)
         delta, covered = rank1_gain(*pair, x, recon)
         from_weak = False
 
         if row_parts and delta > 0:
-            pair = weak_signal_detection(residual, cfg.t, view)
+            pair = weak_signal_detection(view, cfg.t)
             if pair is None:
                 break
             delta, covered = rank1_gain(*pair, x, recon)
@@ -233,11 +232,9 @@ def mebf_factorize(x: BinaryMatrix, cfg: MebfConfig) -> FactorResult:
         residual_history.append(residual_count)
         weak_uses += from_weak
         if len(row_parts) == cfg.k_max:
-            break  # nothing reads the view, recon or residual after this
-        view = view.cleared(residual, *pair)
+            break  # nothing reads the view or recon after this
+        view.clear(*pair)
         or_pattern(recon, *pair)
-        residual = elementwise("and", residual,
-                               complement(rank1_product(*pair)))
 
     return FactorResult(
         A=BinaryMatrix.from_columns(row_parts, x.n_rows),

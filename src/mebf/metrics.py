@@ -122,24 +122,18 @@ def _assemble(x: BinaryMatrix, recon: BinaryMatrix, a_mat: BinaryMatrix,
     """The report of factors A, B of x, whose product is recon."""
     warnings: list[str] = []
 
-    cov = None
-    try:
-        cov = coverage_rate(x, recon)
-    except UndefinedMetricError as exc:
-        warnings.append(str(exc))
-
-    dens = None
-    try:
-        dens = density(a_mat, b_mat)
-    except UndefinedMetricError as exc:
-        warnings.append(str(exc))
-
-    rec_err = None
-    if truth is not None:
+    def defined(metric, *args) -> float | None:
+        """The metric, or None with its warning recorded when undefined."""
         try:
-            rec_err = reconstruction_error(bool_product(*truth), recon)
+            return metric(*args)
         except UndefinedMetricError as exc:
             warnings.append(str(exc))
+            return None
+
+    cov = defined(coverage_rate, x, recon)
+    dens = defined(density, a_mat, b_mat)
+    rec_err = None if truth is None else defined(
+        reconstruction_error, bool_product(*truth), recon)
 
     return MetricsReport(
         # the last cost of the trace; with no patterns, every one of x

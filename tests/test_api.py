@@ -80,14 +80,26 @@ def test_test_only_references_are_not_shipped():
 
 def test_utl_view_keeps_totals_and_selects_single_positions():
     fields = tuple(f.name for f in dataclasses.fields(UtlView))
-    assert fields == ("row_totals", "col_totals")
-    for name in ("row_at", "col_at"):
+    assert fields == ("x", "row_totals", "col_totals")
+    assert not UtlView.__dataclass_params__.frozen
+    for name in ("row_at", "col_at", "clear"):
         assert callable(getattr(UtlView, name))
     for name in ("n_active", "m_active"):
         assert isinstance(getattr(UtlView, name), property)
     for gone in ("row_order", "col_order", "active_rows", "active_cols",
-                 "from_totals"):
+                 "from_totals", "cleared"):
         assert not hasattr(UtlView, gone)
+
+
+def test_the_residual_lives_in_its_view():
+    # the loop keeps one state, and only UtlView.clear clears a pattern
+    assert "residual" not in mebf_factorize.__code__.co_varnames
+    factorize = importlib.import_module("mebf.factorize")
+    for name in ("complement", "elementwise", "rank1_product"):
+        assert not hasattr(factorize, name)
+    for finder in (mebf.bidirectional_growth, mebf.weak_signal_detection):
+        assert tuple(inspect.signature(finder).parameters) == ("view", "t")
+        assert "must equal" not in finder.__doc__
 
 
 def test_counts_are_derived_not_stored():

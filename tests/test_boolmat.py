@@ -95,6 +95,10 @@ class TestStorage:
             [[1, 0], [0, 1], [1, 1]])
         assert BinaryMatrix.from_rows([], 4).shape == (0, 4)
         assert BinaryMatrix.from_columns([], 4).shape == (4, 0)
+        with pytest.raises(ValueError, match="row length mismatch"):
+            BinaryMatrix.from_rows(vecs, 4)
+        with pytest.raises(ValueError, match="column length mismatch"):
+            BinaryMatrix.from_columns(vecs, 2)
 
     def test_equality(self):
         mat = BinaryMatrix.from_dense([[1, 0], [1, 1]])
@@ -268,6 +272,10 @@ class TestSumsAndDots:
         assert np.array_equal(
             row_dot_counts(mat, BinaryVector.from_dense(over_cols)),
             dense @ over_cols)
+        with pytest.raises(ValueError, match="length mismatch: 13 vs 9 rows"):
+            col_dot_counts(mat, BinaryVector.from_dense(over_cols))
+        with pytest.raises(ValueError, match="length mismatch: 9 vs 13 cols"):
+            row_dot_counts(mat, BinaryVector.from_dense(over_rows))
 
 
 class TestKernelsAtBlockEdges:
@@ -529,8 +537,9 @@ class TestUtlRearrange:
     @settings(max_examples=300)
     def test_selection_matches_a_stable_sort(self, rows, cols):
         # the spec: the stable argsort by descending row sums and by
-        # ascending column sums, read at every rank
-        view = UtlView(rows, cols)
+        # ascending column sums, read at every rank; the selection reads
+        # the totals only
+        view = UtlView(BinaryMatrix.zeros(len(rows), len(cols)), rows, cols)
         assert view_orders(view) == (
             np.argsort(-rows, kind="stable").tolist(),
             np.argsort(cols, kind="stable").tolist())
@@ -588,11 +597,17 @@ class TestUtlRearrange:
         row_mask = data.draw(arrays(np.uint8, n, elements=st.integers(0, 1)))
         col_mask = data.draw(arrays(np.uint8, m, elements=st.integers(0, 1)))
         mat = BinaryMatrix.from_dense(dense)
-        view = utl_rearrange(mat).cleared(mat,
-                                          BinaryVector.from_dense(row_mask),
-                                          BinaryVector.from_dense(col_mask))
+        view = utl_rearrange(mat)
+        totals = view.row_totals, view.col_totals
+        view.clear(BinaryVector.from_dense(row_mask),
+                   BinaryVector.from_dense(col_mask))
         left = dense & (1 - np.outer(row_mask, col_mask)).astype(np.uint8)
         fresh = utl_rearrange(BinaryMatrix.from_dense(left))
+        # the residual is replaced, never written; the totals are lowered
+        # in place
+        assert np.array_equal(mat.to_dense(), dense)
+        assert view.x == BinaryMatrix.from_dense(left)
+        assert view.row_totals is totals[0] and view.col_totals is totals[1]
         assert view.row_totals.tolist() == left.sum(axis=1).tolist()
         assert view.col_totals.tolist() == left.sum(axis=0).tolist()
         assert view_orders(view) == view_orders(fresh)

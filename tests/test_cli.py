@@ -151,6 +151,15 @@ class TestSimulate:
                      "--out", str(tmp_path / "x.txt")])
         assert code == 2
 
+    def test_rate_outside_unit_interval_is_usage_error(self, tmp_path,
+                                                      capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "--n", "4", "--m", "4", "--k", "1",
+                  "--p0", "1.5", "--p", "0", "--out", str(tmp_path / "x")])
+        assert excinfo.value.code == 2
+        assert "1.5 does not lie in [0, 1]" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_unknown_preset_rejected(self, tmp_path):
         assert main(["simulate", "--scenarios", "whatever",
                      "--out", str(tmp_path / "x.txt")]) == 2
@@ -202,6 +211,14 @@ class TestBench:
     def test_unknown_scenario(self, capsys):
         assert main(["bench", "--scenarios", "bogus"]) == 2
         assert "usage error" in capsys.readouterr().err
+
+    def test_default_runs_every_scenario(self, tmp_path):
+        from mebf.simulate import preset_grid
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--replicates", "1", "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == [
+            sc["name"] for sc in preset_grid()]
 
     def test_grid_has_eight_scenarios(self):
         from mebf.simulate import preset_grid

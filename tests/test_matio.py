@@ -231,6 +231,7 @@ class TestCoo:
         ("2 2 1\n0 1\n", "outside"),
         ("2 2 2\n1 1\n1 1\n", "duplicate"),
         ("2 2 1\n1\n", "expected 'i j'"),
+        ("2 -1 0\n", "line 1: header values must be non-negative"),
     ])
     def test_malformed(self, tmp_path, content, message):
         path = tmp_path / "x.coo"

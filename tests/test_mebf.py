@@ -13,9 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mebf.boolmat
 import mebf.factorize
 from mebf.boolmat import (
     BinaryMatrix,
+    UtlView,
     bool_product,
     complement,
     elementwise,
@@ -178,25 +180,25 @@ class TestBidirectionalGrowth:
         dense[np.ix_([0, 1, 2], [1, 2, 3])] = 1
         for t in (0.1, 0.5, 0.9):
             x = BinaryMatrix.from_dense(dense)
-            rows, cols = bidirectional_growth(x, t, utl_rearrange(x))
+            rows, cols = bidirectional_growth(utl_rearrange(x), t)
             assert rows.to_dense().tolist() == [1, 1, 1, 0]
             assert cols.to_dense().tolist() == [0, 1, 1, 1]
 
     def test_all_ones(self):
         x = ones(3, 5)
-        rows, cols = bidirectional_growth(x, 0.7, utl_rearrange(x))
+        rows, cols = bidirectional_growth(utl_rearrange(x), 0.7)
         assert rows.count() == 3 and cols.count() == 5
 
     def test_identity_tie_prefers_column_candidate(self):
         x = identity(2)
-        rows, cols = bidirectional_growth(x, 0.5, utl_rearrange(x))
+        rows, cols = bidirectional_growth(utl_rearrange(x), 0.5)
         # both candidates cover one diagonal entry at cost 1
         assert rows.to_dense().tolist() == [1, 0]
         assert cols.to_dense().tolist() == [1, 0]
 
     def test_empty_residual(self):
         x = BinaryMatrix.zeros(3, 3)
-        assert bidirectional_growth(x, 0.5, utl_rearrange(x)) is None
+        assert bidirectional_growth(utl_rearrange(x), 0.5) is None
 
     def test_matches_reference(self):
         rng = np.random.default_rng(41)
@@ -206,7 +208,7 @@ class TestBidirectionalGrowth:
                 continue
             t = float(rng.uniform(0.05, 0.95))
             x = BinaryMatrix.from_dense(dense)
-            got = bidirectional_growth(x, t, utl_rearrange(x))
+            got = bidirectional_growth(utl_rearrange(x), t)
             want = ref_growth(dense, t)
             assert got[0].to_dense().tolist() == want[0].tolist()
             assert got[1].to_dense().tolist() == want[1].tolist()
@@ -215,24 +217,24 @@ class TestBidirectionalGrowth:
 class TestWeakSignalDetection:
     def test_hand_example(self):
         mat = BinaryMatrix.from_dense([[1, 1, 0], [1, 1, 0], [0, 1, 1]])
-        rows, cols = weak_signal_detection(mat, 0.6, utl_rearrange(mat))
+        rows, cols = weak_signal_detection(utl_rearrange(mat), 0.6)
         assert rows.to_dense().tolist() == [1, 1, 0]
         assert cols.to_dense().tolist() == [1, 1, 0]
 
     def test_disjoint_densest_columns_fall_back_to_rows(self):
         # columns never overlap, rows 0 and 1 do
         mat = BinaryMatrix.from_dense([[1, 0], [1, 0], [0, 1]])
-        rows, cols = weak_signal_detection(mat, 0.5, utl_rearrange(mat))
+        rows, cols = weak_signal_detection(utl_rearrange(mat), 0.5)
         assert cols.to_dense().tolist() == [1, 0]
         assert rows.to_dense().tolist() == [1, 1, 0]
 
     def test_both_candidates_invalid(self):
         x = identity(2)
-        assert weak_signal_detection(x, 0.5, utl_rearrange(x)) is None
+        assert weak_signal_detection(utl_rearrange(x), 0.5) is None
 
     def test_all_zero(self):
         x = BinaryMatrix.zeros(4, 4)
-        assert weak_signal_detection(x, 0.5, utl_rearrange(x)) is None
+        assert weak_signal_detection(utl_rearrange(x), 0.5) is None
 
     def test_matches_reference(self):
         rng = np.random.default_rng(43)
@@ -241,7 +243,7 @@ class TestWeakSignalDetection:
             dense = random_matrix(rng)
             t = float(rng.uniform(0.05, 0.95))
             x = BinaryMatrix.from_dense(dense)
-            got = weak_signal_detection(x, t, utl_rearrange(x))
+            got = weak_signal_detection(utl_rearrange(x), t)
             want = ref_weak(dense, t)
             if want is None:
                 assert got is None
@@ -260,9 +262,9 @@ def test_overlap_ratio_equal_to_t_stays_out():
         t = float(rng.choice([0.25, 0.5, 0.75]))
         x = BinaryMatrix.from_dense(dense)
         view = utl_rearrange(x)
-        for got, want in ((bidirectional_growth(x, t, view),
+        for got, want in ((bidirectional_growth(view, t),
                            ref_growth(dense, t)),
-                          (weak_signal_detection(x, t, view),
+                          (weak_signal_detection(view, t),
                            ref_weak(dense, t))):
             assert (got is None) == (want is None)
             if got is not None:
@@ -334,7 +336,7 @@ class TestFactorize:
             ored.append((rows, cols))
             or_pattern(recon, rows, cols)
 
-        monkeypatch.setattr(mebf.factorize, "rank1_product", recording)
+        monkeypatch.setattr(mebf.boolmat, "rank1_product", recording)
         monkeypatch.setattr(mebf.factorize, "or_pattern", recording_or)
         mat = BinaryMatrix.from_dense(WEAK_PATH_DENSE)
         result = mebf_factorize(mat, MebfConfig(t=WEAK_PATH_T, k_max=k_max))
@@ -358,6 +360,53 @@ class TestFactorize:
             WEAK_PATH_DENSE, WEAK_PATH_T, 10)
         assert list(result.cost_history) == want_history
         assert result.weak_signal_uses == want_weak
+
+    def test_run_ends_when_the_fallback_candidate_is_rejected(self):
+        # seeded so that the last round's fallback finds a candidate that
+        # raises the cost as well: the loop's final break
+        dense = (np.random.default_rng(30).random((24, 40))
+                 < 0.25).astype(np.uint8)
+        t, k_max = 0.3, 20
+        fallbacks = []
+
+        def recording(view, t):
+            fallbacks.append(weak_signal_detection(view, t))
+            return fallbacks[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mebf.factorize, "weak_signal_detection", recording)
+            result = mebf_factorize(BinaryMatrix.from_dense(dense),
+                                    MebfConfig(t=t, k_max=k_max))
+        assert fallbacks[-1] is not None
+        assert result.k < k_max and result.iterations == result.k + 1
+        assert result.weak_signal_uses == len(fallbacks) - 1 == 1
+        assert_matches_reference(dense, t, k_max)
+        recon = np.zeros_like(dense)
+        for l in range(result.k):
+            recon |= np.outer(*(v.to_dense() for v in pattern(result, l)))
+            assert result.residual_history[l] == int((dense & ~recon).sum())
+
+    @given(st.integers(1, 40), st.integers(1, 40), st.integers(0, 2**32 - 1),
+           st.sampled_from((0.05, 0.2, 0.5, 0.9)),
+           st.floats(0.5, 1.0, exclude_max=True), st.integers(1, 12))
+    @settings(max_examples=300, deadline=None)
+    def test_no_fallback_from_one_half_up(self, n, m, seed, density, t,
+                                          k_max):
+        # every line a grown pattern takes shares more than t of the
+        # anchor's ones, so its change of cost is below (1 - 2t)|P| <= 0
+        dense = np.random.default_rng(seed).random((n, m)) < density
+
+        def unreachable(view, t):
+            raise AssertionError("fallback called at t >= 1/2")
+
+        x = BinaryMatrix.from_dense(dense)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mebf.factorize, "weak_signal_detection", unreachable)
+            result = mebf_factorize(x, MebfConfig(t=t, k_max=k_max))
+        assert result.iterations == result.k
+        assert result.weak_signal_uses == 0
+        costs = (x.count(),) + result.cost_history
+        assert all(a > b for a, b in zip(costs, costs[1:]))
 
     def test_matches_reference_loop(self):
         rng = np.random.default_rng(59)
@@ -539,35 +588,48 @@ VIEW_INSTANCES = {
 class TestSharedView:
     """The loop keeps one view per round instead of re-sorting the residual.
 
-    Every view it hands to a pattern finder must equal a fresh
-    ``utl_rearrange`` of the residual that finder is given.
+    Every view it hands to a pattern finder must hold the residual of the
+    patterns accepted so far, with the totals of a fresh ``utl_rearrange``
+    of that residual.
     """
 
     @pytest.mark.parametrize("name", sorted(VIEW_INSTANCES))
     def test_view_matches_a_fresh_one(self, name, monkeypatch):
         spec, t, k_max = VIEW_INSTANCES[name]
+        x = simulate(spec).X
+        finders = []
         calls = []
 
         def recording(finder):
-            def wrapper(x_res, t, view):
-                calls.append((finder, x_res, view))
-                return finder(x_res, t, view)
+            def wrapper(view, t):
+                # every round but the current one accepted a pattern,
+                # and a round's fallback runs after its growth
+                accepted = finders.count(bidirectional_growth) \
+                    - (finder is weak_signal_detection)
+                finders.append(finder)
+                # clear() lowers the totals in place: keep them as handed
+                calls.append((accepted, UtlView(
+                    view.x, view.row_totals.copy(), view.col_totals.copy())))
+                return finder(view, t)
             return wrapper
 
         for finder in (bidirectional_growth, weak_signal_detection):
             monkeypatch.setattr(mebf.factorize, finder.__name__,
                                 recording(finder))
-        result = mebf_factorize(simulate(spec).X,
-                                MebfConfig(t=t, k_max=k_max))
+        result = mebf_factorize(x, MebfConfig(t=t, k_max=k_max))
         monkeypatch.undo()
 
         if name != "dense_blocks":
             assert result.weak_signal_uses > 0
-        finders = [finder for finder, _, _ in calls]
         assert finders.count(bidirectional_growth) == result.iterations
         assert finders.count(weak_signal_detection) >= \
             result.weak_signal_uses
-        for _, residual, view in calls:
+        for accepted, view in calls:
+            recon = BinaryMatrix.zeros(*x.shape)
+            for l in range(accepted):
+                or_pattern(recon, *pattern(result, l))
+            residual = view.x
+            assert residual == elementwise("and", x, complement(recon))
             fresh = utl_rearrange(residual)
             for field in ("row_totals", "col_totals"):
                 assert np.array_equal(getattr(view, field),
@@ -586,8 +648,7 @@ class TestSharedView:
             cols = range(residual.n_cols)
             assert [view.col_at(r) for r in cols] == col_order.tolist()
             for finder in (bidirectional_growth, weak_signal_detection):
-                assert finder(residual, t, view) == finder(residual, t,
-                                                           fresh)
+                assert finder(view, t) == finder(fresh, t)
 
 
 class TestLoopWork:
@@ -611,7 +672,7 @@ class TestLoopWork:
             return elementwise(op, a, b)
 
         monkeypatch.setattr(BinaryMatrix, "count", recording_count)
-        monkeypatch.setattr(mebf.factorize, "elementwise",
+        monkeypatch.setattr(mebf.boolmat, "elementwise",
                             recording_elementwise)
         result = mebf_factorize(x, MebfConfig(t=t, k_max=k_max))
         monkeypatch.undo()

@@ -345,6 +345,11 @@ class TestPricingAgainstNumpy:
 
 
 class TestReportShapes:
+    def test_factors_that_disagree_are_rejected(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "factor shapes disagree: (2, 2) vs (3, 4)")):
+            report_from_factors(ones(2, 4), ones(2, 2), ones(3, 4))
+
     @pytest.mark.parametrize("k", [0, 1, 2])
     @pytest.mark.parametrize("x_shape,message", [
         ((3, 4), "shape mismatch: (3, 4) vs (2, 4)"),
