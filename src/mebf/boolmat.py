@@ -83,13 +83,10 @@ def _col_tally(packed: np.ndarray, n_cols: int) -> np.ndarray:
     return totals
 
 
-def _row_tally(words: np.ndarray, in_place: bool = False) -> np.ndarray:
-    """Ones per row of packed words, tallied in uint16 one chunk at a time.
-
-    With ``in_place`` the words (a temporary of the caller) are overwritten
-    by their popcounts instead of copied.
-    """
-    counts = np.bitwise_count(words, out=words if in_place else None)
+def _row_tally(counts: np.ndarray) -> np.ndarray:
+    """Ones per row from the popcounts of packed words, tallied in uint16 one
+    chunk at a time.  A caller that owns its words counts them in place
+    (``np.bitwise_count(words, out=words)``)."""
     totals = np.zeros(len(counts), dtype=np.int64)
     for start in range(0, counts.shape[1], _TALLY_BYTES):
         totals += counts[:, start:start + _TALLY_BYTES].sum(axis=1,
@@ -98,6 +95,8 @@ def _row_tally(words: np.ndarray, in_place: bool = False) -> np.ndarray:
 
 
 def _validate_binary(dense: np.ndarray) -> np.ndarray:
+    if dense.dtype == np.bool_:  # holds only 0 and 1; packs as it is
+        return dense
     if dense.size and not np.all((dense == 0) | (dense == 1)):
         raise ValueError("entries must be 0 or 1")
     return dense.astype(np.uint8)
@@ -204,7 +203,7 @@ class BinaryMatrix:
         return _popcount(self._packed)
 
     def row_sums(self) -> np.ndarray:
-        return _row_tally(self._packed)
+        return _row_tally(np.bitwise_count(self._packed))
 
     def col_sums(self) -> np.ndarray:
         """Ones per column, unpacking one block of rows at a time."""
@@ -273,14 +272,15 @@ class UtlView:
     def clear(self, row_mask: BinaryVector, col_mask: BinaryVector) -> None:
         """Set the pattern's ones of the residual to zero.
 
-        The totals are lowered in place by the residual's ones inside the
-        pattern, read from the pattern's rows only.  The residual is then
-        replaced by a new matrix, so no matrix is ever written.
+        A pattern that does not fit raises ``ValueError`` before anything
+        changes.  The totals are lowered in place by the residual's ones in
+        the pattern, read from its rows only; the residual is then replaced
+        by a new matrix, so no matrix is ever written.
         """
-        selected = row_mask.to_dense() == 1
+        selected = _pattern_rows(row_mask, col_mask, self.x)
         hit = self.x._packed[selected] & col_mask._packed
         self.col_totals -= _col_tally(hit, self.x.n_cols)
-        self.row_totals[selected] -= _row_tally(hit, in_place=True)
+        self.row_totals[selected] -= _row_tally(np.bitwise_count(hit, out=hit))
         del selected, hit  # not held while the residual is rebuilt
         self.x = elementwise("and", self.x,
                              complement(rank1_product(row_mask, col_mask)))
@@ -371,7 +371,7 @@ def row_dot_counts(x: BinaryMatrix, v: BinaryVector) -> np.ndarray:
         words &= v._packed[touched]
     else:
         words = x._packed & v._packed
-    return _row_tally(words, in_place=True)
+    return _row_tally(np.bitwise_count(words, out=words))
 
 
 def _pattern_rows(row_mask: BinaryVector, col_mask: BinaryVector,

@@ -15,7 +15,6 @@ from .boolmat import BinaryMatrix
 from .factorize import FactorResult, MebfConfig, mebf_factorize
 from .matio import (
     FORMATS,
-    MatrixFormatError,
     RealMatrix,
     binarize,
     mask_denoise,
@@ -89,12 +88,16 @@ def _write_outputs(x: BinaryMatrix, result: FactorResult, args) -> None:
         _emit_report(build_report(x, result), args.report)
 
 
+def _factorize(x: BinaryMatrix, args) -> tuple[FactorResult, float]:
+    """x's factorization with the --t and --k flags, and its seconds."""
+    start = time.perf_counter()
+    result = mebf_factorize(x, MebfConfig(t=args.t, k_max=args.k))
+    return result, time.perf_counter() - start
+
+
 def cmd_factorize(args) -> int:
     x = _load_binary(args.input, args.format, args.threshold)
-    cfg = MebfConfig(t=args.t, k_max=args.k)
-    start = time.perf_counter()
-    result = mebf_factorize(x, cfg)
-    elapsed = time.perf_counter() - start
+    result, elapsed = _factorize(x, args)
 
     print(" ".join(str(c) for c in result.cost_history))
     _write_outputs(x, result, args)
@@ -161,7 +164,6 @@ def cmd_bench(args) -> int:
                 f"{', '.join(by_name)} (or 'all')")
         chosen = [by_name[nm] for nm in names]
 
-    cfg = MebfConfig(t=args.t, k_max=args.k)
     _log(f"bench: t={args.t:g}, k_max={args.k}, "
          f"replicates={args.replicates}, master seed {args.seed}")
 
@@ -170,9 +172,7 @@ def cmd_bench(args) -> int:
         for rep in range(args.replicates):
             seed = replicate_seed(args.seed, rep)
             inst = simulate(_spec(params, seed))
-            start = time.perf_counter()
-            result = mebf_factorize(inst.X, cfg)
-            elapsed = time.perf_counter() - start
+            result, elapsed = _factorize(inst.X, args)
             report = build_report(inst.X, result, truth=(inst.U, inst.V))
             rows.append(",".join([
                 params["name"],
@@ -192,10 +192,7 @@ def cmd_bench(args) -> int:
 def cmd_denoise(args) -> int:
     real = read_matrix(args.input, "csv")
     observed = binarize(real, args.threshold)
-    cfg = MebfConfig(t=args.t, k_max=args.k)
-    start = time.perf_counter()
-    result = mebf_factorize(observed, cfg)
-    elapsed = time.perf_counter() - start
+    result, elapsed = _factorize(observed, args)
     masked = mask_denoise(real, result.A, result.B)
 
     write_matrix(masked, args.out, "csv")
@@ -321,8 +318,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (MatrixFormatError, OSError, ValueError, RuntimeError,
-            MemoryError) as exc:
+    except (OSError, ValueError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

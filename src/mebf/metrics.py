@@ -142,7 +142,7 @@ def _assemble(x: BinaryMatrix, recon: BinaryMatrix, a_mat: BinaryMatrix,
         reconstruction_error=rec_err,
         density=dens,
         coverage_rate=cov,
-        per_column_coverage=tuple(int(c) for c in recon.col_sums()),
+        per_column_coverage=tuple(recon.col_sums().tolist()),
         warnings=tuple(warnings),
     )
 

@@ -47,6 +47,8 @@ class SimulationSpec:
         for name, rate in (("p0", self.p0), ("p", self.p)):
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {rate}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)

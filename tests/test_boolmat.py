@@ -62,6 +62,16 @@ class TestStorage:
         with pytest.raises(ValueError, match="0 or 1"):
             BinaryVector.from_dense([0.5])
 
+    @given(binary_arrays(max_cols=70))
+    def test_bool_input_packs_like_zero_one_input(self, dense):
+        # a bool array can hold only 0 and 1, so it is packed unchecked
+        as_bool = dense.astype(bool)
+        assert (BinaryMatrix.from_dense(as_bool)._packed.tobytes()
+                == BinaryMatrix.from_dense(dense)._packed.tobytes())
+        vec = BinaryVector.from_dense(as_bool.ravel())
+        assert vec == BinaryVector.from_dense(dense.ravel())
+        assert vec.length == dense.size
+
     def test_rejects_wrong_ndim(self):
         with pytest.raises(ValueError, match="2-D"):
             BinaryMatrix.from_dense([1, 0, 1])
@@ -613,6 +623,17 @@ class TestUtlRearrange:
         assert view_orders(view) == view_orders(fresh)
         assert (view.n_active, view.m_active) == (fresh.n_active,
                                                   fresh.m_active)
+
+    @pytest.mark.parametrize("n_rows, n_cols", [(3, 9), (4, 10)])
+    def test_clear_rejects_a_pattern_that_does_not_fit(self, n_rows, n_cols):
+        view = utl_rearrange(ones(3, 10))
+        before = (view.x, view.row_totals.tolist(), view.col_totals.tolist())
+        with pytest.raises(ValueError, match="does not fit"):
+            view.clear(ones_vector(n_rows), ones_vector(n_cols))
+        # nothing changed before the raise
+        assert view.x is before[0] and view.x == ones(3, 10)
+        assert view.row_totals.tolist() == before[1] == [10] * 3
+        assert view.col_totals.tolist() == before[2] == [3] * 10
 
     def test_deterministic(self):
         rng = np.random.default_rng(17)

@@ -109,6 +109,17 @@ class TestFactorize:
         assert code == 0
         assert capsys.readouterr().out == "0\n"
 
+    def test_csv_threshold_is_strict(self, tmp_path):
+        # an entry equal to the threshold becomes 0, one above it 1
+        path, out_b = tmp_path / "x.csv", tmp_path / "b.txt"
+        write_matrix(RealMatrix([[0.5, 0.7, 2.0], [0.5, 0.7, 2.0]]),
+                     path, "csv")
+        code = main(["factorize", "--input", str(path), "--format", "csv",
+                     "--threshold", "0.5", "--t", "0.5", "--k", "1",
+                     "--out-b", str(out_b)])
+        assert code == 0
+        assert out_b.read_text() == "011\n"
+
 
 class TestSimulate:
     def test_deterministic_outputs(self, tmp_path):
@@ -159,6 +170,16 @@ class TestSimulate:
         assert excinfo.value.code == 2
         assert "1.5 does not lie in [0, 1]" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    def test_negative_seed_is_named(self, tmp_path, capsys):
+        out = tmp_path / "x.txt"
+        code = main(["simulate", "--n", "4", "--m", "4", "--k", "1",
+                     "--p0", "0.5", "--p", "0", "--seed", "-1",
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: seed must be non-negative, got -1\n")
+        assert not out.exists()
 
     def test_unknown_preset_rejected(self, tmp_path):
         assert main(["simulate", "--scenarios", "whatever",
@@ -219,6 +240,15 @@ class TestBench:
         rows = out.read_text().splitlines()[1:]
         assert [row.split(",")[0] for row in rows] == [
             sc["name"] for sc in preset_grid()]
+
+    def test_negative_seed_is_named(self, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        code = main(["bench", "--scenarios", "100x100_d0.2_n0",
+                     "--replicates", "1", "--seed", "-1", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.endswith(
+            "\nerror: seed must be non-negative, got -1\n")
+        assert not out.exists()
 
     def test_grid_has_eight_scenarios(self):
         from mebf.simulate import preset_grid
@@ -391,6 +421,19 @@ class TestDenoise:
         assert main(["denoise", "--input", str(src), "--out",
                      str(dst)]) == 0
         assert read_matrix(dst, "csv") == RealMatrix(np.zeros((3, 4)))
+
+    def test_threshold_is_strict(self, tmp_path):
+        # an entry equal to the threshold becomes 0 and is masked out; the
+        # entries above it form the one pattern and are kept
+        src, dst = tmp_path / "x.csv", tmp_path / "out.csv"
+        out_b = tmp_path / "b.txt"
+        write_matrix(RealMatrix([[0.5, 0.7, 2.0], [0.5, 0.7, 2.0]]),
+                     src, "csv")
+        assert main(["denoise", "--input", str(src), "--threshold", "0.5",
+                     "--out", str(dst), "--out-b", str(out_b)]) == 0
+        assert out_b.read_text() == "011\n"
+        assert read_matrix(dst, "csv") == RealMatrix(
+            [[0.0, 0.7, 2.0], [0.0, 0.7, 2.0]])
 
 
 class TestOracleCommand:

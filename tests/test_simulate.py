@@ -104,6 +104,7 @@ def test_empirical_rates_within_three_standard_errors():
     dict(n=5, m=5, k=0, p0=0.5, p=0.0, seed=0),
     dict(n=5, m=5, k=1, p0=-0.1, p=0.0, seed=0),
     dict(n=5, m=5, k=1, p0=0.5, p=1.5, seed=0),
+    dict(n=5, m=5, k=1, p0=0.5, p=0.0, seed=-1),
 ])
 def test_spec_validation(bad):
     with pytest.raises(ValueError):
