@@ -164,26 +164,27 @@ def cmd_bench(args) -> int:
                 f"{', '.join(by_name)} (or 'all')")
         chosen = [by_name[nm] for nm in names]
 
+    # every spec is checked before the header is logged
+    runs = [(params, rep, _spec(params, replicate_seed(args.seed, rep)))
+            for params in chosen for rep in range(args.replicates)]
     _log(f"bench: t={args.t:g}, k_max={args.k}, "
          f"replicates={args.replicates}, master seed {args.seed}")
 
     rows = [BENCH_CSV_HEADER]
-    for params in chosen:
-        for rep in range(args.replicates):
-            seed = replicate_seed(args.seed, rep)
-            inst = simulate(_spec(params, seed))
-            result, elapsed = _factorize(inst.X, args)
-            report = build_report(inst.X, result, truth=(inst.U, inst.V))
-            rows.append(",".join([
-                params["name"],
-                str(rep),
-                str(seed),
-                _csv_field(report.reconstruction_error),
-                _csv_field(report.density),
-                _csv_field(report.coverage_rate),
-                str(report.pattern_count),
-                repr(elapsed),
-            ]))
+    for params, rep, spec in runs:
+        inst = simulate(spec)
+        result, elapsed = _factorize(inst.X, args)
+        report = build_report(inst.X, result, truth=(inst.U, inst.V))
+        rows.append(",".join([
+            params["name"],
+            str(rep),
+            str(spec.seed),
+            _csv_field(report.reconstruction_error),
+            _csv_field(report.density),
+            _csv_field(report.coverage_rate),
+            str(report.pattern_count),
+            repr(elapsed),
+        ]))
 
     _emit("\n".join(rows) + "\n", args.out)
     return 0
@@ -205,14 +206,14 @@ def cmd_denoise(args) -> int:
 
 
 def cmd_metrics(args) -> int:
+    if (args.u is None) != (args.v is None):
+        raise UsageError("provide both --u and --v, or neither")
     x = _load_binary(args.input, args.format, args.threshold)
     a_mat = read_matrix(args.a, "dense01")
     b_mat = read_matrix(args.b, "dense01")
     if b_mat.n_rows == 0:
         # an empty dense01 file carries no width; adopt the input's
         b_mat = BinaryMatrix.zeros(0, x.n_cols)
-    if (args.u is None) != (args.v is None):
-        raise UsageError("provide both --u and --v, or neither")
     truth = None
     if args.u is not None:
         truth = (read_matrix(args.u, "dense01"),

@@ -1,6 +1,7 @@
 """Matrix file formats, binarization, and mask-based denoising.
 
-Three bit-exact text formats.  Files are ASCII.  On read, a line ends at
+Three bit-exact text formats, each declared once in a table that gives its
+kind, its matrix type, its parser and its chunk writer.  Files are ASCII.  On read, a line ends at
 LF, at CRLF, or at any other break ``str.splitlines`` knows in ASCII (CR,
 VT, FF, 0x1c-0x1e), and the final line end is optional; written files end
 every line with LF.
@@ -44,9 +45,6 @@ __all__ = [
     "read_matrix",
     "write_matrix",
 ]
-
-FORMATS = ("dense01", "coo", "csv")
-
 
 class MatrixFormatError(ValueError):
     """Raised for unparseable or inconsistent matrix files."""
@@ -349,26 +347,6 @@ def _read_csv(chunks) -> RealMatrix:
     return RealMatrix(rows)
 
 
-def read_matrix(path, format: str) -> BinaryMatrix | RealMatrix:
-    """Parse a matrix file; dense01/coo yield binary, csv yields real."""
-    if format not in FORMATS:
-        raise ValueError(f"unknown format {format!r}, expected one of "
-                         f"{FORMATS}")
-    chunks = _text_chunks(path)
-    try:
-        if format == "dense01":
-            return _parse_dense01(chunks)
-        if format == "coo":
-            return _parse_coo(chunks)
-        return _read_csv(chunks)
-    except MatrixFormatError:
-        # a non-ASCII byte anywhere in the file outranks every other fault:
-        # read the rest for the ASCII check before raising
-        for _ in chunks:
-            pass
-        raise
-
-
 def _dense01_chunks(mat: BinaryMatrix):
     for _, block in mat.row_blocks():
         text = np.full((len(block), mat.n_cols + 1), 10, dtype=np.uint8)
@@ -410,26 +388,45 @@ def _csv_chunks(mat: RealMatrix):
         yield (",".join(repr(v) for v in row) + "\n").encode("ascii")
 
 
-def write_matrix(mat, path, format: str) -> None:
-    """Write a matrix in the given format; inverse of :func:`read_matrix`."""
-    if format in ("dense01", "coo"):
-        if not isinstance(mat, BinaryMatrix):
-            raise MatrixFormatError(
-                f"format {format!r} stores binary matrices, got "
-                f"{type(mat).__name__}")
-        chunks = (_dense01_chunks(mat) if format == "dense01"
-                  else _coo_chunks(mat))
-    elif format == "csv":
-        if not isinstance(mat, RealMatrix):
-            raise MatrixFormatError(
-                f"format 'csv' stores real matrices, got "
-                f"{type(mat).__name__}")
-        chunks = _csv_chunks(mat)
-    else:
+# Each format's kind, its matrix type, its parser and its chunk writer.
+_TABLE = {
+    "dense01": ("binary", BinaryMatrix, _parse_dense01, _dense01_chunks),
+    "coo": ("binary", BinaryMatrix, _parse_coo, _coo_chunks),
+    "csv": ("real", RealMatrix, _read_csv, _csv_chunks),
+}
+FORMATS = tuple(_TABLE)
+
+
+def _lookup(format: str) -> tuple:
+    if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}, expected one of "
                          f"{FORMATS}")
+    return _TABLE[format]
+
+
+def read_matrix(path, format: str) -> BinaryMatrix | RealMatrix:
+    """Parse a matrix file; dense01/coo yield binary, csv yields real."""
+    _, _, parse, _ = _lookup(format)
+    chunks = _text_chunks(path)
+    try:
+        return parse(chunks)
+    except MatrixFormatError:
+        # a non-ASCII byte anywhere in the file outranks every other fault:
+        # read the rest for the ASCII check before raising
+        for _ in chunks:
+            pass
+        raise
+
+
+def write_matrix(mat, path, format: str) -> None:
+    """Write a matrix in the given format; inverse of :func:`read_matrix`."""
+    kind, matrix_type, _, chunks = _lookup(format)
+    if not isinstance(mat, matrix_type):
+        raise MatrixFormatError(
+            f"format {format!r} stores {kind} matrices, got "
+            f"{type(mat).__name__}")
     with open(path, "wb") as fh:
-        for chunk in chunks:
+        for chunk in chunks(mat):
             fh.write(chunk)
 
 

@@ -3,7 +3,8 @@
 An instance is assembled as the Boolean product of two Bernoulli factor
 matrices, with an independent Bernoulli mask flipping entries of the
 product.  Everything is drawn from one seeded stream in a fixed order, so
-an instance is a pure function of its spec.
+an instance is a pure function of its spec.  It keeps X, U and V, not the
+mask, which is drawn in row blocks of at most 1 MiB of float64.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolmat import _BLOCK_ROWS, BinaryMatrix, bool_product, elementwise
+from .boolmat import BinaryMatrix, bool_product, elementwise
 
 __all__ = [
     "SimulatedInstance",
@@ -53,16 +54,15 @@ class SimulationSpec:
 
 @dataclass(frozen=True)
 class SimulatedInstance:
-    """Observed matrix X plus the ground truth it was assembled from.
+    """Observed matrix X plus the planted factors it was assembled from.
 
-    X equals the Boolean product of U and V wherever the noise mask E is
-    zero, and its negation wherever E is one.
+    X equals the Boolean product of U and V except where the noise mask
+    flipped it; that mask is ``elementwise("xor", X, bool_product(U, V))``.
     """
 
     X: BinaryMatrix
     U: BinaryMatrix
     V: BinaryMatrix
-    E: BinaryMatrix
 
 
 def simulate(spec: SimulationSpec) -> SimulatedInstance:
@@ -70,22 +70,23 @@ def simulate(spec: SimulationSpec) -> SimulatedInstance:
 
     The stream is NumPy's default generator (PCG64) seeded with
     ``spec.seed``.  Sampling order is fixed: U row-major, then V
-    row-major, then E row-major, each entry one uniform draw compared
-    against the rate.
+    row-major, then the flip mask row-major, each entry one uniform draw
+    compared against the rate.
     """
     rng = np.random.default_rng(spec.seed)
     u = BinaryMatrix.from_dense(rng.random((spec.n, spec.k)) < spec.p0)
     v = BinaryMatrix.from_dense(rng.random((spec.k, spec.m)) < spec.p0)
-    # E one block of rows at a time: the generator fills row-major, so the
-    # draws match one (n, m) call without its n x m float64 temporary
+    # the mask in blocks of at most 1 MiB of float64: the generator fills
+    # row-major, so the draws match one (n, m) call without its temporary
+    rows = max(1, 2**17 // spec.m)
     noise = np.empty((spec.n, (spec.m + 7) // 8), dtype=np.uint8)
-    for start in range(0, spec.n, _BLOCK_ROWS):
-        block = noise[start:start + _BLOCK_ROWS]
+    for start in range(0, spec.n, rows):
+        block = noise[start:start + rows]
         block[:] = np.packbits(rng.random((len(block), spec.m)) < spec.p,
                                axis=1)
-    e = BinaryMatrix(spec.n, spec.m, noise)
-    x = elementwise("xor", bool_product(u, v), e)
-    return SimulatedInstance(X=x, U=u, V=v, E=e)
+    x = elementwise("xor", bool_product(u, v),
+                    BinaryMatrix(spec.n, spec.m, noise))
+    return SimulatedInstance(X=x, U=u, V=v)
 
 
 def replicate_seed(base_seed: int, replicate: int) -> int:

@@ -1,8 +1,10 @@
 """Public API guard: every export resolves; config and report are pinned."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
+import pathlib
 import pkgutil
 
 import pytest
@@ -18,6 +20,7 @@ from mebf.metrics import (
     reconstruction_error,
     report_from_factors,
 )
+from mebf.simulate import SimulatedInstance
 
 
 def test_exports_resolve_and_config_has_two_fields():
@@ -132,3 +135,22 @@ def test_one_kernel_prices_a_pattern():
     for finder in (mebf.bidirectional_growth, mebf.weak_signal_detection):
         view = inspect.signature(finder).parameters["view"]
         assert view.default is inspect.Parameter.empty
+
+
+def test_boolmat_keeps_its_private_names():
+    # no other module of the package imports a _-prefixed boolmat name
+    src = pathlib.Path(mebf.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        if path.name == "boolmat.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module in (
+                    "boolmat", "mebf.boolmat"):
+                private = [a.name for a in node.names
+                           if a.name.startswith("_")]
+                assert not private, f"{path.name} imports {private}"
+
+
+def test_simulated_instance_keeps_x_and_its_factors():
+    fields = tuple(f.name for f in dataclasses.fields(SimulatedInstance))
+    assert fields == ("X", "U", "V")

@@ -246,8 +246,9 @@ class TestBench:
         code = main(["bench", "--scenarios", "100x100_d0.2_n0",
                      "--replicates", "1", "--seed", "-1", "--out", str(out)])
         assert code == 1
-        assert capsys.readouterr().err.endswith(
-            "\nerror: seed must be non-negative, got -1\n")
+        # the seed is rejected before the header line is logged
+        assert capsys.readouterr().err == (
+            "error: seed must be non-negative, got -1\n")
         assert not out.exists()
 
     def test_grid_has_eight_scenarios(self):
@@ -360,6 +361,16 @@ class TestMetrics:
         assert main(["metrics", "--input", str(block_file),
                      "--a", str(out_a), "--b", str(out_b),
                      "--u", str(out_a)]) == 2
+
+    def test_lone_truth_flag_rejected_before_any_read(self, tmp_path,
+                                                     capsys):
+        missing = str(tmp_path / "missing.txt")
+        assert main(["metrics", "--input", missing, "--a", missing,
+                     "--b", missing, "--u", str(tmp_path / "u.txt")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "usage error: provide both --u and --v, or neither\n")
 
 
 class TestMalformedInput:

@@ -817,14 +817,22 @@ class TestFormatDispatch:
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError, match="unknown format"):
             read_matrix(tmp_path / "x", "tsv")
-        with pytest.raises(ValueError, match="unknown format"):
+        with pytest.raises(ValueError, match="unknown format") as info:
             write_matrix(BinaryMatrix.zeros(1, 1), tmp_path / "x", "tsv")
+        assert str(info.value) == ("unknown format 'tsv', expected one of "
+                                   "('dense01', 'coo', 'csv')")
+        assert not (tmp_path / "x").exists()
 
     def test_type_mismatch(self, tmp_path):
         with pytest.raises(MatrixFormatError, match="binary"):
             write_matrix(RealMatrix([[1.0]]), tmp_path / "x", "dense01")
         with pytest.raises(MatrixFormatError, match="real"):
             write_matrix(BinaryMatrix.zeros(1, 1), tmp_path / "x", "csv")
+        with pytest.raises(MatrixFormatError) as info:
+            write_matrix(RealMatrix([[1.0]]), tmp_path / "x", "coo")
+        assert str(info.value) == (
+            "format 'coo' stores binary matrices, got RealMatrix")
+        assert not (tmp_path / "x").exists()
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
