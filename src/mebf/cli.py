@@ -14,6 +14,7 @@ import time
 from .boolmat import BinaryMatrix
 from .factorize import FactorResult, MebfConfig, mebf_factorize
 from .matio import (
+    BINARY_FORMATS,
     FORMATS,
     RealMatrix,
     binarize,
@@ -262,7 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--p", type=_rate, help="flip-noise rate in [0, 1]")
     sim.add_argument("--seed", type=int, default=0, help="generator seed")
     sim.add_argument("--out", required=True, help="write the observed matrix")
-    sim.add_argument("--format", choices=("dense01", "coo"),
+    sim.add_argument("--format", choices=BINARY_FORMATS,
                      default="dense01", help="output format for the matrix")
     sim.add_argument("--out-a", help="write the planted row factor (dense01)")
     sim.add_argument("--out-b",

@@ -10,8 +10,9 @@ import pkgutil
 import pytest
 
 import mebf
-from mebf import boolmat
+from mebf import boolmat, matio
 from mebf.boolmat import BinaryMatrix, BinaryVector, UtlView
+from mebf.cli import main
 from mebf.factorize import FactorResult, MebfConfig, mebf_factorize
 from mebf.metrics import (
     MetricsReport,
@@ -36,7 +37,8 @@ def test_exports_resolve_and_config_has_two_fields():
 
 def test_package_root_exports_what_a_user_calls():
     assert sorted(mebf.__all__) == [
-        "BinaryMatrix", "BinaryVector", "FORMATS", "FactorResult",
+        "BINARY_FORMATS", "BinaryMatrix", "BinaryVector", "FORMATS",
+        "FactorResult",
         "MatrixFormatError", "MebfConfig", "MetricsReport", "RealMatrix",
         "SimulatedInstance", "SimulationSpec", "UndefinedMetricError",
         "bidirectional_growth", "binarize", "bool_product", "build_report",
@@ -137,18 +139,44 @@ def test_one_kernel_prices_a_pattern():
         assert view.default is inspect.Parameter.empty
 
 
-def test_boolmat_keeps_its_private_names():
-    # no other module of the package imports a _-prefixed boolmat name
+def test_modules_keep_their_private_names():
+    # no module of the package imports a _-prefixed name from a sibling
     src = pathlib.Path(mebf.__file__).parent
     for path in sorted(src.glob("*.py")):
-        if path.name == "boolmat.py":
-            continue
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.ImportFrom) and node.module in (
-                    "boolmat", "mebf.boolmat"):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or node.module.split(".")[0] == "mebf"):
                 private = [a.name for a in node.names
                            if a.name.startswith("_")]
                 assert not private, f"{path.name} imports {private}"
+
+
+def test_package_root_re_exports_its_modules():
+    modules = [importlib.import_module(f"mebf.{name}")
+               for name in ("factorize", "matio", "metrics", "simulate")]
+    assert mebf.__all__ == ["BinaryMatrix", "BinaryVector", "bool_product"] \
+        + [name for module in modules for name in module.__all__]
+    for module in [boolmat] + modules:
+        for name in set(mebf.__all__) & set(module.__all__):
+            assert getattr(mebf, name) is getattr(module, name)
+    # the function shadows its submodule
+    assert inspect.isfunction(mebf.simulate)
+    assert mebf.simulate is modules[3].simulate
+
+
+def test_simulate_offers_the_binary_formats(tmp_path, capsys):
+    assert matio.BINARY_FORMATS == ("dense01", "coo")
+    with pytest.raises(SystemExit):
+        main(["simulate", "--help"])
+    choices = "{" + ",".join(matio.BINARY_FORMATS) + "}"
+    assert f"--format {choices}" in capsys.readouterr().out
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["simulate", "--n", "4", "--m", "4", "--k", "1", "--p0", "0.5",
+              "--p", "0", "--out", str(out), "--format", "csv"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'csv'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulated_instance_keeps_x_and_its_factors():
