@@ -13,7 +13,8 @@ row.  ``rank1_cost`` and ``rank1_gain`` price a pattern from its own rows.
 ``UtlView`` holds a factorization's residual with its line sums, and
 ``UtlView.clear`` is the one place that clears an accepted pattern from
 it.  That still costs O(nm) per round: ``rank1_product``, ``complement``
-and an ``elementwise`` AND.
+and an ``elementwise`` AND.  ``RowGroups`` holds the union of the accepted
+patterns as groups of rows, so the loop keeps no n x m reconstruction.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import numpy as np
 __all__ = [
     "BinaryMatrix",
     "BinaryVector",
+    "RowGroups",
     "UtlView",
     "bool_product",
     "col_dot_counts",
@@ -284,6 +286,60 @@ class UtlView:
         del selected, hit  # not held while the residual is rebuilt
         self.x = elementwise("and", self.x,
                              complement(rank1_product(row_mask, col_mask)))
+
+
+class RowGroups:
+    """A union of rank-1 patterns, held as groups of rows.
+
+    Rows in one group lie in the same patterns, so row i of the union is
+    ``table[group[i]]``, the OR of those patterns' packed column masks.  It
+    starts as one empty group.  Neither :meth:`gain` nor :meth:`add` forms
+    an n x m matrix.  Groups left without rows are dropped whenever the
+    table holds more rows than the union, so between calls it is no larger
+    than the union's packed bytes.
+    """
+
+    __slots__ = ("group", "table")
+
+    def __init__(self, n_rows: int, n_cols: int):
+        self.group = np.zeros(n_rows, dtype=np.intp)
+        self.table = np.zeros((1, _packed_width(n_cols)), dtype=np.uint8)
+
+    def gain(self, rows: np.ndarray, col_mask: BinaryVector,
+             residual: BinaryMatrix) -> tuple[int, int]:
+        """(change of |x xor union|, ones of x newly covered) on adding the
+        pattern (rows, col_mask), where ``residual`` is x AND NOT union, in
+        the closed form that ``mebf.factorize`` states."""
+        hit = residual._packed[rows]
+        hit &= col_mask._packed
+        covered = _popcount(hit)
+        added = np.bitwise_count(~self.table & col_mask._packed).sum(axis=1)
+        return int(added[self.group[rows]].sum()) - 2 * covered, covered
+
+    def add(self, rows: np.ndarray, col_mask: BinaryVector) -> None:
+        """OR the pattern (rows, col_mask) into the union: its rows in each
+        group they touch move to one new group, whose table row is the old
+        one ORed with the column mask."""
+        n_groups = len(self.table)
+        old = self.group[rows]
+        touched, remap = _renumber(old, n_groups, n_groups)
+        self.group[rows] = remap[old]
+        self.table = np.concatenate(
+            (self.table, self.table[touched] | col_mask._packed))
+        if len(self.table) > len(self.group):
+            live, remap = _renumber(self.group, len(self.table), 0)
+            self.group = remap[self.group]
+            self.table = self.table[live]
+
+
+def _renumber(labels: np.ndarray, n_labels: int,
+              first: int) -> tuple[np.ndarray, np.ndarray]:
+    """The labels in use, ascending, and a map from each of them to first,
+    first + 1, ... in that order."""
+    used = np.flatnonzero(np.bincount(labels, minlength=n_labels))
+    remap = np.empty(n_labels, dtype=np.intp)
+    remap[used] = np.arange(first, first + len(used))
+    return used, remap
 
 
 def _line_at(keys: np.ndarray, rank: int) -> int:

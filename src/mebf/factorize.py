@@ -9,10 +9,18 @@ rows instead.  For t >= 1/2 that never happens: every line a grown
 pattern takes shares more than half of the anchor's ones, so its change
 of cost is below (1 - 2t)|pattern| <= 0.  Accepted patterns zero out the
 residual entries they cover (``UtlView.clear``, the residual's only
-update) and are ORed into the reconstruction in place.  ``rank1_cost``
-picks the direction and ``rank1_gain`` accepts, each by a change of cost
-read from the pattern's rows only; the report rebuilds its trace the same
-way.
+update).  ``rank1_cost`` picks the direction by a change of cost read from
+the pattern's rows only.
+
+No reconstruction is formed.  The accepted patterns are held as row groups
+(``RowGroups``): rows in one group lie in the same patterns, so their row
+of the reconstruction R is one packed row of a table.  Adding a pattern P
+flips N = P AND NOT R, and since the residual is X AND NOT R, P is priced
+from the residual and the groups alone: it covers c = |P and residual| new
+ones of X, and the cost |X xor R| moves by delta = |N| - 2c, where |N| sums
+over P's rows one popcount per group, of P's columns AND NOT the group's
+row.
+
 The row and column sums behind the arrangement are counted once per
 factorization and then lowered by the ones each accepted pattern covers,
 instead of being recounted over the whole residual every round.  The
@@ -24,15 +32,17 @@ from the sums in linear time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
+
+import numpy as np
 
 from .boolmat import (
     BinaryMatrix,
     BinaryVector,
+    RowGroups,
     UtlView,
     col_dot_counts,
-    or_pattern,
     rank1_cost,
-    rank1_gain,
     row_dot_counts,
     utl_rearrange,
 )
@@ -55,7 +65,7 @@ class MebfConfig:
     t: similarity threshold in the open interval (0, 1); a column or row
        joins a pattern only when its overlap ratio with the anchor
        strictly exceeds t.
-    k_max: maximum number of patterns to accept.
+    k_max: maximum number of patterns to accept, an integer.
     """
 
     t: float
@@ -65,6 +75,8 @@ class MebfConfig:
         if not 0.0 < self.t < 1.0:
             raise ValueError(
                 f"t must lie strictly between 0 and 1, got {self.t}")
+        if not isinstance(self.k_max, Integral):
+            raise ValueError(f"k_max must be an integer, got {self.k_max!r}")
         if self.k_max < 1:
             raise ValueError(f"k_max must be at least 1, got {self.k_max}")
 
@@ -186,16 +198,17 @@ def mebf_factorize(x: BinaryMatrix, cfg: MebfConfig) -> FactorResult:
     Accepted patterns are flipped to zero in the residual, so the run also
     ends when the residual empties or the budget is reached.  The cost and
     the residual one-count are kept as running integers, moved by each
-    pattern's ``rank1_gain`` rather than recounted over the whole matrix.
-    The residual lives in its view, which both pattern finders of a round
-    share; ``view.clear`` updates its line sums from the pattern's rows.
+    pattern's delta and c (see the module docstring) rather than recounted
+    over the whole matrix.  The residual lives in its view, which both
+    pattern finders of a round share; ``view.clear`` updates its line sums
+    from the pattern's rows.
     """
     if x.n_rows < 1 or x.n_cols < 1:
         raise ValueError(f"matrix must have at least one row and one "
                          f"column, got {x.shape}")
 
     view = utl_rearrange(x)  # clearing builds a new residual; x is unchanged
-    recon = BinaryMatrix.zeros(x.n_rows, x.n_cols)
+    accepted = RowGroups(x.n_rows, x.n_cols)
     # the empty factorization misses every one of x
     best_cost = residual_count = x.count()
     row_parts: list[BinaryVector] = []
@@ -208,14 +221,16 @@ def mebf_factorize(x: BinaryMatrix, cfg: MebfConfig) -> FactorResult:
     while residual_count:
         iterations += 1
         pair = bidirectional_growth(view, cfg.t)
-        delta, covered = rank1_gain(*pair, x, recon)
+        rows = np.flatnonzero(pair[0].to_dense())
+        delta, covered = accepted.gain(rows, pair[1], view.x)
         from_weak = False
 
         if row_parts and delta > 0:
             pair = weak_signal_detection(view, cfg.t)
             if pair is None:
                 break
-            delta, covered = rank1_gain(*pair, x, recon)
+            rows = np.flatnonzero(pair[0].to_dense())
+            delta, covered = accepted.gain(rows, pair[1], view.x)
             if delta > 0:
                 break
             from_weak = True
@@ -232,9 +247,9 @@ def mebf_factorize(x: BinaryMatrix, cfg: MebfConfig) -> FactorResult:
         residual_history.append(residual_count)
         weak_uses += from_weak
         if len(row_parts) == cfg.k_max:
-            break  # nothing reads the view or recon after this
+            break  # nothing reads the view or the groups after this
         view.clear(*pair)
-        or_pattern(recon, *pair)
+        accepted.add(rows, pair[1])
 
     return FactorResult(
         A=BinaryMatrix.from_columns(row_parts, x.n_rows),

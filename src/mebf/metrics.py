@@ -6,8 +6,9 @@ ones), density (average fill of the factor matrices), and coverage rate
 (fraction of the input's ones reproduced by the product).  A metric whose
 denominator is zero raises :class:`UndefinedMetricError`; report builders
 turn that into an absent field plus a warning instead of serializing NaN.
-A report rebuilt from factor files alone recovers the cost trace with the
-factorization loop's own pricing, ``rank1_gain``, one pattern at a time.
+A report rebuilt from factor files alone recovers the cost trace one
+pattern at a time, each pattern's ``rank1_gain`` against the product of the
+patterns before it.
 """
 
 from __future__ import annotations
