@@ -6,6 +6,12 @@ column of each row are kept at zero, so whole-word AND/XOR/OR and popcounts
 are valid without masking.  Popcounts use ``np.bitwise_count``; whole-array
 totals read contiguous bytes as uint64 words when their count allows it.
 
+A rank-1 pattern is a pair ``(rows, col_mask)``: the indices of its rows,
+distinct and ascending, as an integer array, and its columns as a packed
+:class:`BinaryVector`.  Every row-restricted kernel takes that pair and
+reads or writes the pattern's rows only; a column mask of the wrong length
+or a row outside the matrix raises ``ValueError`` before anything changes.
+
 Row growth reads only what its anchor can hit: when at most a quarter of
 the anchor's packed bytes are non-zero, ``row_dot_counts`` gathers those
 byte columns of x and tallies them, instead of ANDing every byte of every
@@ -124,6 +130,10 @@ class BinaryVector:
 
     def to_dense(self) -> np.ndarray:
         return np.unpackbits(self._packed, count=self.length)
+
+    def nonzero(self) -> np.ndarray:
+        """The indices of the ones, ascending."""
+        return np.flatnonzero(self.to_dense())
 
     def count(self) -> int:
         """Number of ones."""
@@ -271,7 +281,7 @@ class UtlView:
         """The column at position ``rank`` of the column order, in O(m)."""
         return _line_at(self.col_totals, rank)
 
-    def clear(self, row_mask: BinaryVector, col_mask: BinaryVector) -> None:
+    def clear(self, rows: np.ndarray, col_mask: BinaryVector) -> None:
         """Set the pattern's ones of the residual to zero.
 
         A pattern that does not fit raises ``ValueError`` before anything
@@ -279,13 +289,15 @@ class UtlView:
         the pattern, read from its rows only; the residual is then replaced
         by a new matrix, so no matrix is ever written.
         """
-        selected = _pattern_rows(row_mask, col_mask, self.x)
-        hit = self.x._packed[selected] & col_mask._packed
-        self.col_totals -= _col_tally(hit, self.x.n_cols)
-        self.row_totals[selected] -= _row_tally(np.bitwise_count(hit, out=hit))
-        del selected, hit  # not held while the residual is rebuilt
-        self.x = elementwise("and", self.x,
-                             complement(rank1_product(row_mask, col_mask)))
+        x = self.x
+        _check_fit(rows, col_mask, x.shape)
+        hit = x._packed[rows]
+        hit &= col_mask._packed
+        self.col_totals -= _col_tally(hit, x.n_cols)
+        self.row_totals[rows] -= _row_tally(np.bitwise_count(hit, out=hit))
+        del hit  # not held while the residual is rebuilt
+        self.x = elementwise("and", x, complement(
+            rank1_product(rows, col_mask, x.n_rows)))
 
 
 class RowGroups:
@@ -294,14 +306,16 @@ class RowGroups:
     Rows in one group lie in the same patterns, so row i of the union is
     ``table[group[i]]``, the OR of those patterns' packed column masks.  It
     starts as one empty group.  Neither :meth:`gain` nor :meth:`add` forms
-    an n x m matrix.  Groups left without rows are dropped whenever the
-    table holds more rows than the union, so between calls it is no larger
-    than the union's packed bytes.
+    an n x m matrix, and both raise ``ValueError`` on a pattern that does
+    not fit the union's shape.  Groups left without rows are dropped
+    whenever the table holds more rows than the union, so between calls it
+    is no larger than the union's packed bytes.
     """
 
-    __slots__ = ("group", "table")
+    __slots__ = ("shape", "group", "table")
 
     def __init__(self, n_rows: int, n_cols: int):
+        self.shape = (n_rows, n_cols)
         self.group = np.zeros(n_rows, dtype=np.intp)
         self.table = np.zeros((1, _packed_width(n_cols)), dtype=np.uint8)
 
@@ -310,6 +324,7 @@ class RowGroups:
         """(change of |x xor union|, ones of x newly covered) on adding the
         pattern (rows, col_mask), where ``residual`` is x AND NOT union, in
         the closed form that ``mebf.factorize`` states."""
+        _check_fit(rows, col_mask, self.shape)
         hit = residual._packed[rows]
         hit &= col_mask._packed
         covered = _popcount(hit)
@@ -320,6 +335,7 @@ class RowGroups:
         """OR the pattern (rows, col_mask) into the union: its rows in each
         group they touch move to one new group, whose table row is the old
         one ORed with the column mask."""
+        _check_fit(rows, col_mask, self.shape)
         n_groups = len(self.table)
         old = self.group[rows]
         touched, remap = _renumber(old, n_groups, n_groups)
@@ -367,14 +383,15 @@ def bool_product(a_mat: BinaryMatrix, b_mat: BinaryMatrix) -> BinaryMatrix:
             f"incompatible shapes for product: {a_mat.shape} x {b_mat.shape}")
     out = BinaryMatrix.zeros(a_mat.n_rows, b_mat.n_cols)
     for l in range(a_mat.n_cols):
-        or_pattern(out, a_mat.col(l), b_mat.row(l))
+        or_pattern(out, a_mat.col(l).nonzero(), b_mat.row(l))
     return out
 
 
-def or_pattern(recon: BinaryMatrix, row_mask: BinaryVector,
+def or_pattern(recon: BinaryMatrix, rows: np.ndarray,
                col_mask: BinaryVector) -> None:
     """OR the pattern into recon in place, writing the pattern's rows only."""
-    recon._packed[_pattern_rows(row_mask, col_mask, recon)] |= col_mask._packed
+    _check_fit(rows, col_mask, recon.shape)
+    recon._packed[rows] |= col_mask._packed
 
 
 def elementwise(op: str, a: BinaryMatrix, b: BinaryMatrix) -> BinaryMatrix:
@@ -397,20 +414,21 @@ def complement(x: BinaryMatrix) -> BinaryMatrix:
     return BinaryMatrix(x.n_rows, x.n_cols, packed)
 
 
-def rank1_product(row_mask: BinaryVector,
-                  col_mask: BinaryVector) -> BinaryMatrix:
-    """Outer product: entry (i, j) = row_mask[i] AND col_mask[j]."""
-    out = np.zeros((row_mask.length, _packed_width(col_mask.length)),
-                   dtype=np.uint8)
-    out[row_mask.to_dense() == 1] = col_mask._packed
-    return BinaryMatrix(row_mask.length, col_mask.length, out)
+def rank1_product(rows: np.ndarray, col_mask: BinaryVector,
+                  n_rows: int) -> BinaryMatrix:
+    """The pattern (rows, col_mask) as an n_rows x col_mask.length matrix."""
+    out = BinaryMatrix.zeros(n_rows, col_mask.length)
+    _check_fit(rows, col_mask, out.shape)
+    out._packed[rows] = col_mask._packed
+    return out
 
 
-def col_dot_counts(x: BinaryMatrix, v: BinaryVector) -> np.ndarray:
-    """Inner products of every column of x with a vector over the rows."""
-    if v.length != x.n_rows:
-        raise ValueError(f"length mismatch: {v.length} vs {x.n_rows} rows")
-    return _col_tally(x._packed[v.to_dense() == 1], x.n_cols)
+def col_dot_counts(x: BinaryMatrix, rows: np.ndarray) -> np.ndarray:
+    """Ones of every column of x within the given rows: the inner products
+    of the columns with the rows' indicator vector."""
+    if not _rows_fit(rows, x.n_rows):
+        raise ValueError(f"row index outside {x.n_rows} rows")
+    return _col_tally(x._packed[rows], x.n_cols)
 
 
 def row_dot_counts(x: BinaryMatrix, v: BinaryVector) -> np.ndarray:
@@ -430,39 +448,46 @@ def row_dot_counts(x: BinaryMatrix, v: BinaryVector) -> np.ndarray:
     return _row_tally(np.bitwise_count(words, out=words))
 
 
-def _pattern_rows(row_mask: BinaryVector, col_mask: BinaryVector,
-                  x: BinaryMatrix) -> np.ndarray:
-    """The pattern's rows, as a boolean row selection of x it must fit."""
-    if row_mask.length != x.n_rows or col_mask.length != x.n_cols:
+def _rows_fit(rows: np.ndarray, n_rows: int) -> bool:
+    """Whether ascending row indices all lie in [0, n_rows): the first and
+    the last decide."""
+    return not len(rows) or (0 <= rows[0] and rows[-1] < n_rows)
+
+
+def _check_fit(rows: np.ndarray, col_mask: BinaryVector,
+               shape: tuple[int, int]) -> None:
+    """Raise ValueError unless the pattern (rows, col_mask) fits a matrix of
+    this shape."""
+    if col_mask.length != shape[1] or not _rows_fit(rows, shape[0]):
         raise ValueError(
-            f"pattern ({row_mask.length}, {col_mask.length}) does not fit "
-            f"matrix {x.shape}")
-    return row_mask.to_dense() == 1
+            f"pattern ({len(rows)} rows, {col_mask.length} columns) does not "
+            f"fit matrix {shape}")
 
 
-def rank1_cost(row_mask: BinaryVector, col_mask: BinaryVector,
+def rank1_cost(rows: np.ndarray, col_mask: BinaryVector,
                x: BinaryMatrix) -> int:
-    """Change of cost when the pattern (row_mask, col_mask) alone
-    approximates x: |pattern| - 2 |pattern and x|, read from the pattern's
-    rows.  This is ``rank1_gain``'s delta against an all-zero recon; the
-    absolute cost adds |x|, which every candidate against one x shares.
+    """Change of cost when the pattern (rows, col_mask) alone approximates
+    x: |pattern| - 2 |pattern and x|, read from the pattern's rows.  This
+    is ``rank1_gain``'s delta against an all-zero recon; the absolute cost
+    adds |x|, which every candidate against one x shares.
     """
-    selected = x._packed[_pattern_rows(row_mask, col_mask, x)]
-    overlap = _popcount(selected & col_mask._packed)
-    return row_mask.count() * col_mask.count() - 2 * overlap
+    _check_fit(rows, col_mask, x.shape)
+    hit = x._packed[rows]
+    hit &= col_mask._packed
+    return len(rows) * col_mask.count() - 2 * _popcount(hit)
 
 
-def rank1_gain(row_mask: BinaryVector, col_mask: BinaryVector,
-               x: BinaryMatrix, recon: BinaryMatrix) -> tuple[int, int]:
+def rank1_gain(rows: np.ndarray, col_mask: BinaryVector, x: BinaryMatrix,
+               recon: BinaryMatrix) -> tuple[int, int]:
     """(change of |x xor recon|, ones of x newly covered) on ORing the
     pattern into recon: it flips N = pattern AND NOT recon, so the cost
     moves by |N| - 2 |N and x|.  Reads the pattern's rows only.
     """
     if recon.shape != x.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {recon.shape}")
-    selected = _pattern_rows(row_mask, col_mask, x)
-    added = ~recon._packed[selected] & col_mask._packed
-    hit = x._packed[selected]
+    _check_fit(rows, col_mask, x.shape)
+    added = ~recon._packed[rows] & col_mask._packed
+    hit = x._packed[rows]
     hit &= added
     covered = _popcount(hit)
     return _popcount(added) - 2 * covered, covered

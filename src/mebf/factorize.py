@@ -10,7 +10,9 @@ pattern takes shares more than half of the anchor's ones, so its change
 of cost is below (1 - 2t)|pattern| <= 0.  Accepted patterns zero out the
 residual entries they cover (``UtlView.clear``, the residual's only
 update).  ``rank1_cost`` picks the direction by a change of cost read from
-the pattern's rows only.
+the pattern's rows only.  A pattern is the pair (row indices, packed column
+mask); the indices are found once, where the pattern is grown, and every
+kernel that reads its rows takes them.
 
 No reconstruction is formed.  The accepted patterns are held as row groups
 (``RowGroups``): rows in one group lie in the same patterns, so their row
@@ -55,7 +57,8 @@ __all__ = [
     "weak_signal_detection",
 ]
 
-Pattern = tuple[BinaryVector, BinaryVector]
+# a pattern's ascending row indices and its packed column mask
+Pattern = tuple[np.ndarray, BinaryVector]
 
 
 @dataclass(frozen=True)
@@ -130,14 +133,16 @@ def _grow(x_res: BinaryMatrix, t: float, anchor_col: BinaryVector | None,
     """
     candidates: list[Pattern] = []
     if anchor_col is not None:
-        members = col_dot_counts(x_res, anchor_col) / anchor_col.count() > t
-        candidates.append((anchor_col, BinaryVector.from_dense(members)))
+        rows = anchor_col.nonzero()
+        members = col_dot_counts(x_res, rows) / len(rows) > t
+        candidates.append((rows, BinaryVector(x_res.n_cols,
+                                              np.packbits(members))))
     if anchor_row is not None:
         members = row_dot_counts(x_res, anchor_row) / anchor_row.count() > t
-        candidates.append((BinaryVector.from_dense(members), anchor_row))
+        candidates.append((np.flatnonzero(members), anchor_row))
     if not candidates:
         return None
-    return min(candidates, key=lambda ab: rank1_cost(ab[0], ab[1], x_res))
+    return min(candidates, key=lambda pair: rank1_cost(*pair, x_res))
 
 
 def _overlap(u: BinaryVector, v: BinaryVector) -> BinaryVector | None:
@@ -152,8 +157,9 @@ def bidirectional_growth(view: UtlView, t: float) -> Pattern | None:
     In the residual's upper-triangular-like view the median active column
     anchors a column pattern (columns whose overlap ratio with the anchor
     exceeds t) and the median active row anchors a row pattern.  Returns
-    whichever costs less against the residual, the column pattern on ties,
-    or None when the residual has no ones.
+    whichever costs less against the residual as (ascending row indices,
+    column mask), the column pattern on ties, or None when the residual
+    has no ones.
     """
     x_res = view.x
     n_active, m_active = view.n_active, view.m_active
@@ -221,16 +227,14 @@ def mebf_factorize(x: BinaryMatrix, cfg: MebfConfig) -> FactorResult:
     while residual_count:
         iterations += 1
         pair = bidirectional_growth(view, cfg.t)
-        rows = np.flatnonzero(pair[0].to_dense())
-        delta, covered = accepted.gain(rows, pair[1], view.x)
+        delta, covered = accepted.gain(*pair, view.x)
         from_weak = False
 
         if row_parts and delta > 0:
             pair = weak_signal_detection(view, cfg.t)
             if pair is None:
                 break
-            rows = np.flatnonzero(pair[0].to_dense())
-            delta, covered = accepted.gain(rows, pair[1], view.x)
+            delta, covered = accepted.gain(*pair, view.x)
             if delta > 0:
                 break
             from_weak = True
@@ -239,7 +243,10 @@ def mebf_factorize(x: BinaryMatrix, cfg: MebfConfig) -> FactorResult:
             raise RuntimeError(
                 "accepted pattern covered no residual ones; "
                 "factorization cannot progress")
-        row_parts.append(pair[0])
+        # kept packed until A is stacked: 1 bit per row of x, where the
+        # indices would hold 8 bytes per row of the pattern
+        row_parts.append(BinaryVector(x.n_rows, np.packbits(
+            np.bincount(pair[0], minlength=x.n_rows) > 0)))
         col_parts.append(pair[1])
         best_cost += delta
         residual_count -= covered
@@ -249,7 +256,7 @@ def mebf_factorize(x: BinaryMatrix, cfg: MebfConfig) -> FactorResult:
         if len(row_parts) == cfg.k_max:
             break  # nothing reads the view or the groups after this
         view.clear(*pair)
-        accepted.add(rows, pair[1])
+        accepted.add(*pair)
 
     return FactorResult(
         A=BinaryMatrix.from_columns(row_parts, x.n_rows),

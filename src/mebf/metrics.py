@@ -184,7 +184,7 @@ def report_from_factors(x: BinaryMatrix, a_mat: BinaryMatrix,
     cost = x.count()
     history = []
     for l in range(a_mat.n_cols):
-        rows, cols = a_mat.col(l), b_mat.row(l)
+        rows, cols = a_mat.col(l).nonzero(), b_mat.row(l)
         cost += rank1_gain(rows, cols, x, recon)[0]
         or_pattern(recon, rows, cols)
         history.append(cost)

@@ -4,12 +4,14 @@ An instance is assembled as the Boolean product of two Bernoulli factor
 matrices, with an independent Bernoulli mask flipping entries of the
 product.  Everything is drawn from one seeded stream in a fixed order, so
 an instance is a pure function of its spec.  It keeps X, U and V, not the
-mask, which is drawn in row blocks of at most 1 MiB of float64.
+mask, which is drawn in row blocks of at most 1 MiB of float64, and only
+when the noise rate is positive: at p = 0, X is the product itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -29,7 +31,8 @@ class SimulationSpec:
     """Dimensions, planted-pattern count, rates, and the seed.
 
     p0 is the per-entry density of the planted factors; p is the rate of
-    the noise mask that flips entries of their product.
+    the noise mask that flips entries of their product.  n, m, k and seed
+    are integers, kept as Python ints.
     """
 
     n: int
@@ -40,6 +43,11 @@ class SimulationSpec:
     seed: int
 
     def __post_init__(self):
+        for name in ("n", "m", "k", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.n < 1 or self.m < 1:
             raise ValueError(f"dimensions must be positive, got "
                              f"{self.n}x{self.m}")
@@ -71,11 +79,14 @@ def simulate(spec: SimulationSpec) -> SimulatedInstance:
     The stream is NumPy's default generator (PCG64) seeded with
     ``spec.seed``.  Sampling order is fixed: U row-major, then V
     row-major, then the flip mask row-major, each entry one uniform draw
-    compared against the rate.
+    compared against the rate.  At p = 0 the mask is all zero and is not
+    drawn: the stream ends after V, so U, V and X are the same as with it.
     """
     rng = np.random.default_rng(spec.seed)
     u = BinaryMatrix.from_dense(rng.random((spec.n, spec.k)) < spec.p0)
     v = BinaryMatrix.from_dense(rng.random((spec.k, spec.m)) < spec.p0)
+    if spec.p == 0:
+        return SimulatedInstance(X=bool_product(u, v), U=u, V=v)
     # the mask in blocks of at most 1 MiB of float64: the generator fills
     # row-major, so the draws match one (n, m) call without its temporary
     rows = max(1, 2**17 // spec.m)
@@ -84,6 +95,8 @@ def simulate(spec: SimulationSpec) -> SimulatedInstance:
         block = noise[start:start + rows]
         block[:] = np.packbits(rng.random((len(block), spec.m)) < spec.p,
                                axis=1)
+    # the product only now that the draws are freed: formed before them,
+    # it would add to their peak
     x = elementwise("xor", bool_product(u, v),
                     BinaryMatrix(spec.n, spec.m, noise))
     return SimulatedInstance(X=x, U=u, V=v)

@@ -51,6 +51,11 @@ LIBRARY = {
     # widths at and around packed-word boundaries
     **{f"width_{m}": (_spec(50, m, 3, 0.3, 0.03, m), 0.3, 8)
        for m in (1, 7, 8, 9, 63, 64, 65)},
+    # noise-free inputs: mebf bench's 1000x1000_d0.4_n0 (replicate 0 of
+    # master seed 0) and widths around packed-word boundaries
+    "1000x1000_d0.4_n0": (_spec(1000, 1000, 5, 0.4, 0.0, 0), 0.8, 10),
+    **{f"width_{m}_n0": (_spec(50, m, 3, 0.3, 0.0, m), 0.3, 8)
+       for m in (1, 8, 65)},
 }
 
 

@@ -3,8 +3,8 @@
 None of this is used by the package itself: ``naive_bool_product`` is a
 triple loop, ``exhaustive_bmf`` enumerates every factor pair, and
 ``cost_gamma`` forms the full product to count the cost.  The builders
-``identity``, ``ones`` and ``ones_vector`` and the ``pattern`` accessor
-serve only the tests.
+``identity``, ``ones`` and ``ones_vector``, the ``pattern`` accessor and
+``as_lists`` serve only the tests.
 """
 
 from __future__ import annotations
@@ -35,9 +35,19 @@ def ones_vector(length: int) -> BinaryVector:
 
 
 def pattern(result: FactorResult,
-            l: int) -> tuple[BinaryVector, BinaryVector]:
-    """The l-th rank-1 pattern of a result as (rows vector, columns vector)."""
-    return result.A.col(l), result.B.row(l)
+            l: int) -> tuple[np.ndarray, BinaryVector]:
+    """The l-th rank-1 pattern of a result in the loop's shape: (ascending
+    row indices, column mask)."""
+    return result.A.col(l).nonzero(), result.B.row(l)
+
+
+def as_lists(pair) -> tuple[list[int], list[int]] | None:
+    """A pattern (rows, col_mask) as (row indices, dense column mask) lists,
+    which compare with ==; None stays None."""
+    if pair is None:
+        return None
+    rows, cols = pair
+    return rows.tolist(), cols.to_dense().tolist()
 
 
 def cost_gamma(a_mat: BinaryMatrix, b_mat: BinaryMatrix,

@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from mebf.boolmat import (
     BinaryMatrix,
     BinaryVector,
+    RowGroups,
     UtlView,
     bool_product,
     col_dot_counts,
@@ -42,6 +43,35 @@ def binary_arrays(max_rows=8, max_cols=12, min_rows=0, min_cols=0):
 def bits(n):
     """All {0,1} vectors of length n."""
     return itertools.product((0, 1), repeat=n)
+
+
+# the rows of an empty pattern
+NO_ROWS = np.array([], dtype=np.intp)
+
+
+@st.composite
+def row_patterns(draw):
+    """(x, recon, rows, col_mask) as numpy arrays: a width around the 8-bit
+    byte and the 64-bit word, and rows that are none, one, every row or a
+    random set, ascending as the loop finds them."""
+    m = draw(st.sampled_from((1, 7, 8, 9, 63, 64, 65)))
+    n = draw(st.integers(1, 12))
+    x, recon = (draw(arrays(np.uint8, (n, m), elements=st.integers(0, 1)))
+                for _ in range(2))
+    col_mask = draw(arrays(np.uint8, m, elements=st.integers(0, 1)))
+    rows = draw(st.one_of(
+        st.just(NO_ROWS),
+        st.integers(0, n - 1).map(lambda i: np.array([i])),
+        st.just(np.arange(n)),
+        arrays(np.bool_, n).map(np.flatnonzero)))
+    return x, recon, rows, col_mask
+
+
+def dense_pattern(rows, col_mask, n):
+    """The pattern (rows, col_mask) as a dense n-row array."""
+    out = np.zeros((n, len(col_mask)), np.uint8)
+    out[rows] = col_mask
+    return out
 
 
 class TestStorage:
@@ -231,16 +261,16 @@ class TestElementwise:
 
 class TestRank1Product:
     def test_all_ones(self):
-        out = rank1_product(ones_vector(3), ones_vector(4))
+        out = rank1_product(np.arange(3), ones_vector(4), 3)
         assert out == ones(3, 4)
 
     def test_zero_rows(self):
-        out = rank1_product(BinaryVector.zeros(3), ones_vector(4))
+        out = rank1_product(NO_ROWS, ones_vector(4), 3)
         assert out.count() == 0
 
     def test_hand_example(self):
-        out = rank1_product(BinaryVector.from_dense([1, 1, 0]),
-                            BinaryVector.from_dense([0, 1]))
+        out = rank1_product(np.array([0, 1]), BinaryVector.from_dense([0, 1]),
+                            3)
         assert out.to_dense().tolist() == [[0, 1], [0, 1], [0, 0]]
 
 
@@ -276,14 +306,13 @@ class TestSumsAndDots:
         mat = BinaryMatrix.from_dense(dense)
         over_rows = (rng.random(9) < 0.5).astype(np.uint8)
         over_cols = (rng.random(13) < 0.5).astype(np.uint8)
-        assert np.array_equal(
-            col_dot_counts(mat, BinaryVector.from_dense(over_rows)),
-            dense.T @ over_rows)
+        assert np.array_equal(col_dot_counts(mat, np.flatnonzero(over_rows)),
+                              dense.T @ over_rows)
         assert np.array_equal(
             row_dot_counts(mat, BinaryVector.from_dense(over_cols)),
             dense @ over_cols)
-        with pytest.raises(ValueError, match="length mismatch: 13 vs 9 rows"):
-            col_dot_counts(mat, BinaryVector.from_dense(over_cols))
+        with pytest.raises(ValueError, match="row index outside 9 rows"):
+            col_dot_counts(mat, np.array([0, 9]))
         with pytest.raises(ValueError, match="length mismatch: 9 vs 13 cols"):
             row_dot_counts(mat, BinaryVector.from_dense(over_rows))
 
@@ -315,16 +344,15 @@ class TestKernelsAtBlockEdges:
         assert np.array_equal(mat.col_sums(), dense.sum(axis=0))
         assert mat.col_sums()[0] == n_rows
         # anchors of all n_rows rows and of about half of them
-        every_row = col_dot_counts(mat, ones_vector(n_rows))
+        every_row = col_dot_counts(mat, np.arange(n_rows))
         assert np.array_equal(every_row, dense.sum(axis=0))
         assert every_row[0] == n_rows
-        assert np.array_equal(
-            col_dot_counts(mat, BinaryVector.from_dense(row_mask)),
-            dense.T.astype(np.int64) @ row_mask)
+        assert np.array_equal(col_dot_counts(mat, np.flatnonzero(row_mask)),
+                              dense.T.astype(np.int64) @ row_mask)
         assert np.array_equal(
             row_dot_counts(mat, BinaryVector.from_dense(over_cols)),
             dense.astype(np.int64) @ over_cols)
-        assert gain_on_empty(BinaryVector.from_dense(row_mask),
+        assert gain_on_empty(np.flatnonzero(row_mask),
                              BinaryVector.from_dense(col_mask), mat)[1] == int(
             (dense & np.outer(row_mask, col_mask)).sum())
         starts, blocks = zip(*mat.row_blocks())
@@ -336,7 +364,7 @@ class TestKernelsAtBlockEdges:
             mat = ones(n_rows, 129)
             assert mat.count() == n_rows * 129
             assert mat.col_sums().tolist() == [n_rows] * 129
-            assert col_dot_counts(mat, ones_vector(n_rows)).tolist() \
+            assert col_dot_counts(mat, np.arange(n_rows)).tolist() \
                 == [n_rows] * 129
             assert mat.row_sums().tolist() == [129] * n_rows
 
@@ -344,9 +372,9 @@ class TestKernelsAtBlockEdges:
         assert BinaryMatrix.zeros(300, 0).row_sums().shape == (300,)
         assert BinaryMatrix.zeros(300, 0).col_sums().shape == (0,)
         assert col_dot_counts(BinaryMatrix.zeros(300, 0),
-                              ones_vector(300)).shape == (0,)
+                              np.arange(300)).shape == (0,)
         assert col_dot_counts(BinaryMatrix.zeros(0, 70),
-                              ones_vector(0)).tolist() == [0] * 70
+                              NO_ROWS).tolist() == [0] * 70
         blocks = list(BinaryMatrix.zeros(300, 0).row_blocks())
         assert [(start, block.shape) for start, block in blocks] == [
             (0, (255, 0)), (255, (45, 0))]
@@ -451,16 +479,16 @@ class TestRowDotCountsGather:
         assert_row_dots(dense, anchor)
 
 
-def gain_on_empty(row_mask, col_mask, x):
+def gain_on_empty(rows, col_mask, x):
     """rank1_gain against an all-zero recon: the pattern covers exactly its
     overlap with x, and the cost moves by |pattern| - 2 * overlap."""
-    return rank1_gain(row_mask, col_mask, x, BinaryMatrix.zeros(*x.shape))
+    return rank1_gain(rows, col_mask, x, BinaryMatrix.zeros(*x.shape))
 
 
 class TestRank1Gain:
     def test_hand_example(self):
         x = BinaryMatrix.from_dense([[1, 1, 0], [0, 1, 1], [1, 1, 1]])
-        rows = BinaryVector.from_dense([1, 0, 1])
+        rows = np.array([0, 2])
         cols = BinaryVector.from_dense([0, 1, 1])
         assert gain_on_empty(rows, cols, x) == (4 - 2 * 3, 3)
         # entries already in recon are not flipped again: only (0, 2) and
@@ -471,30 +499,24 @@ class TestRank1Gain:
 
     def test_empty_pattern(self):
         x = ones(4, 5)
-        assert gain_on_empty(BinaryVector.zeros(4), ones_vector(5),
-                             x) == (0, 0)
-        assert gain_on_empty(ones_vector(4), BinaryVector.zeros(5),
+        assert gain_on_empty(NO_ROWS, ones_vector(5), x) == (0, 0)
+        assert gain_on_empty(np.arange(4), BinaryVector.zeros(5),
                              x) == (0, 0)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="does not fit"):
-            gain_on_empty(ones_vector(3), ones_vector(4),
+            gain_on_empty(np.arange(4), ones_vector(3),
                           BinaryMatrix.zeros(4, 4))
         with pytest.raises(ValueError, match="shape mismatch"):
-            rank1_gain(ones_vector(4), ones_vector(4),
+            rank1_gain(np.arange(4), ones_vector(4),
                        BinaryMatrix.zeros(4, 4), BinaryMatrix.zeros(4, 5))
 
-    @given(binary_arrays(min_rows=1, min_cols=1), st.data())
-    def test_against_numpy(self, dense, data):
-        n, m = dense.shape
-        row_mask = data.draw(arrays(np.uint8, n, elements=st.integers(0, 1)))
-        col_mask = data.draw(arrays(np.uint8, m, elements=st.integers(0, 1)))
-        recon = data.draw(arrays(np.uint8, (n, m),
-                                 elements=st.integers(0, 1)))
-        rows = BinaryVector.from_dense(row_mask)
+    @given(row_patterns())
+    def test_against_numpy(self, instance):
+        dense, recon, rows, col_mask = instance
         cols = BinaryVector.from_dense(col_mask)
         x = BinaryMatrix.from_dense(dense)
-        pattern = np.outer(row_mask, col_mask)
+        pattern = dense_pattern(rows, col_mask, len(dense))
         overlap = int((dense & pattern).sum())
         assert gain_on_empty(rows, cols, x) == (
             int(pattern.sum()) - 2 * overlap, overlap)
@@ -505,21 +527,18 @@ class TestRank1Gain:
 
 
 class TestOrPattern:
-    @given(binary_arrays(min_rows=1, min_cols=1), st.data())
-    def test_against_numpy(self, dense, data):
-        n, m = dense.shape
-        row_mask = data.draw(arrays(np.uint8, n, elements=st.integers(0, 1)))
-        col_mask = data.draw(arrays(np.uint8, m, elements=st.integers(0, 1)))
+    @given(row_patterns())
+    def test_against_numpy(self, instance):
+        dense, _, rows, col_mask = instance
         recon = BinaryMatrix.from_dense(dense)
-        or_pattern(recon, BinaryVector.from_dense(row_mask),
-                   BinaryVector.from_dense(col_mask))
-        assert np.array_equal(recon.to_dense(),
-                              dense | np.outer(row_mask, col_mask))
+        or_pattern(recon, rows, BinaryVector.from_dense(col_mask))
+        assert np.array_equal(recon.to_dense(), dense | dense_pattern(
+            rows, col_mask, len(dense)))
         assert recon == BinaryMatrix.from_dense(recon.to_dense())
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="does not fit"):
-            or_pattern(BinaryMatrix.zeros(4, 4), ones_vector(4),
+            or_pattern(BinaryMatrix.zeros(4, 4), np.arange(4),
                        ones_vector(5))
 
 
@@ -601,17 +620,14 @@ class TestUtlRearrange:
         inv_cols = np.argsort(col_order)
         assert np.array_equal(permuted[np.ix_(inv_rows, inv_cols)], dense)
 
-    @given(binary_arrays(9, 12), st.data())
-    def test_cleared_matches_a_fresh_view(self, dense, data):
-        n, m = dense.shape
-        row_mask = data.draw(arrays(np.uint8, n, elements=st.integers(0, 1)))
-        col_mask = data.draw(arrays(np.uint8, m, elements=st.integers(0, 1)))
+    @given(row_patterns())
+    def test_cleared_matches_a_fresh_view(self, instance):
+        dense, _, rows, col_mask = instance
         mat = BinaryMatrix.from_dense(dense)
         view = utl_rearrange(mat)
         totals = view.row_totals, view.col_totals
-        view.clear(BinaryVector.from_dense(row_mask),
-                   BinaryVector.from_dense(col_mask))
-        left = dense & (1 - np.outer(row_mask, col_mask)).astype(np.uint8)
+        view.clear(rows, BinaryVector.from_dense(col_mask))
+        left = dense & (1 - dense_pattern(rows, col_mask, len(dense)))
         fresh = utl_rearrange(BinaryMatrix.from_dense(left))
         # the residual is replaced, never written; the totals are lowered
         # in place
@@ -629,7 +645,7 @@ class TestUtlRearrange:
         view = utl_rearrange(ones(3, 10))
         before = (view.x, view.row_totals.tolist(), view.col_totals.tolist())
         with pytest.raises(ValueError, match="does not fit"):
-            view.clear(ones_vector(n_rows), ones_vector(n_cols))
+            view.clear(np.arange(n_rows), ones_vector(n_cols))
         # nothing changed before the raise
         assert view.x is before[0] and view.x == ones(3, 10)
         assert view.row_totals.tolist() == before[1] == [10] * 3
@@ -689,7 +705,7 @@ class TestCostGamma:
             x = BinaryMatrix.from_dense(rng.random((n, m)) < 0.5)
             a = BinaryMatrix.from_dense(row_mask.reshape(-1, 1))
             b = BinaryMatrix.from_dense(col_mask.reshape(1, -1))
-            assert rank1_cost(BinaryVector.from_dense(row_mask),
+            assert rank1_cost(np.flatnonzero(row_mask),
                               BinaryVector.from_dense(col_mask),
                               x) == cost_gamma(a, b, x) - x.count()
 
@@ -698,10 +714,71 @@ class TestCostGamma:
         rng = np.random.default_rng(width)
         n = 11
         x = BinaryMatrix.from_dense(rng.random((n, width)) < 0.5)
-        row_masks = [BinaryVector.zeros(n), ones_vector(n),
-                     BinaryVector.from_dense(rng.random(n) < 0.5)]
+        row_sets = [NO_ROWS, np.arange(n),
+                    np.flatnonzero(rng.random(n) < 0.5)]
         col_masks = [BinaryVector.zeros(width), ones_vector(width),
                      BinaryVector.from_dense(rng.random(width) < 0.5)]
-        for rows, cols in itertools.product(row_masks, col_masks):
+        for rows, cols in itertools.product(row_sets, col_masks):
             assert rank1_cost(rows, cols, x) == gain_on_empty(rows, cols,
                                                               x)[0]
+
+
+class TestRowIndexKernels:
+    """The kernels that take a pattern as (rows, col_mask), against numpy;
+    ``rank1_gain``, ``or_pattern`` and ``UtlView.clear`` take the same
+    instances in their own classes."""
+
+    @given(row_patterns())
+    def test_against_numpy(self, instance):
+        x, recon, rows, col_mask = instance
+        n, m = x.shape
+        p = dense_pattern(rows, col_mask, n)
+        cols = BinaryVector.from_dense(col_mask)
+        x_mat = BinaryMatrix.from_dense(x)
+        assert rank1_cost(rows, cols, x_mat) == int(p.sum()) - 2 * int(
+            (p & x).sum())
+        assert np.array_equal(col_dot_counts(x_mat, rows),
+                              x[rows].sum(axis=0))
+        assert rank1_product(rows, cols, n) == BinaryMatrix.from_dense(p)
+        assert x_mat == BinaryMatrix.from_dense(x)
+
+    @given(row_patterns(), st.sampled_from(("below", "above", "cols")))
+    def test_a_pattern_that_does_not_fit_changes_nothing(self, instance,
+                                                         fault):
+        x, recon, rows, col_mask = instance
+        n, m = x.shape
+        cols = BinaryVector.from_dense(col_mask)
+        if fault == "below":
+            rows = np.concatenate(([-1], rows))
+        elif fault == "above":
+            rows = np.concatenate((rows, [n]))
+        else:
+            cols = BinaryVector.from_dense(np.append(col_mask, 1))
+        x_mat, recon_mat = (BinaryMatrix.from_dense(a) for a in (x, recon))
+        view = utl_rearrange(x_mat)
+        groups = RowGroups(n, m)
+        kernels = [lambda: rank1_cost(rows, cols, x_mat),
+                   lambda: rank1_gain(rows, cols, x_mat, recon_mat),
+                   lambda: or_pattern(recon_mat, rows, cols),
+                   lambda: view.clear(rows, cols),
+                   lambda: groups.gain(rows, cols, x_mat),
+                   lambda: groups.add(rows, cols)]
+        if fault != "cols":
+            kernels += [lambda: col_dot_counts(x_mat, rows),
+                        lambda: rank1_product(rows, cols, n)]
+        for kernel in kernels:
+            with pytest.raises(ValueError):
+                kernel()
+        assert x_mat == BinaryMatrix.from_dense(x)
+        assert recon_mat == BinaryMatrix.from_dense(recon)
+        assert view.x is x_mat
+        assert view.row_totals.tolist() == x.sum(axis=1).tolist()
+        assert view.col_totals.tolist() == x.sum(axis=0).tolist()
+        assert groups.group.tolist() == [0] * n and len(groups.table) == 1
+
+    @given(row_patterns())
+    def test_nonzero_lists_the_ones(self, instance):
+        x, _, rows, _ = instance
+        mask = np.isin(np.arange(len(x)), rows)
+        assert BinaryVector.from_dense(mask).nonzero().tolist() == \
+            rows.tolist()

@@ -36,7 +36,7 @@ from mebf.factorize import (
     weak_signal_detection,
 )
 from mebf.simulate import SimulationSpec, simulate
-from reference import cost_gamma, identity, ones, pattern
+from reference import as_lists, cost_gamma, identity, ones, pattern
 
 # fixture known to exercise the weak-signal fallback inside the loop
 WEAK_PATH_DENSE = [
@@ -49,6 +49,11 @@ WEAK_PATH_DENSE = [
     [0, 1, 1, 1, 0, 0, 0, 0, 1],
 ]
 WEAK_PATH_T = 0.15
+
+
+def mask_lists(row_mask, col_mask):
+    """A reference pattern of dense masks in ``as_lists``'s form."""
+    return np.flatnonzero(row_mask).tolist(), col_mask.tolist()
 
 
 def ref_orderings(residual):
@@ -184,19 +189,19 @@ class TestBidirectionalGrowth:
         for t in (0.1, 0.5, 0.9):
             x = BinaryMatrix.from_dense(dense)
             rows, cols = bidirectional_growth(utl_rearrange(x), t)
-            assert rows.to_dense().tolist() == [1, 1, 1, 0]
+            assert rows.tolist() == [0, 1, 2]
             assert cols.to_dense().tolist() == [0, 1, 1, 1]
 
     def test_all_ones(self):
         x = ones(3, 5)
         rows, cols = bidirectional_growth(utl_rearrange(x), 0.7)
-        assert rows.count() == 3 and cols.count() == 5
+        assert rows.tolist() == [0, 1, 2] and cols.count() == 5
 
     def test_identity_tie_prefers_column_candidate(self):
         x = identity(2)
         rows, cols = bidirectional_growth(utl_rearrange(x), 0.5)
         # both candidates cover one diagonal entry at cost 1
-        assert rows.to_dense().tolist() == [1, 0]
+        assert rows.tolist() == [0]
         assert cols.to_dense().tolist() == [1, 0]
 
     def test_empty_residual(self):
@@ -212,16 +217,14 @@ class TestBidirectionalGrowth:
             t = float(rng.uniform(0.05, 0.95))
             x = BinaryMatrix.from_dense(dense)
             got = bidirectional_growth(utl_rearrange(x), t)
-            want = ref_growth(dense, t)
-            assert got[0].to_dense().tolist() == want[0].tolist()
-            assert got[1].to_dense().tolist() == want[1].tolist()
+            assert as_lists(got) == mask_lists(*ref_growth(dense, t))
 
 
 class TestWeakSignalDetection:
     def test_hand_example(self):
         mat = BinaryMatrix.from_dense([[1, 1, 0], [1, 1, 0], [0, 1, 1]])
         rows, cols = weak_signal_detection(utl_rearrange(mat), 0.6)
-        assert rows.to_dense().tolist() == [1, 1, 0]
+        assert rows.tolist() == [0, 1]
         assert cols.to_dense().tolist() == [1, 1, 0]
 
     def test_disjoint_densest_columns_fall_back_to_rows(self):
@@ -229,7 +232,7 @@ class TestWeakSignalDetection:
         mat = BinaryMatrix.from_dense([[1, 0], [1, 0], [0, 1]])
         rows, cols = weak_signal_detection(utl_rearrange(mat), 0.5)
         assert cols.to_dense().tolist() == [1, 0]
-        assert rows.to_dense().tolist() == [1, 1, 0]
+        assert rows.tolist() == [0, 1]
 
     def test_both_candidates_invalid(self):
         x = identity(2)
@@ -252,8 +255,7 @@ class TestWeakSignalDetection:
                 assert got is None
                 continue
             checked += 1
-            assert got[0].to_dense().tolist() == want[0].tolist()
-            assert got[1].to_dense().tolist() == want[1].tolist()
+            assert as_lists(got) == mask_lists(*want)
         assert checked > 100
 
 
@@ -269,10 +271,8 @@ def test_overlap_ratio_equal_to_t_stays_out():
                            ref_growth(dense, t)),
                           (weak_signal_detection(view, t),
                            ref_weak(dense, t))):
-            assert (got is None) == (want is None)
-            if got is not None:
-                assert got[0].to_dense().tolist() == want[0].tolist()
-                assert got[1].to_dense().tolist() == want[1].tolist()
+            assert as_lists(got) == (want if want is None
+                                     else mask_lists(*want))
 
 
 class TestConfig:
@@ -349,20 +349,18 @@ class TestFactorize:
         clear, add = UtlView.clear, RowGroups.add
 
         def recording_clear(view, rows, cols):
-            cleared.append((rows, cols))
+            cleared.append(as_lists((rows, cols)))
             clear(view, rows, cols)
 
         def recording_add(groups, rows, cols):
-            mask = np.zeros(mat.n_rows, np.uint8)
-            mask[rows] = 1
-            added.append((BinaryVector.from_dense(mask), cols))
+            added.append(as_lists((rows, cols)))
             add(groups, rows, cols)
 
         monkeypatch.setattr(UtlView, "clear", recording_clear)
         monkeypatch.setattr(RowGroups, "add", recording_add)
         result = mebf_factorize(mat, MebfConfig(t=WEAK_PATH_T, k_max=k_max))
         assert result.k == min(k_max, 6)
-        assert cleared == [pattern(result, l)
+        assert cleared == [as_lists(pattern(result, l))
                            for l in range(result.k - (result.k == k_max))]
         assert added == cleared
 
@@ -404,7 +402,8 @@ class TestFactorize:
         assert_matches_reference(dense, t, k_max)
         recon = np.zeros_like(dense)
         for l in range(result.k):
-            recon |= np.outer(*(v.to_dense() for v in pattern(result, l)))
+            recon |= np.outer(result.A.col(l).to_dense(),
+                              result.B.row(l).to_dense())
             assert result.residual_history[l] == int((dense & ~recon).sum())
 
     @given(st.integers(1, 40), st.integers(1, 40), st.integers(0, 2**32 - 1),
@@ -442,9 +441,7 @@ class TestFactorize:
             assert result.k == len(patterns)
             assert result.weak_signal_uses == weak_uses
             for l, (a, b) in enumerate(patterns):
-                got_a, got_b = pattern(result, l)
-                assert got_a.to_dense().tolist() == a.tolist()
-                assert got_b.to_dense().tolist() == b.tolist()
+                assert as_lists(pattern(result, l)) == mask_lists(a, b)
 
 
 def assert_matches_reference(dense, t, k_max):
@@ -457,9 +454,7 @@ def assert_matches_reference(dense, t, k_max):
     assert result.weak_signal_uses == weak_uses
     assert result.k == len(patterns)
     for l, (a, b) in enumerate(patterns):
-        got_a, got_b = pattern(result, l)
-        assert got_a.to_dense().tolist() == a.tolist()
-        assert got_b.to_dense().tolist() == b.tolist()
+        assert as_lists(pattern(result, l)) == mask_lists(a, b)
     return weak_uses
 
 
@@ -508,8 +503,8 @@ class TestFactorizeInvariants:
             # the ones of x outside the prefix reconstruction
             recon = BinaryMatrix.zeros(*mat.shape)
             for l in range(result.k):
-                recon = elementwise("or", recon,
-                                    rank1_product(*pattern(result, l)))
+                recon = elementwise("or", recon, rank1_product(
+                    *pattern(result, l), mat.n_rows))
                 uncovered = elementwise("and", mat, complement(recon))
                 assert result.residual_history[l] == uncovered.count()
 
@@ -668,7 +663,7 @@ class TestPlantedInvariants:
         recon = BinaryMatrix.zeros(*x.shape)
         for l in range(result.k):
             recon = elementwise("or", recon,
-                                rank1_product(*pattern(result, l)))
+                                rank1_product(*pattern(result, l), x.n_rows))
             uncovered = elementwise("and", x, complement(recon))
             assert result.residual_history[l] == uncovered.count()
         assert recon == bool_product(result.A, result.B)
@@ -771,7 +766,7 @@ class TestSharedView:
             cols = range(residual.n_cols)
             assert [view.col_at(r) for r in cols] == col_order.tolist()
             for finder in (bidirectional_growth, weak_signal_detection):
-                assert finder(view, t) == finder(fresh, t)
+                assert as_lists(finder(view, t)) == as_lists(finder(fresh, t))
 
 
 class TestLoopWork:
@@ -804,6 +799,37 @@ class TestLoopWork:
         assert len(counted) == 1 and counted[0] is x
         # one AND per accepted pattern but the one that fills the budget
         assert ops == ["and"] * (result.k - (result.k == k_max))
+
+    @pytest.mark.parametrize("name", sorted(VIEW_INSTANCES))
+    def test_rows_are_unpacked_once_per_column_anchor(self, name,
+                                                      monkeypatch):
+        # a pattern's row indices are found where it is grown; no kernel
+        # unpacks a row mask again, and A's columns are unpacked once, to
+        # be stacked
+        spec, t, k_max = VIEW_INSTANCES[name]
+        x = simulate(spec).X
+        unpacked, anchors = [], []
+        to_dense, grow = BinaryVector.to_dense, mebf.factorize._grow
+
+        def recording_to_dense(vector):
+            unpacked.append(vector)
+            return to_dense(vector)
+
+        def recording_grow(x_res, t, anchor_col, anchor_row):
+            anchors.append(anchor_col)
+            return grow(x_res, t, anchor_col, anchor_row)
+
+        monkeypatch.setattr(BinaryVector, "to_dense", recording_to_dense)
+        monkeypatch.setattr(mebf.factorize, "_grow", recording_grow)
+        result = mebf_factorize(x, MebfConfig(t=t, k_max=k_max))
+        monkeypatch.undo()
+
+        assert result.k > 1
+        column_anchors = [a for a in anchors if a is not None]
+        assert len(unpacked) == len(column_anchors) + result.k
+        assert all(u is a for u, a in zip(unpacked, column_anchors))
+        assert unpacked[len(column_anchors):] == [result.A.col(l)
+                                                  for l in range(result.k)]
 
 
 def spec_ranks(view):
@@ -858,5 +884,5 @@ class TestFactorResult:
         recon = BinaryMatrix.zeros(*mat.shape)
         for l in range(result.k):
             recon = elementwise("or", recon,
-                                rank1_product(*pattern(result, l)))
+                                rank1_product(*pattern(result, l), mat.n_rows))
         assert recon == bool_product(result.A, result.B)

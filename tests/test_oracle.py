@@ -85,9 +85,9 @@ def test_k1_agrees_with_independent_enumeration():
 def test_rank_one_input_recovered_exactly():
     rng = np.random.default_rng(113)
     for _ in range(10):
-        row_mask = BinaryVector.from_dense(rng.random(4) < 0.6)
+        rows = np.flatnonzero(rng.random(4) < 0.6)
         col_mask = BinaryVector.from_dense(rng.random(5) < 0.6)
-        x = rank1_product(row_mask, col_mask)
+        x = rank1_product(rows, col_mask, 4)
         _, _, cost = exhaustive_bmf(x, 1)
         assert cost == 0
 

@@ -1,5 +1,6 @@
 """Generator tests: reproducibility, rates, the flip rule, presets."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -32,6 +33,15 @@ def flips(inst):
 def test_noise_free_equals_product():
     inst = simulate(SimulationSpec(n=20, m=30, k=4, p0=0.3, p=0.0, seed=9))
     assert inst.X == bool_product(inst.U, inst.V)
+
+
+def test_noise_free_keeps_the_factors_of_a_noisy_draw():
+    # at p = 0 the mask is not drawn; U and V come first in the stream, so
+    # they are the factors any rate would give
+    quiet = simulate(SimulationSpec(n=40, m=70, k=4, p0=0.3, p=0.0, seed=5))
+    noisy = simulate(SimulationSpec(n=40, m=70, k=4, p0=0.3, p=0.2, seed=5))
+    assert quiet.U == noisy.U and quiet.V == noisy.V
+    assert quiet.X == bool_product(noisy.U, noisy.V)
 
 
 def test_reproducible():
@@ -84,13 +94,19 @@ def test_draws_match_one_shot_reference(m, n):
     assert inst.X == elementwise("xor", bool_product(u, v), e)
 
 
-@pytest.mark.parametrize("n, bound", [(2000, 3.36), (1000, 10.47)])
-def test_peak_memory_is_a_small_multiple_of_the_output(n, bound):
-    # measured at 3.350x and 10.460x; lower the bounds as simulate
-    # allocates less, never raise them
-    spec = SimulationSpec(n=n, m=n, k=5, p0=0.2, p=0.01, seed=3)
+@pytest.mark.parametrize("n, p, bound", [
+    pytest.param(2000, 0.01, 3.36, id="2000-3.36"),
+    pytest.param(1000, 0.01, 10.47, id="1000-10.47"),
+    pytest.param(2000, 0.0, 1.26, id="2000-noise_free-1.26"),
+    pytest.param(1000, 0.0, 1.35, id="1000-noise_free-1.35"),
+])
+def test_peak_memory_is_a_small_multiple_of_the_output(n, p, bound):
+    # measured at 3.350x and 10.460x with noise, 1.251x and 1.341x without
+    # (no mask is drawn); lower the bounds as simulate allocates less,
+    # never raise them
+    spec = SimulationSpec(n=n, m=n, k=5, p0=0.2, p=p, seed=3)
     # warm up: a process's first call allocates about 0.8 MB more
-    simulate(SimulationSpec(n=3, m=3, k=1, p0=0.2, p=0.01, seed=3))
+    simulate(SimulationSpec(n=3, m=3, k=1, p0=0.2, p=p, seed=3))
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -123,6 +139,29 @@ def test_empirical_rates_within_three_standard_errors():
 def test_spec_validation(bad):
     with pytest.raises(ValueError):
         SimulationSpec(**bad)
+
+
+@pytest.mark.parametrize("field", ["n", "m", "k", "seed"])
+@pytest.mark.parametrize("value", [10.5, 2.0, 1.5, np.float64(3), "3", None])
+def test_spec_fields_must_be_integers(field, value):
+    params = dict(n=10, m=10, k=2, p0=0.2, p=0.0, seed=0)
+    params[field] = value
+    message = f"{field} must be an integer, got {value!r}"
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        SimulationSpec(**params)
+
+
+@pytest.mark.parametrize("value", [3, np.int64(3), np.uint8(3)])
+def test_integer_spec_fields_are_kept(value):
+    # kept as Python ints: a uint8 m would overflow in simulate's block
+    # arithmetic
+    spec = SimulationSpec(n=value, m=value, k=value, p0=0.5, p=0.1,
+                          seed=value)
+    assert all(type(getattr(spec, f)) is int for f in ("n", "m", "k", "seed"))
+    inst = simulate(spec)
+    assert inst.X.shape == (3, 3) and inst.U.shape == (3, 3)
+    assert inst == simulate(SimulationSpec(n=3, m=3, k=3, p0=0.5, p=0.1,
+                                           seed=3))
 
 
 def test_replicate_seed_offsets():
