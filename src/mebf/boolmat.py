@@ -15,12 +15,14 @@ or a row outside the matrix raises ``ValueError`` before anything changes.
 Row growth reads only what its anchor can hit: when at most a quarter of
 the anchor's packed bytes are non-zero, ``row_dot_counts`` gathers those
 byte columns of x and tallies them, instead of ANDing every byte of every
-row.  ``rank1_cost`` and ``rank1_gain`` price a pattern from its own rows.
+row.  ``rank1_cost`` prices a pattern alone from its own rows.
 ``UtlView`` holds a factorization's residual with its line sums, and
 ``UtlView.clear`` is the one place that clears an accepted pattern from
 it.  That still costs O(nm) per round: ``rank1_product``, ``complement``
-and an ``elementwise`` AND.  ``RowGroups`` holds the union of the accepted
-patterns as groups of rows, so the loop keeps no n x m reconstruction.
+and an ``elementwise`` AND.  ``RowGroups`` holds a union of patterns as
+groups of rows: it is the one place that prices a pattern against the
+patterns before it, for the loop and for a report rebuilt from factors,
+and neither keeps an n x m reconstruction while it does.
 """
 
 from __future__ import annotations
@@ -38,9 +40,7 @@ __all__ = [
     "col_dot_counts",
     "complement",
     "elementwise",
-    "or_pattern",
     "rank1_cost",
-    "rank1_gain",
     "rank1_product",
     "row_dot_counts",
     "utl_rearrange",
@@ -200,7 +200,8 @@ class BinaryMatrix:
             raise ValueError("column length mismatch")
         if not cols:
             return cls.zeros(n_rows, 0)
-        dense = np.stack([c.to_dense() for c in cols], axis=1)
+        dense = np.unpackbits(np.stack([c._packed for c in cols], axis=1),
+                              axis=0, count=n_rows)
         return cls(n_rows, len(cols), np.packbits(dense, axis=1))
 
     @property
@@ -320,16 +321,22 @@ class RowGroups:
         self.table = np.zeros((1, _packed_width(n_cols)), dtype=np.uint8)
 
     def gain(self, rows: np.ndarray, col_mask: BinaryVector,
-             residual: BinaryMatrix) -> tuple[int, int]:
+             x: BinaryMatrix) -> tuple[int, int]:
         """(change of |x xor union|, ones of x newly covered) on adding the
-        pattern (rows, col_mask), where ``residual`` is x AND NOT union, in
-        the closed form that ``mebf.factorize`` states."""
+        pattern (rows, col_mask).  It flips N = pattern AND NOT union, whose
+        row i is ``~table[group[i]] & col_mask``, so the cost moves by |N| -
+        2 |N and x|.  x may be the input or any matrix that agrees with it
+        off the union, such as the residual x AND NOT union."""
+        if x.shape != self.shape:
+            raise ValueError(f"shape mismatch: {self.shape} vs {x.shape}")
         _check_fit(rows, col_mask, self.shape)
-        hit = residual._packed[rows]
-        hit &= col_mask._packed
+        fresh = ~self.table & col_mask._packed
+        group = self.group[rows]
+        hit = x._packed[rows]
+        hit &= fresh[group]
         covered = _popcount(hit)
-        added = np.bitwise_count(~self.table & col_mask._packed).sum(axis=1)
-        return int(added[self.group[rows]].sum()) - 2 * covered, covered
+        added = np.bitwise_count(fresh).sum(axis=1)
+        return int(added[group].sum()) - 2 * covered, covered
 
     def add(self, rows: np.ndarray, col_mask: BinaryVector) -> None:
         """OR the pattern (rows, col_mask) into the union: its rows in each
@@ -346,6 +353,10 @@ class RowGroups:
             live, remap = _renumber(self.group, len(self.table), 0)
             self.group = remap[self.group]
             self.table = self.table[live]
+
+    def product(self) -> BinaryMatrix:
+        """The union as an n x m matrix, in one gather of the table."""
+        return BinaryMatrix(*self.shape, self.table[self.group])
 
 
 def _renumber(labels: np.ndarray, n_labels: int,
@@ -376,22 +387,16 @@ def utl_rearrange(x: BinaryMatrix) -> UtlView:
 def bool_product(a_mat: BinaryMatrix, b_mat: BinaryMatrix) -> BinaryMatrix:
     """Boolean matrix product: entry (i, j) is OR over l of A[i,l] AND B[l,j].
 
-    Each pattern l (column l of A with row l of B) is ORed into the result.
+    Each pattern l (column l of A with row l of B) is ORed into the rows
+    of the result that it covers.
     """
     if a_mat.n_cols != b_mat.n_rows:
         raise ValueError(
             f"incompatible shapes for product: {a_mat.shape} x {b_mat.shape}")
     out = BinaryMatrix.zeros(a_mat.n_rows, b_mat.n_cols)
     for l in range(a_mat.n_cols):
-        or_pattern(out, a_mat.col(l).nonzero(), b_mat.row(l))
+        out._packed[a_mat.col(l).nonzero()] |= b_mat.row(l)._packed
     return out
-
-
-def or_pattern(recon: BinaryMatrix, rows: np.ndarray,
-               col_mask: BinaryVector) -> None:
-    """OR the pattern into recon in place, writing the pattern's rows only."""
-    _check_fit(rows, col_mask, recon.shape)
-    recon._packed[rows] |= col_mask._packed
 
 
 def elementwise(op: str, a: BinaryMatrix, b: BinaryMatrix) -> BinaryMatrix:
@@ -468,26 +473,10 @@ def rank1_cost(rows: np.ndarray, col_mask: BinaryVector,
                x: BinaryMatrix) -> int:
     """Change of cost when the pattern (rows, col_mask) alone approximates
     x: |pattern| - 2 |pattern and x|, read from the pattern's rows.  This
-    is ``rank1_gain``'s delta against an all-zero recon; the absolute cost
+    is ``RowGroups.gain``'s delta against an empty union; the absolute cost
     adds |x|, which every candidate against one x shares.
     """
     _check_fit(rows, col_mask, x.shape)
     hit = x._packed[rows]
     hit &= col_mask._packed
     return len(rows) * col_mask.count() - 2 * _popcount(hit)
-
-
-def rank1_gain(rows: np.ndarray, col_mask: BinaryVector, x: BinaryMatrix,
-               recon: BinaryMatrix) -> tuple[int, int]:
-    """(change of |x xor recon|, ones of x newly covered) on ORing the
-    pattern into recon: it flips N = pattern AND NOT recon, so the cost
-    moves by |N| - 2 |N and x|.  Reads the pattern's rows only.
-    """
-    if recon.shape != x.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {recon.shape}")
-    _check_fit(rows, col_mask, x.shape)
-    added = ~recon._packed[rows] & col_mask._packed
-    hit = x._packed[rows]
-    hit &= added
-    covered = _popcount(hit)
-    return _popcount(added) - 2 * covered, covered

@@ -17,11 +17,10 @@ kernel that reads its rows takes them.
 No reconstruction is formed.  The accepted patterns are held as row groups
 (``RowGroups``): rows in one group lie in the same patterns, so their row
 of the reconstruction R is one packed row of a table.  Adding a pattern P
-flips N = P AND NOT R, and since the residual is X AND NOT R, P is priced
-from the residual and the groups alone: it covers c = |P and residual| new
-ones of X, and the cost |X xor R| moves by delta = |N| - 2c, where |N| sums
-over P's rows one popcount per group, of P's columns AND NOT the group's
-row.
+flips N = P AND NOT R, so ``RowGroups.gain`` prices P from X and the groups
+alone: it covers c = |N and X| new ones of X, and the cost |X xor R| moves
+by delta = |N| - 2c, where |N| sums over P's rows one popcount per group,
+of P's columns AND NOT the group's row.
 
 The row and column sums behind the arrangement are counted once per
 factorization and then lowered by the ones each accepted pattern covers,
@@ -227,14 +226,14 @@ def mebf_factorize(x: BinaryMatrix, cfg: MebfConfig) -> FactorResult:
     while residual_count:
         iterations += 1
         pair = bidirectional_growth(view, cfg.t)
-        delta, covered = accepted.gain(*pair, view.x)
+        delta, covered = accepted.gain(*pair, x)
         from_weak = False
 
         if row_parts and delta > 0:
             pair = weak_signal_detection(view, cfg.t)
             if pair is None:
                 break
-            delta, covered = accepted.gain(*pair, view.x)
+            delta, covered = accepted.gain(*pair, x)
             if delta > 0:
                 break
             from_weak = True

@@ -7,16 +7,15 @@ ones), density (average fill of the factor matrices), and coverage rate
 denominator is zero raises :class:`UndefinedMetricError`; report builders
 turn that into an absent field plus a warning instead of serializing NaN.
 A report rebuilt from factor files alone recovers the cost trace one
-pattern at a time, each pattern's ``rank1_gain`` against the product of the
-patterns before it.
+pattern at a time, pricing each against the union of the patterns before
+it with ``RowGroups.gain``, as the factorization loop does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .boolmat import (BinaryMatrix, bool_product, elementwise, or_pattern,
-                      rank1_gain)
+from .boolmat import BinaryMatrix, RowGroups, bool_product, elementwise
 from .factorize import FactorResult
 
 __all__ = [
@@ -170,9 +169,9 @@ def report_from_factors(x: BinaryMatrix, a_mat: BinaryMatrix,
 
     The cost trace is recovered as the cost of each prefix of patterns
     against x, which reproduces the trace recorded during factorization:
-    from |x|, each pattern moves the cost by its ``rank1_gain`` against
-    the product of the patterns before it, then is ORed into it, on its
-    own rows only.  The last product is the product of A and B.
+    from |x|, each pattern moves the cost by its ``RowGroups.gain``
+    against the union of the patterns before it, then is added to it.
+    The last union is the product of A and B.
     """
     if a_mat.n_cols != b_mat.n_rows:
         raise ValueError(
@@ -180,12 +179,14 @@ def report_from_factors(x: BinaryMatrix, a_mat: BinaryMatrix,
     if (a_mat.n_rows, b_mat.n_cols) != x.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs "
                          f"{(a_mat.n_rows, b_mat.n_cols)}")
-    recon = BinaryMatrix.zeros(x.n_rows, x.n_cols)
+    union = RowGroups(x.n_rows, x.n_cols)
     cost = x.count()
     history = []
     for l in range(a_mat.n_cols):
-        rows, cols = a_mat.col(l).nonzero(), b_mat.row(l)
-        cost += rank1_gain(rows, cols, x, recon)[0]
-        or_pattern(recon, rows, cols)
+        pair = a_mat.col(l).nonzero(), b_mat.row(l)
+        cost += union.gain(*pair, x)[0]
+        union.add(*pair)
         history.append(cost)
+    recon = union.product()
+    del union  # its groups are not held while the report is assembled
     return _assemble(x, recon, a_mat, b_mat, tuple(history), truth)

@@ -3,9 +3,10 @@
 An instance is assembled as the Boolean product of two Bernoulli factor
 matrices, with an independent Bernoulli mask flipping entries of the
 product.  Everything is drawn from one seeded stream in a fixed order, so
-an instance is a pure function of its spec.  It keeps X, U and V, not the
-mask, which is drawn in row blocks of at most 1 MiB of float64, and only
-when the noise rate is positive: at p = 0, X is the product itself.
+an instance is a pure function of its spec.  Each matrix is drawn in row
+blocks of at most 1 MiB of float64.  An instance keeps X, U and V, not the
+mask, which is drawn only when the noise rate is positive: at p = 0, X is
+the product itself.
 """
 
 from __future__ import annotations
@@ -83,23 +84,29 @@ def simulate(spec: SimulationSpec) -> SimulatedInstance:
     drawn: the stream ends after V, so U, V and X are the same as with it.
     """
     rng = np.random.default_rng(spec.seed)
-    u = BinaryMatrix.from_dense(rng.random((spec.n, spec.k)) < spec.p0)
-    v = BinaryMatrix.from_dense(rng.random((spec.k, spec.m)) < spec.p0)
+    u = _draw(rng, spec.n, spec.k, spec.p0)
+    v = _draw(rng, spec.k, spec.m, spec.p0)
     if spec.p == 0:
         return SimulatedInstance(X=bool_product(u, v), U=u, V=v)
-    # the mask in blocks of at most 1 MiB of float64: the generator fills
-    # row-major, so the draws match one (n, m) call without its temporary
-    rows = max(1, 2**17 // spec.m)
-    noise = np.empty((spec.n, (spec.m + 7) // 8), dtype=np.uint8)
-    for start in range(0, spec.n, rows):
-        block = noise[start:start + rows]
-        block[:] = np.packbits(rng.random((len(block), spec.m)) < spec.p,
-                               axis=1)
+    noise = _draw(rng, spec.n, spec.m, spec.p)
     # the product only now that the draws are freed: formed before them,
     # it would add to their peak
-    x = elementwise("xor", bool_product(u, v),
-                    BinaryMatrix(spec.n, spec.m, noise))
+    x = elementwise("xor", bool_product(u, v), noise)
     return SimulatedInstance(X=x, U=u, V=v)
+
+
+def _draw(rng: np.random.Generator, n_rows: int, n_cols: int,
+          rate: float) -> BinaryMatrix:
+    """Bernoulli(rate) entries in row blocks of at most 1 MiB of float64,
+    packed as drawn: the generator fills row-major, so the draws match one
+    (n_rows, n_cols) call without its temporary."""
+    rows = max(1, 2**17 // n_cols)
+    packed = np.empty((n_rows, (n_cols + 7) // 8), dtype=np.uint8)
+    for start in range(0, n_rows, rows):
+        block = packed[start:start + rows]
+        block[:] = np.packbits(rng.random((len(block), n_cols)) < rate,
+                               axis=1)
+    return BinaryMatrix(n_rows, n_cols, packed)
 
 
 def replicate_seed(base_seed: int, replicate: int) -> int:

@@ -123,20 +123,54 @@ def test_counts_are_derived_not_stored():
 
 
 def test_mutable_matrices_are_unhashable():
-    # the report ORs patterns into its product in place, so a content hash
-    # could go stale while the object sits in a set or dict
+    # a matrix wraps a writable buffer (bool_product ORs patterns into its
+    # output in place), so a content hash could go stale while the object
+    # sits in a set or dict
     for value in (BinaryMatrix.zeros(2, 3), BinaryVector.zeros(3)):
         with pytest.raises(TypeError):
             hash(value)
 
 
 def test_one_kernel_prices_a_pattern():
-    assert "rank1_gain" in boolmat.__all__
-    assert "rank1_overlap" not in boolmat.__all__
-    assert not hasattr(boolmat, "rank1_overlap")
+    # RowGroups.gain prices a pattern against the patterns before it, for
+    # the loop and for a report rebuilt from factors
+    for name in ("rank1_gain", "or_pattern", "rank1_overlap"):
+        assert not hasattr(boolmat, name)
+    for function in (mebf_factorize, report_from_factors):
+        assert "gain" in function.__code__.co_names
     for finder in (mebf.bidirectional_growth, mebf.weak_signal_detection):
         view = inspect.signature(finder).parameters["view"]
         assert view.default is inspect.Parameter.empty
+
+
+def calls_outside_their_definition(tree: ast.AST) -> set:
+    """Names of the functions and classes called in tree, leaving out a
+    call made inside the definition of the name it calls."""
+    called = set()
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            enclosing = enclosing | {node.name}
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(
+                func, "attr", None)
+            if name not in enclosing:
+                called.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(tree, frozenset())
+    return called
+
+
+def test_every_public_kernel_is_called():
+    # a boolmat name that no module of the package calls is a dead kernel
+    src = pathlib.Path(mebf.__file__).parent
+    called = set()
+    for path in sorted(src.glob("*.py")):
+        called |= calls_outside_their_definition(ast.parse(path.read_text()))
+    assert sorted(set(boolmat.__all__) - called) == []
 
 
 def test_modules_keep_their_private_names():

@@ -17,9 +17,7 @@ from mebf.boolmat import (
     col_dot_counts,
     complement,
     elementwise,
-    or_pattern,
     rank1_cost,
-    rank1_gain,
     rank1_product,
     row_dot_counts,
     utl_rearrange,
@@ -480,22 +478,42 @@ class TestRowDotCountsGather:
 
 
 def gain_on_empty(rows, col_mask, x):
-    """rank1_gain against an all-zero recon: the pattern covers exactly its
+    """RowGroups.gain against an empty union: the pattern covers exactly its
     overlap with x, and the cost moves by |pattern| - 2 * overlap."""
-    return rank1_gain(rows, col_mask, x, BinaryMatrix.zeros(*x.shape))
+    return RowGroups(*x.shape).gain(rows, col_mask, x)
+
+
+def union_of(recon):
+    """A RowGroups union equal to the dense recon, one row at a time."""
+    groups = RowGroups(*recon.shape)
+    for i, row in enumerate(recon):
+        groups.add(np.array([i]), BinaryVector.from_dense(row))
+    return groups
+
+
+def numpy_gain(x, recon, p):
+    """(change of |x xor recon|, ones of x newly covered) on ORing p into
+    recon, from dense arrays."""
+    after = recon | p
+    return (int((x ^ after).sum()) - int((x ^ recon).sum()),
+            int((x & after).sum()) - int((x & recon).sum()))
 
 
 class TestRank1Gain:
+    """Pricing a rank-1 pattern against the union before it:
+    ``RowGroups.gain``."""
+
     def test_hand_example(self):
         x = BinaryMatrix.from_dense([[1, 1, 0], [0, 1, 1], [1, 1, 1]])
         rows = np.array([0, 2])
         cols = BinaryVector.from_dense([0, 1, 1])
         assert gain_on_empty(rows, cols, x) == (4 - 2 * 3, 3)
-        # entries already in recon are not flipped again: only (0, 2) and
-        # (2, 2) are added, one of which is a one of x
-        recon = BinaryMatrix.from_dense([[1, 1, 0], [0, 0, 0], [0, 1, 0]])
-        assert rank1_gain(rows, cols, x, recon) == (2 - 2 * 1, 1)
-        assert rank1_gain(rows, cols, x, ones(3, 3)) == (0, 0)
+        # entries already in the union are not flipped again: only (0, 2)
+        # and (2, 2) are added, one of which is a one of x
+        union = union_of(np.array([[1, 1, 0], [0, 0, 0], [0, 1, 0]]))
+        assert union.gain(rows, cols, x) == (2 - 2 * 1, 1)
+        assert union_of(np.ones((3, 3), np.uint8)).gain(rows, cols,
+                                                        x) == (0, 0)
 
     def test_empty_pattern(self):
         x = ones(4, 5)
@@ -508,8 +526,8 @@ class TestRank1Gain:
             gain_on_empty(np.arange(4), ones_vector(3),
                           BinaryMatrix.zeros(4, 4))
         with pytest.raises(ValueError, match="shape mismatch"):
-            rank1_gain(np.arange(4), ones_vector(4),
-                       BinaryMatrix.zeros(4, 4), BinaryMatrix.zeros(4, 5))
+            RowGroups(4, 4).gain(np.arange(4), ones_vector(4),
+                                 BinaryMatrix.zeros(4, 5))
 
     @given(row_patterns())
     def test_against_numpy(self, instance):
@@ -520,26 +538,43 @@ class TestRank1Gain:
         overlap = int((dense & pattern).sum())
         assert gain_on_empty(rows, cols, x) == (
             int(pattern.sum()) - 2 * overlap, overlap)
-        after = recon | pattern
-        assert rank1_gain(rows, cols, x, BinaryMatrix.from_dense(recon)) == (
-            int((dense ^ after).sum()) - int((dense ^ recon).sum()),
-            int((dense & after).sum()) - int((dense & recon).sum()))
+        assert union_of(recon).gain(rows, cols, x) == numpy_gain(
+            dense, recon, pattern)
+
+    @given(row_patterns(), st.data())
+    def test_input_and_residual_price_alike(self, instance, data):
+        # part of the pattern already lies in the union, so the price reads
+        # x off the union only, where x and the residual agree
+        dense, recon, rows, col_mask = instance
+        pattern = dense_pattern(rows, col_mask, len(dense))
+        in_union = data.draw(arrays(np.bool_, len(dense)))
+        recon = recon | pattern * in_union[:, None]
+        union = union_of(recon)
+        cols = BinaryVector.from_dense(col_mask)
+        x = BinaryMatrix.from_dense(dense)
+        residual = BinaryMatrix.from_dense(dense & (1 - recon))
+        assert union.gain(rows, cols, x) == union.gain(
+            rows, cols, residual) == numpy_gain(dense, recon, pattern)
 
 
 class TestOrPattern:
+    """ORing a pattern into a union: ``RowGroups.add``, read back whole
+    with ``RowGroups.product``."""
+
     @given(row_patterns())
     def test_against_numpy(self, instance):
         dense, _, rows, col_mask = instance
-        recon = BinaryMatrix.from_dense(dense)
-        or_pattern(recon, rows, BinaryVector.from_dense(col_mask))
+        union = union_of(dense)
+        assert union.product() == BinaryMatrix.from_dense(dense)
+        union.add(rows, BinaryVector.from_dense(col_mask))
+        recon = union.product()
         assert np.array_equal(recon.to_dense(), dense | dense_pattern(
             rows, col_mask, len(dense)))
         assert recon == BinaryMatrix.from_dense(recon.to_dense())
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="does not fit"):
-            or_pattern(BinaryMatrix.zeros(4, 4), np.arange(4),
-                       ones_vector(5))
+            RowGroups(4, 4).add(np.arange(4), ones_vector(5))
 
 
 def view_orders(view):
@@ -725,8 +760,8 @@ class TestCostGamma:
 
 class TestRowIndexKernels:
     """The kernels that take a pattern as (rows, col_mask), against numpy;
-    ``rank1_gain``, ``or_pattern`` and ``UtlView.clear`` take the same
-    instances in their own classes."""
+    ``RowGroups`` and ``UtlView.clear`` take the same instances in their
+    own classes."""
 
     @given(row_patterns())
     def test_against_numpy(self, instance):
@@ -745,7 +780,7 @@ class TestRowIndexKernels:
     @given(row_patterns(), st.sampled_from(("below", "above", "cols")))
     def test_a_pattern_that_does_not_fit_changes_nothing(self, instance,
                                                          fault):
-        x, recon, rows, col_mask = instance
+        x, _, rows, col_mask = instance
         n, m = x.shape
         cols = BinaryVector.from_dense(col_mask)
         if fault == "below":
@@ -754,12 +789,10 @@ class TestRowIndexKernels:
             rows = np.concatenate((rows, [n]))
         else:
             cols = BinaryVector.from_dense(np.append(col_mask, 1))
-        x_mat, recon_mat = (BinaryMatrix.from_dense(a) for a in (x, recon))
+        x_mat = BinaryMatrix.from_dense(x)
         view = utl_rearrange(x_mat)
         groups = RowGroups(n, m)
         kernels = [lambda: rank1_cost(rows, cols, x_mat),
-                   lambda: rank1_gain(rows, cols, x_mat, recon_mat),
-                   lambda: or_pattern(recon_mat, rows, cols),
                    lambda: view.clear(rows, cols),
                    lambda: groups.gain(rows, cols, x_mat),
                    lambda: groups.add(rows, cols)]
@@ -770,7 +803,6 @@ class TestRowIndexKernels:
             with pytest.raises(ValueError):
                 kernel()
         assert x_mat == BinaryMatrix.from_dense(x)
-        assert recon_mat == BinaryMatrix.from_dense(recon)
         assert view.x is x_mat
         assert view.row_totals.tolist() == x.sum(axis=1).tolist()
         assert view.col_totals.tolist() == x.sum(axis=0).tolist()

@@ -24,7 +24,6 @@ from mebf.boolmat import (
     bool_product,
     complement,
     elementwise,
-    or_pattern,
     rank1_product,
     utl_rearrange,
 )
@@ -589,7 +588,9 @@ class TestRowGroups:
             residual = x & ~recon
             col_mask = BinaryVector.from_dense(cols)
             delta, covered = groups.gain(rows, col_mask,
-                                         BinaryMatrix.from_dense(residual))
+                                         BinaryMatrix.from_dense(x))
+            assert groups.gain(rows, col_mask, BinaryMatrix.from_dense(
+                residual)) == (delta, covered)
             assert covered == int((p & residual).sum())
             assert delta == int((x ^ (recon | p)).sum() - (x ^ recon).sum())
             overlap = len(rows) * int(cols.sum()) - delta - 2 * covered
@@ -600,6 +601,7 @@ class TestRowGroups:
             assert len(groups.table) <= n
             union = np.unpackbits(groups.table, axis=1, count=m)
             assert np.array_equal(union[groups.group], recon)
+            assert groups.product() == BinaryMatrix.from_dense(recon)
             # each group the pattern takes only part of splits in two
             taken = np.isin(np.arange(n), rows)
             partial = sum(0 < taken[before == g].sum() < (before == g).sum()
@@ -743,11 +745,12 @@ class TestSharedView:
         assert finders.count(weak_signal_detection) >= \
             result.weak_signal_uses
         for accepted, view in calls:
-            recon = BinaryMatrix.zeros(*x.shape)
+            union = RowGroups(*x.shape)
             for l in range(accepted):
-                or_pattern(recon, *pattern(result, l))
+                union.add(*pattern(result, l))
             residual = view.x
-            assert residual == elementwise("and", x, complement(recon))
+            assert residual == elementwise("and", x, complement(
+                union.product()))
             fresh = utl_rearrange(residual)
             for field in ("row_totals", "col_totals"):
                 assert np.array_equal(getattr(view, field),
@@ -804,8 +807,8 @@ class TestLoopWork:
     def test_rows_are_unpacked_once_per_column_anchor(self, name,
                                                       monkeypatch):
         # a pattern's row indices are found where it is grown; no kernel
-        # unpacks a row mask again, and A's columns are unpacked once, to
-        # be stacked
+        # unpacks a row mask again, and A is stacked from its packed
+        # columns in one unpack, not one per column
         spec, t, k_max = VIEW_INSTANCES[name]
         x = simulate(spec).X
         unpacked, anchors = [], []
@@ -826,10 +829,8 @@ class TestLoopWork:
 
         assert result.k > 1
         column_anchors = [a for a in anchors if a is not None]
-        assert len(unpacked) == len(column_anchors) + result.k
+        assert len(unpacked) == len(column_anchors)
         assert all(u is a for u, a in zip(unpacked, column_anchors))
-        assert unpacked[len(column_anchors):] == [result.A.col(l)
-                                                  for l in range(result.k)]
 
 
 def spec_ranks(view):

@@ -11,11 +11,10 @@ from hypothesis.extra.numpy import arrays
 
 from mebf.boolmat import (
     BinaryMatrix,
+    RowGroups,
     bool_product,
     complement,
     elementwise,
-    or_pattern,
-    rank1_gain,
 )
 from mebf.factorize import FactorResult, MebfConfig, mebf_factorize
 from mebf.metrics import (
@@ -300,23 +299,23 @@ def factor_instances(draw):
 
 
 class TestPricingAgainstNumpy:
-    """rank1_gain and the report's trace on arbitrary factors."""
+    """RowGroups.gain and the report's trace on arbitrary factors."""
 
     @settings(max_examples=200, deadline=None)
     @given(factor_instances())
     def test_gain_and_report_match_numpy(self, instance):
         x, a, b = instance
         x_mat, a_mat, b_mat = mats(x, a, b)
-        recon = BinaryMatrix.zeros(*x.shape)
+        union = RowGroups(*x.shape)
         before = np.zeros_like(x)
         for l in range(a.shape[1]):
             after = before | np.outer(a[:, l], b[l])
             rows = np.flatnonzero(a[:, l])
-            assert rank1_gain(rows, b_mat.row(l), x_mat, recon) == (
+            assert union.gain(rows, b_mat.row(l), x_mat) == (
                 int((x ^ after).sum()) - int((x ^ before).sum()),
                 int((x & after).sum()) - int((x & before).sum()))
-            or_pattern(recon, rows, b_mat.row(l))
-            assert np.array_equal(recon.to_dense(), after)
+            union.add(rows, b_mat.row(l))
+            assert np.array_equal(union.product().to_dense(), after)
             before = after
 
         report = report_from_factors(x_mat, a_mat, b_mat)

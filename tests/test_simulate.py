@@ -82,29 +82,42 @@ def test_flip_rule():
     *((131073, n) for n in (1, 2, 3)),
 ])
 def test_draws_match_one_shot_reference(m, n):
+    assert_matches_one_shot(SimulationSpec(n=n, m=m, k=3, p0=0.3, p=0.4,
+                                           seed=n * 100 + m))
+
+
+@pytest.mark.parametrize("n", [2047, 2048, 2049, 6145])
+def test_tall_factor_draws_match_one_shot_reference(n):
+    # U in 2048-row blocks (2**17 // k), cut inside and at their edges
+    assert_matches_one_shot(SimulationSpec(n=n, m=2, k=64, p0=0.3, p=0.4,
+                                           seed=n))
+
+
+def assert_matches_one_shot(spec):
     # the reference draws each matrix in one call: U, then V, then the mask
-    spec = SimulationSpec(n=n, m=m, k=3, p0=0.3, p=0.4, seed=n * 100 + m)
     rng = np.random.default_rng(spec.seed)
-    u = BinaryMatrix.from_dense(rng.random((n, spec.k)) < spec.p0)
-    v = BinaryMatrix.from_dense(rng.random((spec.k, m)) < spec.p0)
-    e = BinaryMatrix.from_dense(rng.random((n, m)) < spec.p)
+    u = BinaryMatrix.from_dense(rng.random((spec.n, spec.k)) < spec.p0)
+    v = BinaryMatrix.from_dense(rng.random((spec.k, spec.m)) < spec.p0)
+    e = BinaryMatrix.from_dense(rng.random((spec.n, spec.m)) < spec.p)
     inst = simulate(spec)
     assert inst.U == u
     assert inst.V == v
     assert inst.X == elementwise("xor", bool_product(u, v), e)
 
 
-@pytest.mark.parametrize("n, p, bound", [
-    pytest.param(2000, 0.01, 3.36, id="2000-3.36"),
-    pytest.param(1000, 0.01, 10.47, id="1000-10.47"),
-    pytest.param(2000, 0.0, 1.26, id="2000-noise_free-1.26"),
-    pytest.param(1000, 0.0, 1.35, id="1000-noise_free-1.35"),
+@pytest.mark.parametrize("n, m, k, p, bound", [
+    pytest.param(2000, 2000, 5, 0.01, 3.36, id="2000-3.36"),
+    pytest.param(1000, 1000, 5, 0.01, 10.47, id="1000-10.47"),
+    pytest.param(2000, 2000, 5, 0.0, 1.26, id="2000-noise_free-1.26"),
+    pytest.param(1000, 1000, 5, 0.0, 1.35, id="1000-noise_free-1.35"),
+    pytest.param(100000, 64, 20, 0.0, 1.86, id="100000x64-noise_free-1.86"),
 ])
-def test_peak_memory_is_a_small_multiple_of_the_output(n, p, bound):
+def test_peak_memory_is_a_small_multiple_of_the_output(n, m, k, p, bound):
     # measured at 3.350x and 10.460x with noise, 1.251x and 1.341x without
-    # (no mask is drawn); lower the bounds as simulate allocates less,
-    # never raise them
-    spec = SimulationSpec(n=n, m=n, k=5, p0=0.2, p=p, seed=3)
+    # (no mask is drawn), and 1.851x on the tall, narrow instance, where
+    # U's draw set the peak at 22.5x while it was drawn whole; lower the
+    # bounds as simulate allocates less, never raise them
+    spec = SimulationSpec(n=n, m=m, k=k, p0=0.2, p=p, seed=3)
     # warm up: a process's first call allocates about 0.8 MB more
     simulate(SimulationSpec(n=3, m=3, k=1, p0=0.2, p=p, seed=3))
     tracemalloc.start()
