@@ -22,7 +22,7 @@ it.  That still costs O(nm) per round: ``rank1_product``, ``complement``
 and an ``elementwise`` AND.  ``RowGroups`` holds a union of patterns as
 groups of rows: it is the one place that prices a pattern against the
 patterns before it, for the loop and for a report rebuilt from factors,
-and neither keeps an n x m reconstruction while it does.
+and never forms an n x m matrix; ``bool_product`` forms a product of factors.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ _GATHER_RATIO = 4
 _ELEMENTWISE_UFUNCS = {
     "xor": np.bitwise_xor,
     "and": np.bitwise_and,
-    "or": np.bitwise_or,
 }
 
 
@@ -230,6 +229,10 @@ class BinaryMatrix:
         return BinaryVector(self.n_cols, self._packed[i].copy())
 
     def col(self, j: int) -> BinaryVector:
+        """Column j, counted from the end when negative, as ``row`` does."""
+        if not -self.n_cols <= j < self.n_cols:
+            raise IndexError(f"column {j} outside {self.n_cols} columns")
+        j %= self.n_cols
         bits = (self._packed[:, j >> 3] >> (7 - (j & 7))) & 1
         return BinaryVector(self.n_rows, np.packbits(bits))
 
@@ -306,11 +309,12 @@ class RowGroups:
 
     Rows in one group lie in the same patterns, so row i of the union is
     ``table[group[i]]``, the OR of those patterns' packed column masks.  It
-    starts as one empty group.  Neither :meth:`gain` nor :meth:`add` forms
-    an n x m matrix, and both raise ``ValueError`` on a pattern that does
-    not fit the union's shape.  Groups left without rows are dropped
-    whenever the table holds more rows than the union, so between calls it
-    is no larger than the union's packed bytes.
+    starts as one empty group.  It prices patterns (:meth:`gain`) and adds
+    them (:meth:`add`), never forms an n x m matrix, and raises
+    ``ValueError`` on a pattern that does not fit the union's shape.
+    Groups left without rows are dropped whenever the table holds more rows
+    than the union, so between calls it is no larger than the union's
+    packed bytes.
     """
 
     __slots__ = ("shape", "group", "table")
@@ -354,10 +358,6 @@ class RowGroups:
             self.group = remap[self.group]
             self.table = self.table[live]
 
-    def product(self) -> BinaryMatrix:
-        """The union as an n x m matrix, in one gather of the table."""
-        return BinaryMatrix(*self.shape, self.table[self.group])
-
 
 def _renumber(labels: np.ndarray, n_labels: int,
               first: int) -> tuple[np.ndarray, np.ndarray]:
@@ -400,7 +400,7 @@ def bool_product(a_mat: BinaryMatrix, b_mat: BinaryMatrix) -> BinaryMatrix:
 
 
 def elementwise(op: str, a: BinaryMatrix, b: BinaryMatrix) -> BinaryMatrix:
-    """Entrywise ``xor`` (symmetric difference), ``and``, or ``or``."""
+    """Entrywise ``xor`` (symmetric difference) or ``and``."""
     try:
         ufunc = _ELEMENTWISE_UFUNCS[op]
     except KeyError:

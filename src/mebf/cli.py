@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -45,6 +46,13 @@ def _rate(text: str) -> float:
     value = float(text)
     if not 0.0 <= value <= 1.0:
         raise argparse.ArgumentTypeError(f"{value} does not lie in [0, 1]")
+    return value
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{value} is not a finite number")
     return value
 
 
@@ -228,7 +236,7 @@ def _add_input_flags(p) -> None:
     p.add_argument("--input", required=True, help="matrix file to read")
     p.add_argument("--format", choices=FORMATS, default="dense01",
                    help="input file format")
-    p.add_argument("--threshold", type=float, default=0.0,
+    p.add_argument("--threshold", type=_finite, default=0.0,
                    help="binarization threshold applied to csv inputs")
 
 
@@ -287,7 +295,7 @@ def _build_parser() -> argparse.ArgumentParser:
     den = sub.add_parser("denoise",
                          help="mask a csv matrix by its binary patterns")
     den.add_argument("--input", required=True, help="csv matrix to denoise")
-    den.add_argument("--threshold", type=float, default=0.0,
+    den.add_argument("--threshold", type=_finite, default=0.0,
                      help="binarization threshold")
     den.add_argument("--t", type=_fraction, default=0.6,
                      help="similarity threshold")

@@ -6,9 +6,10 @@ ones), density (average fill of the factor matrices), and coverage rate
 (fraction of the input's ones reproduced by the product).  A metric whose
 denominator is zero raises :class:`UndefinedMetricError`; report builders
 turn that into an absent field plus a warning instead of serializing NaN.
-A report rebuilt from factor files alone recovers the cost trace one
-pattern at a time, pricing each against the union of the patterns before
-it with ``RowGroups.gain``, as the factorization loop does.
+Both reports form the product of A and B with ``bool_product``.  A report
+rebuilt from factor files alone recovers the cost trace one pattern at a
+time, pricing each against the union of the patterns before it with
+``RowGroups.gain``, as the factorization loop does.
 """
 
 from __future__ import annotations
@@ -115,11 +116,12 @@ class MetricsReport:
         return out
 
 
-def _assemble(x: BinaryMatrix, recon: BinaryMatrix, a_mat: BinaryMatrix,
-              b_mat: BinaryMatrix, cost_history: tuple[int, ...],
+def _assemble(x: BinaryMatrix, a_mat: BinaryMatrix, b_mat: BinaryMatrix,
+              cost_history: tuple[int, ...],
               truth: tuple[BinaryMatrix, BinaryMatrix] | None
               ) -> MetricsReport:
-    """The report of factors A, B of x, whose product is recon."""
+    """The report of factors A, B of x with this cost trace."""
+    recon = bool_product(a_mat, b_mat)
     warnings: list[str] = []
 
     def defined(metric, *args) -> float | None:
@@ -157,8 +159,7 @@ def build_report(x: BinaryMatrix, result: FactorResult,
     optional pair of planted factor matrices; providing it enables the
     reconstruction error.
     """
-    return _assemble(x, bool_product(result.A, result.B), result.A, result.B,
-                     result.cost_history, truth)
+    return _assemble(x, result.A, result.B, result.cost_history, truth)
 
 
 def report_from_factors(x: BinaryMatrix, a_mat: BinaryMatrix,
@@ -171,7 +172,7 @@ def report_from_factors(x: BinaryMatrix, a_mat: BinaryMatrix,
     against x, which reproduces the trace recorded during factorization:
     from |x|, each pattern moves the cost by its ``RowGroups.gain``
     against the union of the patterns before it, then is added to it.
-    The last union is the product of A and B.
+    The product of A and B is formed as ``build_report`` forms it.
     """
     if a_mat.n_cols != b_mat.n_rows:
         raise ValueError(
@@ -187,6 +188,5 @@ def report_from_factors(x: BinaryMatrix, a_mat: BinaryMatrix,
         cost += union.gain(*pair, x)[0]
         union.add(*pair)
         history.append(cost)
-    recon = union.product()
     del union  # its groups are not held while the report is assembled
-    return _assemble(x, recon, a_mat, b_mat, tuple(history), truth)
+    return _assemble(x, a_mat, b_mat, tuple(history), truth)

@@ -3,15 +3,21 @@
 None of this is used by the package itself: ``naive_bool_product`` is a
 triple loop, ``exhaustive_bmf`` enumerates every factor pair, and
 ``cost_gamma`` forms the full product to count the cost.  The builders
-``identity``, ``ones`` and ``ones_vector``, the ``pattern`` accessor and
-``as_lists`` serve only the tests.
+``identity``, ``ones`` and ``ones_vector``, the ``pattern`` accessor,
+``as_lists`` and ``union_dense`` serve only the tests.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from mebf.boolmat import BinaryMatrix, BinaryVector, bool_product, elementwise
+from mebf.boolmat import (
+    BinaryMatrix,
+    BinaryVector,
+    RowGroups,
+    bool_product,
+    elementwise,
+)
 from mebf.factorize import FactorResult
 
 # 2^((n+m)*k) candidate factor pairs are enumerated; this bound keeps the
@@ -48,6 +54,13 @@ def as_lists(pair) -> tuple[list[int], list[int]] | None:
         return None
     rows, cols = pair
     return rows.tolist(), cols.to_dense().tolist()
+
+
+def union_dense(union: RowGroups) -> np.ndarray:
+    """A union of patterns read whole, as a dense n x m uint8 array: row i
+    is the unpacked table row of its group."""
+    return np.unpackbits(union.table, axis=1,
+                         count=union.shape[1])[union.group]
 
 
 def cost_gamma(a_mat: BinaryMatrix, b_mat: BinaryMatrix,

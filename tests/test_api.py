@@ -10,7 +10,7 @@ import pkgutil
 import pytest
 
 import mebf
-from mebf import boolmat, matio
+from mebf import boolmat, matio, metrics
 from mebf.boolmat import BinaryMatrix, BinaryVector, UtlView
 from mebf.cli import main
 from mebf.factorize import FactorResult, MebfConfig, mebf_factorize
@@ -141,6 +141,16 @@ def test_one_kernel_prices_a_pattern():
     for finder in (mebf.bidirectional_growth, mebf.weak_signal_detection):
         view = inspect.signature(finder).parameters["view"]
         assert view.default is inspect.Parameter.empty
+
+
+def test_one_place_forms_the_product_of_factors():
+    # both reports hand their factors to _assemble, which forms A B with
+    # bool_product; a union of patterns is priced and never read back whole
+    assert "bool_product" in metrics._assemble.__code__.co_names
+    for report in (build_report, report_from_factors):
+        names = report.__code__.co_names
+        assert "bool_product" not in names and "product" not in names
+    assert not hasattr(boolmat.RowGroups, "product")
 
 
 def calls_outside_their_definition(tree: ast.AST) -> set:

@@ -1,6 +1,7 @@
 """Command-line tests, driving ``main`` directly."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from mebf.boolmat import BinaryMatrix, bool_product
 from mebf.cli import main
 from mebf.factorize import MebfConfig, mebf_factorize
 from mebf.matio import RealMatrix, binarize, read_matrix, write_matrix
+from mebf.simulate import SimulationSpec, simulate
 from reference import identity, ones
 
 BLOCK_DIAGONAL = [[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1]]
@@ -447,6 +449,37 @@ class TestDenoise:
             [[0.0, 0.7, 2.0], [0.0, 0.7, 2.0]])
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["factorize", "denoise", "metrics"])
+def test_non_finite_threshold_is_usage_error(tmp_path, capsys, command,
+                                             value):
+    # a nan threshold binarizes every entry to 0, so it used to factorize
+    # an empty matrix; each command now stops before it reads or writes
+    src, a, b = tmp_path / "x.csv", tmp_path / "a.txt", tmp_path / "b.txt"
+    write_matrix(RealMatrix([[0.5, 0.7, 2.0], [0.5, 0.7, 2.0]]), src, "csv")
+    write_matrix(ones(2, 1), a, "dense01")
+    write_matrix(ones(1, 3), b, "dense01")
+    inputs = sorted(tmp_path.iterdir())
+    out = tmp_path / "out"
+    flags = {
+        "factorize": ["--format", "csv", "--t", "0.5", "--k", "2",
+                      "--out-a", out / "a", "--out-b", out / "b",
+                      "--report", out / "r"],
+        "denoise": ["--out", out / "x", "--out-a", out / "a",
+                    "--out-b", out / "b", "--report", out / "r"],
+        "metrics": ["--format", "csv", "--a", a, "--b", b,
+                    "--report", out / "r"],
+    }[command]
+    out.mkdir()
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--input", str(src), f"--threshold={value}"]
+             + [str(flag) for flag in flags])
+    assert excinfo.value.code == 2
+    assert "is not a finite number" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == sorted(inputs + [out])
+    assert list(out.iterdir()) == []
+
+
 class TestOracleCommand:
     """The exhaustive search is a library function, not a command."""
 
@@ -474,3 +507,89 @@ def test_missing_subcommand_is_usage_error(capsys):
     assert excinfo.value.code == 2
     assert capsys.readouterr().err.endswith(
         "required: {factorize,simulate,bench,denoise,metrics}\n")
+
+
+# the planted instances of the benchmark's two pipeline workloads, as
+# (format, spec, t, k)
+PEAK_INSTANCES = (
+    ("coo", SimulationSpec(n=16000, m=500, k=12, p0=0.06, p=0.003, seed=0),
+     0.3, 20),
+    ("dense01", SimulationSpec(n=2000, m=2000, k=5, p0=0.2, p=0.01, seed=0),
+     0.8, 10),
+)
+BENCH_SCENARIO = "1000x1000_d0.2_n0.01"
+# tracemalloc peak of each command, as a multiple of the packed input (the
+# float64 matrix for denoise), and the layer that sets it; measured in a
+# process that has run the command once.  Lower a bound as a command
+# allocates less, never raise it.
+COMMAND_PEAKS = {
+    "factorize-coo": (4.36, "mebf_factorize"),
+    "factorize-dense01": (4.21, "mebf_factorize"),
+    "metrics-coo": (4.32, "report_from_factors"),
+    "metrics-dense01": (4.37, "report_from_factors"),
+    "denoise-csv": (6.05, "the csv writer"),
+    "simulate-dense01": (4.18, "the dense01 writer"),
+    "bench-" + BENCH_SCENARIO: (10.81, "simulate's noise block"),
+}
+
+
+@pytest.fixture(scope="module")
+def peak_inputs(tmp_path_factory):
+    """The input files of each command, and the size each peak is a
+    multiple of."""
+    root = tmp_path_factory.mktemp("peak_inputs")
+    argv, base = {}, {}
+    for fmt, spec, t, k in PEAK_INSTANCES:
+        inst = simulate(spec)
+        result = mebf_factorize(inst.X, MebfConfig(t=t, k_max=k))
+        files = {}
+        for name, mat in (("x", inst.X), ("u", inst.U), ("v", inst.V),
+                          ("a", result.A), ("b", result.B)):
+            files[name] = str(root / f"{name}.{fmt}")
+            write_matrix(mat, files[name], fmt if name == "x" else "dense01")
+        source = ["--input", files["x"], "--format", fmt]
+        argv[f"factorize-{fmt}"] = ["factorize", *source, "--t", str(t),
+                                    "--k", str(k), "--out-a", "a.txt",
+                                    "--out-b", "b.txt", "--report", "r.json"]
+        argv[f"metrics-{fmt}"] = ["metrics", *source, "--a", files["a"],
+                                  "--b", files["b"], "--u", files["u"],
+                                  "--v", files["v"], "--report", "r.json"]
+        base[f"factorize-{fmt}"] = base[f"metrics-{fmt}"] = \
+            inst.X._packed.nbytes
+    argv["simulate-dense01"] = ["simulate", "--n", "2000", "--m", "2000",
+                                "--k", "5", "--p0", "0.2", "--p", "0.01",
+                                "--out", "x.txt", "--out-a", "u.txt",
+                                "--out-b", "v.txt"]
+    base["simulate-dense01"] = base["factorize-dense01"]
+    argv["bench-" + BENCH_SCENARIO] = ["bench", "--scenarios",
+                                       BENCH_SCENARIO, "--replicates", "1",
+                                       "--out", "bench.csv"]
+    base["bench-" + BENCH_SCENARIO] = 1000 * 125  # the packed 1000 x 1000 X
+    # 30 % non-zero standard normals
+    rng = np.random.default_rng(0)
+    real = np.where(rng.random((600, 600)) < 0.3,
+                    rng.standard_normal((600, 600)), 0.0)
+    write_matrix(RealMatrix(real), root / "x.csv", "csv")
+    argv["denoise-csv"] = ["denoise", "--input", str(root / "x.csv"),
+                           "--out", "x.csv", "--out-a", "a.txt",
+                           "--out-b", "b.txt", "--report", "r.json"]
+    base["denoise-csv"] = real.nbytes
+    return argv, base
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_PEAKS))
+def test_command_peak_is_a_stated_multiple(peak_inputs, tmp_path,
+                                           monkeypatch, command):
+    argv, base = (table[command] for table in peak_inputs)
+    bound, layer = COMMAND_PEAKS[command]
+    monkeypatch.chdir(tmp_path)  # outputs are written here
+    # the first run in a process also pays one-off imports and caches
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * base, (
+        f"{command} peaked at {peak / base:.4f}x, set by {layer}")

@@ -22,9 +22,7 @@ from mebf.boolmat import (
     RowGroups,
     UtlView,
     bool_product,
-    complement,
     elementwise,
-    rank1_product,
     utl_rearrange,
 )
 from mebf.factorize import (
@@ -35,7 +33,14 @@ from mebf.factorize import (
     weak_signal_detection,
 )
 from mebf.simulate import SimulationSpec, simulate
-from reference import as_lists, cost_gamma, identity, ones, pattern
+from reference import (
+    as_lists,
+    cost_gamma,
+    identity,
+    ones,
+    pattern,
+    union_dense,
+)
 
 # fixture known to exercise the weak-signal fallback inside the loop
 WEAK_PATH_DENSE = [
@@ -500,12 +505,12 @@ class TestFactorizeInvariants:
             result = mebf_factorize(mat, MebfConfig(t=0.5, k_max=6))
             # after each prefix of patterns the residual count must equal
             # the ones of x outside the prefix reconstruction
-            recon = BinaryMatrix.zeros(*mat.shape)
+            a, b = result.A.to_dense(), result.B.to_dense()
+            recon = np.zeros_like(dense)
             for l in range(result.k):
-                recon = elementwise("or", recon, rank1_product(
-                    *pattern(result, l), mat.n_rows))
-                uncovered = elementwise("and", mat, complement(recon))
-                assert result.residual_history[l] == uncovered.count()
+                recon |= np.outer(a[:, l], b[l])
+                assert result.residual_history[l] == int(
+                    (dense & (1 - recon)).sum())
 
     def test_final_cost_matches_cost_gamma(self):
         rng = np.random.default_rng(71)
@@ -599,9 +604,7 @@ class TestRowGroups:
             groups.add(rows, col_mask)
             recon |= p
             assert len(groups.table) <= n
-            union = np.unpackbits(groups.table, axis=1, count=m)
-            assert np.array_equal(union[groups.group], recon)
-            assert groups.product() == BinaryMatrix.from_dense(recon)
+            assert np.array_equal(union_dense(groups), recon)
             # each group the pattern takes only part of splits in two
             taken = np.isin(np.arange(n), rows)
             partial = sum(0 < taken[before == g].sum() < (before == g).sum()
@@ -662,13 +665,14 @@ class TestPlantedInvariants:
         assert result.k > 1
         if name == "weak_fallback":
             assert result.weak_signal_uses > 0
-        recon = BinaryMatrix.zeros(*x.shape)
+        dense, a, b = x.to_dense(), result.A.to_dense(), result.B.to_dense()
+        recon = np.zeros_like(dense)
         for l in range(result.k):
-            recon = elementwise("or", recon,
-                                rank1_product(*pattern(result, l), x.n_rows))
-            uncovered = elementwise("and", x, complement(recon))
-            assert result.residual_history[l] == uncovered.count()
-        assert recon == bool_product(result.A, result.B)
+            recon |= np.outer(a[:, l], b[l])
+            assert result.residual_history[l] == int(
+                (dense & (1 - recon)).sum())
+        assert BinaryMatrix.from_dense(recon) == bool_product(result.A,
+                                                              result.B)
         assert result.cost_history[-1] == cost_gamma(result.A, result.B, x)
 
     @pytest.mark.parametrize("name", sorted(PLANTED))
@@ -749,8 +753,8 @@ class TestSharedView:
             for l in range(accepted):
                 union.add(*pattern(result, l))
             residual = view.x
-            assert residual == elementwise("and", x, complement(
-                union.product()))
+            assert residual == BinaryMatrix.from_dense(
+                x.to_dense() & (1 - union_dense(union)))
             fresh = utl_rearrange(residual)
             for field in ("row_totals", "col_totals"):
                 assert np.array_equal(getattr(view, field),
@@ -882,8 +886,9 @@ class TestFactorResult:
         mat = BinaryMatrix.from_dense([[1, 1, 0, 0], [1, 1, 0, 0],
                                        [0, 0, 1, 1], [0, 0, 1, 1]])
         result = mebf_factorize(mat, MebfConfig(t=0.5, k_max=2))
-        recon = BinaryMatrix.zeros(*mat.shape)
+        a, b = result.A.to_dense(), result.B.to_dense()
+        recon = np.zeros(mat.shape, np.uint8)
         for l in range(result.k):
-            recon = elementwise("or", recon,
-                                rank1_product(*pattern(result, l), mat.n_rows))
-        assert recon == bool_product(result.A, result.B)
+            recon |= np.outer(a[:, l], b[l])
+        assert BinaryMatrix.from_dense(recon) == bool_product(result.A,
+                                                              result.B)

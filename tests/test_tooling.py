@@ -1,10 +1,17 @@
-"""The repository's pytest settings, run on throwaway test files."""
+"""The repository's pytest settings, run on throwaway test files, and the
+README's commands, parsed by the CLI's parser."""
 
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from mebf.cli import _build_parser
+
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+README = PYPROJECT.parent / "README.md"
 
 FAILING_TESTS = '''
 import warnings
@@ -38,3 +45,25 @@ def test_failing_hypothesis_test_is_named(tmp_path):
     assert "FAILED test_fail_case.py::test_fails" in run.stdout
     assert ("FAILED test_fail_case.py::test_deprecation_is_an_error"
             in run.stdout)
+
+
+def readme_commands() -> list[str]:
+    """Every ``mebf ...`` line of the README's CLI block, with its ``\\``
+    continuations joined and its ``#`` comment dropped."""
+    block = README.read_text().split("## CLI", 1)[1].split("```", 2)[1]
+    lines = (line.split("#", 1)[0].strip()
+             for line in block.replace("\\\n", " ").splitlines())
+    return [line for line in lines if line.startswith("mebf ")]
+
+
+def test_readme_commands_parse():
+    # a renamed or removed flag must not leave the README stale
+    commands = readme_commands()
+    assert [c.split()[1] for c in commands] == [
+        "factorize", "simulate", "simulate", "bench", "denoise", "metrics"]
+    parser = _build_parser()
+    for command in commands:
+        try:
+            parser.parse_args(shlex.split(command)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {command}")
