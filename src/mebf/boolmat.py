@@ -339,7 +339,7 @@ class RowGroups:
         hit = x._packed[rows]
         hit &= fresh[group]
         covered = _popcount(hit)
-        added = np.bitwise_count(fresh).sum(axis=1)
+        added = _row_tally(np.bitwise_count(fresh, out=fresh))
         return int(added[group].sum()) - 2 * covered, covered
 
     def add(self, rows: np.ndarray, col_mask: BinaryVector) -> None:

@@ -7,6 +7,7 @@ errors.  Logs go to stderr; data goes to files or stdout only.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -240,6 +241,9 @@ def _add_input_flags(p) -> None:
                    help="binarization threshold applied to csv inputs")
 
 
+# one parser per process, as each one left to the collector moved every
+# command's memory peak; a handler is looked up by name when it runs
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mebf",
@@ -258,7 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fac.add_argument("--out-a", help="write the n x k factor (dense01)")
     fac.add_argument("--out-b", help="write the k x m factor (dense01)")
     fac.add_argument("--report", help="write the metrics report (JSON)")
-    fac.set_defaults(handler=cmd_factorize)
+    fac.set_defaults(handler="cmd_factorize")
 
     sim = sub.add_parser("simulate",
                          help="generate a planted-pattern binary matrix")
@@ -276,7 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out-a", help="write the planted row factor (dense01)")
     sim.add_argument("--out-b",
                      help="write the planted column factor (dense01)")
-    sim.set_defaults(handler=cmd_simulate)
+    sim.set_defaults(handler="cmd_simulate")
 
     ben = sub.add_parser("bench",
                          help="run scenario grid, emit one CSV row per run")
@@ -290,7 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--k", type=_positive, default=10,
                      help="maximum number of patterns")
     ben.add_argument("--out", help="CSV output path (default: stdout)")
-    ben.set_defaults(handler=cmd_bench)
+    ben.set_defaults(handler="cmd_bench")
 
     den = sub.add_parser("denoise",
                          help="mask a csv matrix by its binary patterns")
@@ -305,7 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
     den.add_argument("--out-a", help="write the n x k factor (dense01)")
     den.add_argument("--out-b", help="write the k x m factor (dense01)")
     den.add_argument("--report", help="write the metrics report (JSON)")
-    den.set_defaults(handler=cmd_denoise)
+    den.set_defaults(handler="cmd_denoise")
 
     met = sub.add_parser("metrics",
                          help="rebuild the metrics report from matrix files")
@@ -316,7 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
     met.add_argument("--v", help="ground-truth column factor (dense01)")
     met.add_argument("--report",
                      help="report output path (default: stdout)")
-    met.set_defaults(handler=cmd_metrics)
+    met.set_defaults(handler="cmd_metrics")
 
     return parser
 
@@ -324,7 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        return globals()[args.handler](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

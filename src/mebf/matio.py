@@ -219,17 +219,17 @@ def _parse_coo(chunks) -> BinaryMatrix:
     failure = error = None
     # allocated first, so that the bit index arithmetic cannot overflow
     try:
-        packed = np.zeros((n, (m + 7) // 8), dtype=np.uint8)
+        mat = BinaryMatrix.zeros(n, m)
     except (MemoryError, ValueError) as exc:
         failure = exc
     first, body = 2, b""
     for first, body in bodies:
         # after the first fault the lines are only counted
-        if failure or error or not body or _add_coords(body, packed, m):
+        if failure or error or not body or _add_coords(body, mat._packed, m):
             continue
         # a chunk that fails in bulk is added line by line up to its first
         # bad line
-        seen = memoryview(packed.reshape(-1))
+        seen = memoryview(mat._packed)
         errors = (_coo_line_error(line, lineno, n, m, seen)
                   for lineno, line in _lines([(first, body)]))
         error = next(filter(None, errors), None)
@@ -241,7 +241,7 @@ def _parse_coo(chunks) -> BinaryMatrix:
             f"found {found}")
     if failure or error:
         raise failure or error
-    return BinaryMatrix(n, m, packed)
+    return mat
 
 
 def _add_coords(body: bytes, packed: np.ndarray, m: int) -> bool:
@@ -313,7 +313,7 @@ def _coo_line_error(line: bytes, lineno: int, n: int, m: int,
     if not (1 <= i <= n and 1 <= j <= m):
         return MatrixFormatError(
             f"line {lineno}: coordinate ({i}, {j}) outside {n}x{m}")
-    byte = (i - 1) * ((m + 7) // 8) + ((j - 1) >> 3)
+    byte = (i - 1, (j - 1) >> 3)
     bit = 0x80 >> ((j - 1) & 7)
     if seen[byte] & bit:
         return MatrixFormatError(
@@ -388,8 +388,8 @@ def _coo_chunks(mat: BinaryMatrix):
 
 
 def _csv_chunks(mat: RealMatrix):
-    for row in mat.values.tolist():
-        yield (",".join(repr(v) for v in row) + "\n").encode("ascii")
+    for row in mat.values:
+        yield (",".join(repr(v) for v in row.tolist()) + "\n").encode("ascii")
 
 
 # Each format's kind, its matrix type, its parser and its chunk writer.

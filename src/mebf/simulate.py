@@ -3,10 +3,9 @@
 An instance is assembled as the Boolean product of two Bernoulli factor
 matrices, with an independent Bernoulli mask flipping entries of the
 product.  Everything is drawn from one seeded stream in a fixed order, so
-an instance is a pure function of its spec.  Each matrix is drawn in row
-blocks of at most 1 MiB of float64.  An instance keeps X, U and V, not the
-mask, which is drawn only when the noise rate is positive: at p = 0, X is
-the product itself.
+an instance is a pure function of its spec.  One kernel flips U and V out
+of zero matrices and X out of their product, in place a row block at a
+time; no mask is kept, and none is drawn at p = 0.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .boolmat import BinaryMatrix, bool_product, elementwise
+from .boolmat import BinaryMatrix, bool_product
 
 __all__ = [
     "SimulatedInstance",
@@ -65,8 +64,8 @@ class SimulationSpec:
 class SimulatedInstance:
     """Observed matrix X plus the planted factors it was assembled from.
 
-    X equals the Boolean product of U and V except where the noise mask
-    flipped it; that mask is ``elementwise("xor", X, bool_product(U, V))``.
+    X is the Boolean product of U and V, flipped in place by the noise
+    mask; that mask is ``elementwise("xor", X, bool_product(U, V))``.
     """
 
     X: BinaryMatrix
@@ -84,29 +83,27 @@ def simulate(spec: SimulationSpec) -> SimulatedInstance:
     drawn: the stream ends after V, so U, V and X are the same as with it.
     """
     rng = np.random.default_rng(spec.seed)
-    u = _draw(rng, spec.n, spec.k, spec.p0)
-    v = _draw(rng, spec.k, spec.m, spec.p0)
-    if spec.p == 0:
-        return SimulatedInstance(X=bool_product(u, v), U=u, V=v)
-    noise = _draw(rng, spec.n, spec.m, spec.p)
-    # the product only now that the draws are freed: formed before them,
-    # it would add to their peak
-    x = elementwise("xor", bool_product(u, v), noise)
+    u = _flip(rng, BinaryMatrix.zeros(spec.n, spec.k), spec.p0)
+    v = _flip(rng, BinaryMatrix.zeros(spec.k, spec.m), spec.p0)
+    x = bool_product(u, v)
+    if spec.p > 0:
+        _flip(rng, x, spec.p)
     return SimulatedInstance(X=x, U=u, V=v)
 
 
-def _draw(rng: np.random.Generator, n_rows: int, n_cols: int,
+def _flip(rng: np.random.Generator, mat: BinaryMatrix,
           rate: float) -> BinaryMatrix:
-    """Bernoulli(rate) entries in row blocks of at most 1 MiB of float64,
-    packed as drawn: the generator fills row-major, so the draws match one
-    (n_rows, n_cols) call without its temporary."""
-    rows = max(1, 2**17 // n_cols)
-    packed = np.empty((n_rows, (n_cols + 7) // 8), dtype=np.uint8)
+    """XOR Bernoulli(rate) entries into mat in place and return it.  A row
+    block takes n*m/64 draws, clamped to [2**13, 2**17], and one row at
+    least: past the floor, no more float64 than mat's packed bytes.  The
+    generator fills row-major, so the draws match one (n, m) call."""
+    n_rows, n_cols = mat.shape
+    draws = min(max(n_rows * n_cols // 64, 2**13), 2**17)
+    rows = max(1, draws // n_cols)
     for start in range(0, n_rows, rows):
-        block = packed[start:start + rows]
-        block[:] = np.packbits(rng.random((len(block), n_cols)) < rate,
-                               axis=1)
-    return BinaryMatrix(n_rows, n_cols, packed)
+        block = mat._packed[start:start + rows]
+        block ^= np.packbits(rng.random((len(block), n_cols)) < rate, axis=1)
+    return mat
 
 
 def replicate_seed(base_seed: int, replicate: int) -> int:

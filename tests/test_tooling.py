@@ -1,5 +1,6 @@
-"""The repository's pytest settings, run on throwaway test files, and the
-README's commands, parsed by the CLI's parser."""
+"""The repository's pytest settings, run on throwaway test files, the
+README's commands, parsed by the CLI's parser, and the CI workflow's test
+command."""
 
 import shlex
 import subprocess
@@ -12,6 +13,8 @@ from mebf.cli import _build_parser
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 README = PYPROJECT.parent / "README.md"
+ROADMAP = PYPROJECT.parent / "ROADMAP.md"
+WORKFLOW = PYPROJECT.parent / ".github" / "workflows" / "tests.yml"
 
 FAILING_TESTS = '''
 import warnings
@@ -67,3 +70,11 @@ def test_readme_commands_parse():
             parser.parse_args(shlex.split(command)[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {command}")
+
+
+def test_workflow_runs_the_tier_1_command():
+    # CI and ROADMAP.md name one test command; neither may drift alone
+    command = ROADMAP.read_text().split("**Tier-1 verify:** `", 1)[1]
+    command = command.split("`", 1)[0]
+    assert command.startswith("PYTHONPATH=src")
+    assert command in WORKFLOW.read_text()
