@@ -5,6 +5,8 @@ bit first (the ``np.packbits`` convention).  Padding bits past the last
 column of each row are kept at zero, so whole-word AND/XOR/OR and popcounts
 are valid without masking.  Popcounts use ``np.bitwise_count``; whole-array
 totals read contiguous bytes as uint64 words when their count allows it.
+A full pass that needs dense rows (a column tally, ``row_blocks``) unpacks
+one block of rows at a time and drops it before it unpacks the next.
 
 A rank-1 pattern is a pair ``(rows, col_mask)``: the indices of its rows,
 distinct and ascending, as an integer array, and its columns as a packed
@@ -46,8 +48,9 @@ __all__ = [
     "utl_rearrange",
 ]
 
-# Rows per unpacked block: bounds the dense temporaries of a full pass, and
-# a uint8 column tally of one block cannot overflow.
+# Rows per unpacked block: a full pass holds one block at a time, so this
+# bounds its dense temporaries, and a uint8 column tally of one block
+# cannot overflow.
 _BLOCK_ROWS = 255
 # Packed bytes per chunk of a row tally: 8191 bytes hold at most 65528 ones,
 # so a uint16 row tally of one chunk cannot overflow.
@@ -75,18 +78,12 @@ def _popcount(words: np.ndarray) -> int:
     return int(np.bitwise_count(flat).sum(dtype=np.int64))
 
 
-def _dense_blocks(packed: np.ndarray, n_cols: int):
-    """(first row, dense uint8 rows) for each block of _BLOCK_ROWS rows."""
-    for start in range(0, len(packed), _BLOCK_ROWS):
-        yield start, np.unpackbits(packed[start:start + _BLOCK_ROWS], axis=1,
-                                   count=n_cols)
-
-
 def _col_tally(packed: np.ndarray, n_cols: int) -> np.ndarray:
     """Ones per column of packed rows, tallied in uint8 one block at a time."""
     totals = np.zeros(n_cols, dtype=np.int64)
-    for _, block in _dense_blocks(packed, n_cols):
-        totals += block.sum(axis=0, dtype=np.uint8)
+    for start in range(0, len(packed), _BLOCK_ROWS):
+        totals += np.unpackbits(packed[start:start + _BLOCK_ROWS], axis=1,
+                                count=n_cols).sum(axis=0, dtype=np.uint8)
     return totals
 
 
@@ -222,8 +219,11 @@ class BinaryMatrix:
         return _col_tally(self._packed, self.n_cols)
 
     def row_blocks(self):
-        """Yield (first row, dense uint8 rows) one block of rows at a time."""
-        return _dense_blocks(self._packed, self.n_cols)
+        """Yield (first row, dense uint8 rows) for each block of _BLOCK_ROWS
+        rows; the generator keeps no block once it has yielded it."""
+        for start in range(0, self.n_rows, _BLOCK_ROWS):
+            yield start, np.unpackbits(self._packed[start:start + _BLOCK_ROWS],
+                                       axis=1, count=self.n_cols)
 
     def row(self, i: int) -> BinaryVector:
         return BinaryVector(self.n_cols, self._packed[i].copy())

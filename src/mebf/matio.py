@@ -17,15 +17,15 @@ every line with LF.
   form, so write-then-read is the identity.
 
 A malformed file raises :class:`MatrixFormatError` with a message that
-starts ``line N:`` at the first bad line.  Files are read in
-line-aligned chunks, so a ``dense01`` read holds about twice the packed
-matrix and a ``coo`` read about once, plus the work on a few chunks,
-whatever the file's size; a ``csv`` read holds its float64 matrix about
-twice (at most 2.2 times).
-``dense01`` and ``coo`` are parsed in numpy passes over each chunk and
-formatted in numpy passes over blocks of rows.  A file is read once, so a
-pipe works too: the first ``coo`` chunk that fails a bulk check is
-scanned line by line to name its bad line, and the rest are only counted.
+starts ``line N:`` at the first bad line.  Files are read in line-aligned
+chunks, so a ``dense01`` read holds about twice the packed matrix and a
+``coo`` read about once, plus the work on a few chunks, whatever the file's
+size; a ``csv`` read holds its float64 matrix about twice (at most 2.1
+times).  ``dense01`` and ``coo`` are parsed in numpy passes over each chunk
+and formatted in numpy passes over blocks of rows, one unpacked block and
+one block's text alive at a time.  A file is read once, so a pipe works too:
+the first ``coo`` chunk that fails a bulk check is scanned line by line to
+name its bad line, and the rest are only counted.
 """
 
 from __future__ import annotations
@@ -66,6 +66,15 @@ class RealMatrix:
             raise ValueError("all values must be finite")
         self.values = arr
         self.n_rows, self.n_cols = arr.shape
+
+    @classmethod
+    def _wrap(cls, values: np.ndarray) -> RealMatrix:
+        """Hold a 2-D float64 array that this module built and knows is
+        finite: no copy and no check.  The public constructor copies."""
+        mat = object.__new__(cls)
+        mat.values = values
+        mat.n_rows, mat.n_cols = values.shape
+        return mat
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -347,15 +356,18 @@ def _read_csv(chunks) -> RealMatrix:
         # a float64 array holds a row in a fraction of a list's memory
         rows.append(np.array(row))
     if not rows:
-        return RealMatrix(np.zeros((0, 0)))
-    return RealMatrix(rows)
+        return RealMatrix._wrap(np.zeros((0, 0)))
+    # every field was checked finite as it was parsed
+    return RealMatrix._wrap(np.stack(rows))
 
 
 def _dense01_chunks(mat: BinaryMatrix):
     for _, block in mat.row_blocks():
         text = np.full((len(block), mat.n_cols + 1), 10, dtype=np.uint8)
         np.add(block, 48, out=text[:, :-1])
+        del block
         yield text
+        del text
 
 
 def _decimal_lines(first: int, count: int, width: int, end: int):
@@ -382,9 +394,12 @@ def _coo_chunks(mat: BinaryMatrix):
     for start, block in mat.row_blocks():
         row_text = _decimal_lines(start + 1, len(block), row_width, ord(" "))
         rows, cols = np.divmod(np.flatnonzero(block.view(bool)), mat.n_cols)
+        del block
         text = np.hstack([np.take(row_text, rows, axis=0),
                           np.take(col_text, cols, axis=0)])
+        del rows, cols
         yield text.tobytes().replace(b"\0", b"")
+        del text
 
 
 def _csv_chunks(mat: RealMatrix):
@@ -432,8 +447,8 @@ def write_matrix(mat, path, format: str) -> None:
             f"format {format!r} stores {kind} matrices, got "
             f"{type(mat).__name__}")
     with open(path, "wb") as fh:
-        for chunk in chunks(mat):
-            fh.write(chunk)
+        # holds no chunk while it asks for the next
+        fh.writelines(chunks(mat))
 
 
 def binarize(real: RealMatrix, threshold: float = 0.0) -> BinaryMatrix:
@@ -448,4 +463,5 @@ def mask_denoise(real: RealMatrix, a_mat: BinaryMatrix,
     if recon.shape != real.shape:
         raise ValueError(
             f"support {recon.shape} does not match matrix {real.shape}")
-    return RealMatrix(np.where(recon.to_dense() == 1, real.values, 0.0))
+    return RealMatrix._wrap(np.where(recon.to_dense() == 1, real.values,
+                                     0.0))

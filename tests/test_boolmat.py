@@ -1,6 +1,7 @@
 """Kernel tests: packed storage, Boolean products, orderings, cost."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -395,6 +396,45 @@ class TestKernelsAtBlockEdges:
         assert list(BinaryMatrix.zeros(0, 70).row_blocks()) == []
         assert BinaryMatrix.zeros(0, 70).col_sums().tolist() == [0] * 70
         assert BinaryMatrix.zeros(0, 70).count() == 0
+
+
+class TestColTallyPeakMemory:
+    """A full column tally holds one unpacked block at a time.
+
+    A block is 255 rows of m bytes, 2.04x the packed matrix at m = 1000 and
+    1.02x at m = 2000; the int64 totals and the uint8 tally of a block add
+    little.  col_dot_counts also holds the rows it gathers.  The bounds are
+    the measured peaks, as multiples of the packed matrix; lower them as the
+    tally allocates less, never raise them.
+    """
+
+    @staticmethod
+    def _peak(kernel) -> int:
+        kernel()  # one-off allocations of a first call stay out
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kernel()
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("n,bound", [
+        # measured 2.149x, and 2.150x beside col_dot_counts' rows (4.192x
+        # and 4.112x while the block before was still held)
+        (1000, 2.16),
+        # measured 1.063x for both (2.084x)
+        (2000, 1.07),
+    ])
+    def test_one_block_plus_the_totals(self, n, bound):
+        rng = np.random.default_rng(n)
+        mat = BinaryMatrix.from_dense(rng.random((n, n)) < 0.2)
+        rows = np.arange(0, n, 2)
+        gathered = mat._packed[rows].nbytes
+        packed = mat._packed.nbytes
+        assert self._peak(mat.col_sums) <= bound * packed
+        assert self._peak(lambda: col_dot_counts(mat, rows)) <= (
+            bound * packed + gathered)
 
 
 class TestRowTallyAtChunkEdges:

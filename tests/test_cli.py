@@ -527,9 +527,9 @@ COMMAND_PEAKS = {
     "factorize-dense01": (4.14, "mebf_factorize"),
     "metrics-coo": (4.29, "report_from_factors"),
     "metrics-dense01": (4.30, "report_from_factors"),
-    "denoise-csv": (3.17, "mask_denoise"),
-    "simulate-dense01": (4.12, "the dense01 writer"),
-    "bench-" + BENCH_SCENARIO: (6.32, "build_report"),
+    "denoise-csv": (2.17, "mask_denoise, beside the input it masks"),
+    "simulate-dense01": (3.09, "the dense01 writer"),
+    "bench-" + BENCH_SCENARIO: (4.76, "build_report"),
 }
 
 

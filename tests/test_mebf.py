@@ -700,6 +700,27 @@ class TestPlantedInvariants:
         assert result.k == 10
         assert peak <= 3.14 * x._packed.nbytes
 
+    @pytest.mark.parametrize("p0,bound", [
+        # measured 3.824x and 3.285x (5.085x and 4.259x while the column
+        # tally held two unpacked blocks, each 2.04x packed at m = 1000)
+        (0.4, 3.83),
+        (0.2, 3.29),
+    ])
+    def test_peak_memory_at_the_bench_scale(self, p0, bound):
+        # a 1000 x 1000 scenario of preset_grid(), with noise
+        x = simulate(SimulationSpec(n=1000, m=1000, k=5, p0=p0, p=0.01,
+                                    seed=0)).X
+        cfg = MebfConfig(t=0.8, k_max=10)
+        mebf_factorize(x, cfg)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            mebf_factorize(x, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * x._packed.nbytes, peak / x._packed.nbytes
+
 
 # the planted instances plus a tall one whose weak fallback is accepted
 VIEW_INSTANCES = {

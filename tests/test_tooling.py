@@ -78,3 +78,19 @@ def test_workflow_runs_the_tier_1_command():
     command = command.split("`", 1)[0]
     assert command.startswith("PYTHONPATH=src")
     assert command in WORKFLOW.read_text()
+
+
+def test_workflow_pins_every_package():
+    # the memory bounds and digests hold for the versions they were
+    # measured with, so CI installs exactly those
+    installs = [shlex.split(line.split("pip install", 1)[1])
+                for line in WORKFLOW.read_text().splitlines()
+                if "pip install" in line]
+    assert installs
+    packages = [arg for args in installs for arg in args
+                if not arg.startswith("-")]
+    assert {p.split("==")[0] for p in packages} >= {"numpy", "pytest",
+                                                    "hypothesis"}
+    for package in packages:
+        name, _, version = package.partition("==")
+        assert name and version.replace(".", "").isdigit(), package
