@@ -35,33 +35,23 @@ class UsageError(Exception):
     """Bad argument combinations beyond what argparse can express."""
 
 
-def _fraction(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(
-            f"{value} does not lie strictly between 0 and 1")
-    return value
+def _checked(convert, accept, complaint: str):
+    """An argparse type: convert the text, then reject what accept refuses."""
+    def parse(text: str):
+        value = convert(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"{value} {complaint}")
+        return value
+    # argparse names the type in "invalid float value: 'abc'"
+    parse.__name__ = convert.__name__
+    return parse
 
 
-def _rate(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"{value} does not lie in [0, 1]")
-    return value
-
-
-def _finite(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"{value} is not a finite number")
-    return value
-
-
-def _positive(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
-    return value
+_fraction = _checked(float, lambda v: 0.0 < v < 1.0,
+                     "does not lie strictly between 0 and 1")
+_rate = _checked(float, lambda v: 0.0 <= v <= 1.0, "does not lie in [0, 1]")
+_finite = _checked(float, math.isfinite, "is not a finite number")
+_positive = _checked(int, lambda v: v >= 1, "is not a positive integer")
 
 
 def _log(message: str) -> None:
@@ -88,12 +78,16 @@ def _emit_report(report: MetricsReport, path: str | None) -> None:
     _emit(json.dumps(report.to_json_dict(), indent=2) + "\n", path)
 
 
+def _write_factors(a_mat: BinaryMatrix, b_mat: BinaryMatrix, args) -> None:
+    """Write a factor pair to the --out-a and --out-b files given."""
+    for mat, path in ((a_mat, args.out_a), (b_mat, args.out_b)):
+        if path:
+            write_matrix(mat, path, "dense01")
+
+
 def _write_outputs(x: BinaryMatrix, result: FactorResult, args) -> None:
     """Write the factors and the report of x's factorization, if asked."""
-    if args.out_a:
-        write_matrix(result.A, args.out_a, "dense01")
-    if args.out_b:
-        write_matrix(result.B, args.out_b, "dense01")
+    _write_factors(result.A, result.B, args)
     if args.report:
         _emit_report(build_report(x, result), args.report)
 
@@ -118,39 +112,41 @@ def cmd_factorize(args) -> int:
     return 0
 
 
+# the SimulationSpec fields a preset or simulate's flags give
+_SPEC_PARAMS = ("n", "m", "k", "p0", "p")
+
+
 def _spec(params: dict, seed: int) -> SimulationSpec:
     """Simulation spec from a preset (or flag) parameter dict and a seed."""
-    return SimulationSpec(n=params["n"], m=params["m"], k=params["k"],
-                          p0=params["p0"], p=params["p"], seed=seed)
+    return SimulationSpec(**{n: params[n] for n in _SPEC_PARAMS}, seed=seed)
+
+
+def _presets(names: list[str]) -> list[dict]:
+    """The preset_grid scenarios of the given names, in their order."""
+    by_name = {sc["name"]: sc for sc in preset_grid()}
+    unknown = [nm for nm in names if nm not in by_name]
+    if not names or unknown:
+        raise UsageError(f"unknown scenarios {unknown}; choose from: "
+                         f"{', '.join(by_name)}")
+    return [by_name[nm] for nm in names]
 
 
 def cmd_simulate(args) -> int:
-    explicit = (args.n, args.m, args.k, args.p0, args.p)
+    params = {name: getattr(args, name) for name in _SPEC_PARAMS}
+    given = [v is not None for v in params.values()]
     if args.scenarios is not None:
-        if any(v is not None for v in explicit):
-            raise UsageError(
-                "--scenarios replaces --n/--m/--k/--p0/--p; give one or "
-                "the other")
-        by_name = {sc["name"]: sc for sc in preset_grid()}
-        if args.scenarios not in by_name:
-            raise UsageError(
-                f"unknown scenario {args.scenarios!r}; choose from: "
-                f"{', '.join(by_name)}")
-        params = by_name[args.scenarios]
-    elif any(v is None for v in explicit):
+        if any(given):
+            raise UsageError("--scenarios replaces --n/--m/--k/--p0/--p; "
+                             "give one or the other")
+        [params] = _presets([args.scenarios])
+    elif not all(given):
         raise UsageError("provide --n --m --k --p0 --p, or a --scenarios "
                          "preset name")
-    else:
-        params = {"n": args.n, "m": args.m, "k": args.k,
-                  "p0": args.p0, "p": args.p}
 
     spec = _spec(params, args.seed)
     inst = simulate(spec)
     write_matrix(inst.X, args.out, args.format)
-    if args.out_a:
-        write_matrix(inst.U, args.out_a, "dense01")
-    if args.out_b:
-        write_matrix(inst.V, args.out_b, "dense01")
+    _write_factors(inst.U, inst.V, args)
     _log(f"simulated {spec.n}x{spec.m}: k={spec.k}, p0={spec.p0:g}, "
          f"p={spec.p:g}, seed={spec.seed}")
     return 0
@@ -161,18 +157,11 @@ def _csv_field(value) -> str:
 
 
 def cmd_bench(args) -> int:
-    grid = preset_grid()
     if args.scenarios == "all":
-        chosen = grid
+        chosen = preset_grid()
     else:
-        by_name = {sc["name"]: sc for sc in grid}
-        names = [nm.strip() for nm in args.scenarios.split(",") if nm.strip()]
-        unknown = [nm for nm in names if nm not in by_name]
-        if not names or unknown:
-            raise UsageError(
-                f"unknown scenarios {unknown}; choose from: "
-                f"{', '.join(by_name)} (or 'all')")
-        chosen = [by_name[nm] for nm in names]
+        chosen = _presets([nm.strip() for nm in args.scenarios.split(",")
+                           if nm.strip()])
 
     # every spec is checked before the header is logged
     runs = [(params, rep, _spec(params, replicate_seed(args.seed, rep)))
@@ -233,6 +222,19 @@ def cmd_metrics(args) -> int:
     return 0
 
 
+def _add_budget_flags(p, t: float | None, k: int | None) -> None:
+    """--t and --k of mebf_factorize, required where no default is given."""
+    p.add_argument("--t", type=_fraction, default=t, required=t is None,
+                   help="similarity threshold, strictly between 0 and 1")
+    p.add_argument("--k", type=_positive, default=k, required=k is None,
+                   help="maximum number of patterns")
+
+
+def _add_factor_flags(p, a_name: str, b_name: str) -> None:
+    p.add_argument("--out-a", help=f"write the {a_name} factor (dense01)")
+    p.add_argument("--out-b", help=f"write the {b_name} factor (dense01)")
+
+
 def _add_input_flags(p) -> None:
     p.add_argument("--input", required=True, help="matrix file to read")
     p.add_argument("--format", choices=FORMATS, default="dense01",
@@ -255,12 +257,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     fac = sub.add_parser("factorize", help="factorize a binary matrix file")
     _add_input_flags(fac)
-    fac.add_argument("--t", type=_fraction, required=True,
-                     help="similarity threshold, strictly between 0 and 1")
-    fac.add_argument("--k", type=_positive, required=True,
-                     help="maximum number of patterns")
-    fac.add_argument("--out-a", help="write the n x k factor (dense01)")
-    fac.add_argument("--out-b", help="write the k x m factor (dense01)")
+    _add_budget_flags(fac, None, None)
+    _add_factor_flags(fac, "n x k", "k x m")
     fac.add_argument("--report", help="write the metrics report (JSON)")
     fac.set_defaults(handler="cmd_factorize")
 
@@ -277,9 +275,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", required=True, help="write the observed matrix")
     sim.add_argument("--format", choices=BINARY_FORMATS,
                      default="dense01", help="output format for the matrix")
-    sim.add_argument("--out-a", help="write the planted row factor (dense01)")
-    sim.add_argument("--out-b",
-                     help="write the planted column factor (dense01)")
+    _add_factor_flags(sim, "planted row", "planted column")
     sim.set_defaults(handler="cmd_simulate")
 
     ben = sub.add_parser("bench",
@@ -289,10 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--replicates", type=_positive, default=50,
                      help="replicates per scenario")
     ben.add_argument("--seed", type=int, default=0, help="master seed")
-    ben.add_argument("--t", type=_fraction, default=0.8,
-                     help="similarity threshold")
-    ben.add_argument("--k", type=_positive, default=10,
-                     help="maximum number of patterns")
+    _add_budget_flags(ben, 0.8, 10)
     ben.add_argument("--out", help="CSV output path (default: stdout)")
     ben.set_defaults(handler="cmd_bench")
 
@@ -301,13 +294,9 @@ def _build_parser() -> argparse.ArgumentParser:
     den.add_argument("--input", required=True, help="csv matrix to denoise")
     den.add_argument("--threshold", type=_finite, default=0.0,
                      help="binarization threshold")
-    den.add_argument("--t", type=_fraction, default=0.6,
-                     help="similarity threshold")
-    den.add_argument("--k", type=_positive, default=5,
-                     help="maximum number of patterns")
+    _add_budget_flags(den, 0.6, 5)
     den.add_argument("--out", required=True, help="write the masked csv")
-    den.add_argument("--out-a", help="write the n x k factor (dense01)")
-    den.add_argument("--out-b", help="write the k x m factor (dense01)")
+    _add_factor_flags(den, "n x k", "k x m")
     den.add_argument("--report", help="write the metrics report (JSON)")
     den.set_defaults(handler="cmd_denoise")
 

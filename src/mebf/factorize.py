@@ -134,8 +134,7 @@ def _grow(x_res: BinaryMatrix, t: float, anchor_col: BinaryVector | None,
     if anchor_col is not None:
         rows = anchor_col.nonzero()
         members = col_dot_counts(x_res, rows) / len(rows) > t
-        candidates.append((rows, BinaryVector(x_res.n_cols,
-                                              np.packbits(members))))
+        candidates.append((rows, BinaryVector.from_dense(members)))
     if anchor_row is not None:
         members = row_dot_counts(x_res, anchor_row) / anchor_row.count() > t
         candidates.append((np.flatnonzero(members), anchor_row))
@@ -244,8 +243,8 @@ def mebf_factorize(x: BinaryMatrix, cfg: MebfConfig) -> FactorResult:
                 "factorization cannot progress")
         # kept packed until A is stacked: 1 bit per row of x, where the
         # indices would hold 8 bytes per row of the pattern
-        row_parts.append(BinaryVector(x.n_rows, np.packbits(
-            np.bincount(pair[0], minlength=x.n_rows) > 0)))
+        row_parts.append(BinaryVector.from_dense(
+            np.bincount(pair[0], minlength=x.n_rows) > 0))
         col_parts.append(pair[1])
         best_cost += delta
         residual_count -= covered

@@ -153,6 +153,17 @@ def test_one_place_forms_the_product_of_factors():
     assert not hasattr(boolmat.RowGroups, "product")
 
 
+def test_the_loop_reports_and_cli_leave_the_packed_layout_to_boolmat():
+    # they reach bits through BinaryMatrix and BinaryVector; matio's
+    # parsers and simulate's flip kernel still know the MSB-first layout
+    src = pathlib.Path(mebf.__file__).parent
+    for module in ("factorize", "metrics", "cli"):
+        tree = ast.parse((src / f"{module}.py").read_text())
+        names = {getattr(node, "id", None) or getattr(node, "attr", None)
+                 for node in ast.walk(tree)}
+        assert not names & {"_packed", "packbits", "unpackbits"}, module
+
+
 def calls_outside_their_definition(tree: ast.AST) -> set:
     """Names of the functions and classes called in tree, leaving out a
     call made inside the definition of the name it calls."""

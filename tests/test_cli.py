@@ -1,14 +1,16 @@
 """Command-line tests, driving ``main`` directly."""
 
+import ast
 import json
+import pathlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from mebf import metrics
+from mebf import cli, metrics
 from mebf.boolmat import BinaryMatrix, bool_product
-from mebf.cli import main
+from mebf.cli import _build_parser, main
 from mebf.factorize import MebfConfig, mebf_factorize
 from mebf.matio import RealMatrix, binarize, read_matrix, write_matrix
 from mebf.simulate import SimulationSpec, simulate
@@ -499,6 +501,87 @@ class TestOracleCommand:
         assert "oracle" not in text
         assert text.splitlines()[0] == (
             "usage: mebf [-h] {factorize,simulate,bench,denoise,metrics} ...")
+
+
+COMMANDS = ("factorize", "simulate", "bench", "denoise", "metrics")
+
+# each command's other required flags, and its --t and --k defaults (None
+# where the flag is required)
+BUDGET_DEFAULTS = {
+    "factorize": (["--input", "x.txt"], None, None),
+    "bench": ([], 0.8, 10),
+    "denoise": (["--input", "x.csv", "--out", "y.csv"], 0.6, 5),
+}
+
+
+@pytest.mark.parametrize("command", sorted(BUDGET_DEFAULTS))
+def test_budget_flag_defaults(capsys, command):
+    others, t, k = BUDGET_DEFAULTS[command]
+    parser = _build_parser()
+    given = parser.parse_args([command, *others, "--t", "0.5", "--k", "3"])
+    assert (given.t, given.k) == (0.5, 3)
+    for flag, default, other in (("--t", t, ["--k", "3"]),
+                                 ("--k", k, ["--t", "0.5"])):
+        argv = [command, *others, *other]
+        if default is None:
+            with pytest.raises(SystemExit) as excinfo:
+                parser.parse_args(argv)
+            assert excinfo.value.code == 2
+            assert capsys.readouterr().err.endswith(
+                f"the following arguments are required: {flag}\n")
+        else:
+            assert getattr(parser.parse_args(argv), flag[2:]) == default
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_help_exits_zero(capsys, command):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--help"])
+    assert excinfo.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: mebf {command} ")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["factorize", "--input", "x.txt", "--t", "abc", "--k", "2"],
+     "argument --t: invalid float value: 'abc'"),
+    (["factorize", "--input", "x.txt", "--t", "0.5", "--k", "1.5"],
+     "argument --k: invalid int value: '1.5'"),
+    (["simulate", "--n", "4", "--m", "4", "--k", "1", "--p0", "x",
+      "--p", "0", "--out", "x.txt"],
+     "argument --p0: invalid float value: 'x'"),
+    (["denoise", "--input", "x.csv", "--out", "y.csv", "--threshold", "x"],
+     "argument --threshold: invalid float value: 'x'"),
+])
+def test_unparsable_number_names_its_type(tmp_path, monkeypatch, capsys,
+                                          argv, message):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unknown_preset_is_reported_alike(tmp_path, capsys):
+    out = tmp_path / "x.txt"
+    assert main(["simulate", "--scenarios", "bogus", "--out", str(out)]) == 2
+    from_simulate = capsys.readouterr().err
+    assert main(["bench", "--scenarios", "bogus"]) == 2
+    assert capsys.readouterr().err == from_simulate
+    assert from_simulate.startswith(
+        "usage error: unknown scenarios ['bogus']; choose from: "
+        "100x100_d0.2_n0, ")
+    assert not out.exists()
+
+
+def test_shared_flags_are_declared_once():
+    # factorize, bench and denoise share one --t; factorize, simulate and
+    # denoise one --out-a and --out-b
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+    constants = [node.value for node in ast.walk(tree)
+                 if isinstance(node, ast.Constant)]
+    for flag in ("--t", "--out-a", "--out-b"):
+        assert constants.count(flag) == 1, flag
 
 
 def test_missing_subcommand_is_usage_error(capsys):

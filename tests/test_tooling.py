@@ -1,10 +1,13 @@
 """The repository's pytest settings, run on throwaway test files, the
-README's commands, parsed by the CLI's parser, and the CI workflow's test
-command."""
+README's commands, parsed by the CLI's parser, the installed command's
+entry points, and the CI workflow's test command."""
 
+import importlib
+import os
 import shlex
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -72,6 +75,23 @@ def test_readme_commands_parse():
             pytest.fail(f"README command does not parse: {command}")
 
 
+def test_console_script_resolves():
+    # tier-1 runs from src/ without installing, so a renamed entry point
+    # would break the installed mebf command while every other test passes
+    scripts = tomllib.loads(PYPROJECT.read_text())["project"]["scripts"]
+    module, _, name = scripts["mebf"].partition(":")
+    assert callable(getattr(importlib.import_module(module), name))
+
+
+def test_module_runs_as_a_command():
+    path = [str(PYPROJECT.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    run = subprocess.run([sys.executable, "-m", "mebf.cli", "--help"],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("usage: mebf ")
+
+
 def test_workflow_runs_the_tier_1_command():
     # CI and ROADMAP.md name one test command; neither may drift alone
     command = ROADMAP.read_text().split("**Tier-1 verify:** `", 1)[1]
@@ -94,3 +114,11 @@ def test_workflow_pins_every_package():
     for package in packages:
         name, _, version = package.partition("==")
         assert name and version.replace(".", "").isdigit(), package
+
+
+def test_workflow_job_has_a_timeout():
+    # a hung run would otherwise hold a runner for GitHub's default 360 min
+    limits = [line.split(":", 1)[1].strip()
+              for line in WORKFLOW.read_text().splitlines()
+              if line.strip().startswith("timeout-minutes:")]
+    assert len(limits) == 1 and 0 < int(limits[0]) <= 60, limits
