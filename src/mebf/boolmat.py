@@ -6,7 +6,11 @@ column of each row are kept at zero, so whole-word AND/XOR/OR and popcounts
 are valid without masking.  Popcounts use ``np.bitwise_count``; whole-array
 totals read contiguous bytes as uint64 words when their count allows it.
 A full pass that needs dense rows (a column tally, ``row_blocks``) unpacks
-one block of rows at a time and drops it before it unpacks the next.
+one block of rows at a time and drops it before it unpacks the next.  A
+block holds at most 255 rows, and its unpacked bytes stay within the
+packed bytes of the matrix it reads, or 64 KiB if that is more.
+``elementwise_count`` counts an AND or XOR of two matrices a block of
+packed rows at a time, without forming it.
 
 A rank-1 pattern is a pair ``(rows, col_mask)``: the indices of its rows,
 distinct and ascending, as an integer array, and its columns as a packed
@@ -42,6 +46,7 @@ __all__ = [
     "col_dot_counts",
     "complement",
     "elementwise",
+    "elementwise_count",
     "rank1_cost",
     "rank1_product",
     "row_dot_counts",
@@ -50,8 +55,15 @@ __all__ = [
 
 # Rows per unpacked block: a full pass holds one block at a time, so this
 # bounds its dense temporaries, and a uint8 column tally of one block
-# cannot overflow.
+# cannot overflow.  A block also unpacks to at most the packed bytes of
+# the matrix it reads, or _BLOCK_FLOOR (64 KiB, the floor of simulate's
+# draw blocks too) if that is more: 125 rows at 1000 x 1000, 255 at
+# 4000 x 4000, all 100 rows at 100 x 100.
 _BLOCK_ROWS = 255
+_BLOCK_FLOOR = 1 << 16
+# Rows per block of a count of packed words: a multiple of 8, so that a
+# block of contiguous rows is whole uint64 words.
+_COUNT_ROWS = _BLOCK_ROWS & -8
 # Packed bytes per chunk of a row tally: 8191 bytes hold at most 65528 ones,
 # so a uint16 row tally of one chunk cannot overflow.
 _TALLY_BYTES = 8191
@@ -78,12 +90,21 @@ def _popcount(words: np.ndarray) -> int:
     return int(np.bitwise_count(flat).sum(dtype=np.int64))
 
 
-def _col_tally(packed: np.ndarray, n_cols: int) -> np.ndarray:
-    """Ones per column of packed rows, tallied in uint8 one block at a time."""
-    totals = np.zeros(n_cols, dtype=np.int64)
-    for start in range(0, len(packed), _BLOCK_ROWS):
-        totals += np.unpackbits(packed[start:start + _BLOCK_ROWS], axis=1,
-                                count=n_cols).sum(axis=0, dtype=np.uint8)
+def _block_rows(x: BinaryMatrix) -> int:
+    """Rows per unpacked block of a pass that reads rows of x, one at
+    least."""
+    return max(1, min(_BLOCK_ROWS, max(x._packed.nbytes, _BLOCK_FLOOR)
+                      // max(x.n_cols, 1)))
+
+
+def _col_tally(packed: np.ndarray, x: BinaryMatrix) -> np.ndarray:
+    """Ones per column of packed rows read from x, tallied in uint8 one
+    block at a time."""
+    totals = np.zeros(x.n_cols, dtype=np.int64)
+    rows = _block_rows(x)
+    for start in range(0, len(packed), rows):
+        totals += np.unpackbits(packed[start:start + rows], axis=1,
+                                count=x.n_cols).sum(axis=0, dtype=np.uint8)
     return totals
 
 
@@ -216,13 +237,14 @@ class BinaryMatrix:
 
     def col_sums(self) -> np.ndarray:
         """Ones per column, unpacking one block of rows at a time."""
-        return _col_tally(self._packed, self.n_cols)
+        return _col_tally(self._packed, self)
 
     def row_blocks(self):
-        """Yield (first row, dense uint8 rows) for each block of _BLOCK_ROWS
-        rows; the generator keeps no block once it has yielded it."""
-        for start in range(0, self.n_rows, _BLOCK_ROWS):
-            yield start, np.unpackbits(self._packed[start:start + _BLOCK_ROWS],
+        """Yield (first row, dense uint8 rows) for each block of rows; the
+        generator keeps no block once it has yielded it."""
+        rows = _block_rows(self)
+        for start in range(0, self.n_rows, rows):
+            yield start, np.unpackbits(self._packed[start:start + rows],
                                        axis=1, count=self.n_cols)
 
     def row(self, i: int) -> BinaryVector:
@@ -297,7 +319,7 @@ class UtlView:
         _check_fit(rows, col_mask, x.shape)
         hit = x._packed[rows]
         hit &= col_mask._packed
-        self.col_totals -= _col_tally(hit, x.n_cols)
+        self.col_totals -= _col_tally(hit, x)
         self.row_totals[rows] -= _row_tally(np.bitwise_count(hit, out=hit))
         del hit  # not held while the residual is rebuilt
         self.x = elementwise("and", x, complement(
@@ -399,15 +421,30 @@ def bool_product(a_mat: BinaryMatrix, b_mat: BinaryMatrix) -> BinaryMatrix:
     return out
 
 
-def elementwise(op: str, a: BinaryMatrix, b: BinaryMatrix) -> BinaryMatrix:
-    """Entrywise ``xor`` (symmetric difference) or ``and``."""
+def _elementwise_ufunc(op: str, a: BinaryMatrix, b: BinaryMatrix):
+    """The ufunc of an elementwise op, once a and b are known to match."""
     try:
         ufunc = _ELEMENTWISE_UFUNCS[op]
     except KeyError:
         raise ValueError(f"unknown elementwise op {op!r}") from None
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    return ufunc
+
+
+def elementwise(op: str, a: BinaryMatrix, b: BinaryMatrix) -> BinaryMatrix:
+    """Entrywise ``xor`` (symmetric difference) or ``and``."""
+    ufunc = _elementwise_ufunc(op, a, b)
     return BinaryMatrix(a.n_rows, a.n_cols, ufunc(a._packed, b._packed))
+
+
+def elementwise_count(op: str, a: BinaryMatrix, b: BinaryMatrix) -> int:
+    """Ones of ``elementwise(op, a, b)``, counted one block of packed rows
+    at a time without forming it."""
+    ufunc = _elementwise_ufunc(op, a, b)
+    return sum(_popcount(ufunc(a._packed[start:start + _COUNT_ROWS],
+                               b._packed[start:start + _COUNT_ROWS]))
+               for start in range(0, a.n_rows, _COUNT_ROWS))
 
 
 def complement(x: BinaryMatrix) -> BinaryMatrix:
@@ -433,7 +470,7 @@ def col_dot_counts(x: BinaryMatrix, rows: np.ndarray) -> np.ndarray:
     of the columns with the rows' indicator vector."""
     if not _rows_fit(rows, x.n_rows):
         raise ValueError(f"row index outside {x.n_rows} rows")
-    return _col_tally(x._packed[rows], x.n_cols)
+    return _col_tally(x._packed[rows], x)
 
 
 def row_dot_counts(x: BinaryMatrix, v: BinaryVector) -> np.ndarray:

@@ -235,12 +235,21 @@ def _add_factor_flags(p, a_name: str, b_name: str) -> None:
     p.add_argument("--out-b", help=f"write the {b_name} factor (dense01)")
 
 
-def _add_input_flags(p) -> None:
+def _add_input_flags(p, formats: tuple[str, ...] = FORMATS) -> None:
+    """--input and --threshold, and --format where there is a choice."""
     p.add_argument("--input", required=True, help="matrix file to read")
-    p.add_argument("--format", choices=FORMATS, default="dense01",
-                   help="input file format")
+    if len(formats) > 1:
+        p.add_argument("--format", choices=formats, default="dense01",
+                       help="input file format")
     p.add_argument("--threshold", type=_finite, default=0.0,
                    help="binarization threshold applied to csv inputs")
+
+
+def _add_report_flag(p, stdout: bool) -> None:
+    """--report: without it, only metrics writes a report, to stdout."""
+    default = "; default: stdout" if stdout else ""
+    p.add_argument("--report",
+                   help=f"write the metrics report (JSON{default})")
 
 
 # one parser per process, as each one left to the collector moved every
@@ -259,7 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_input_flags(fac)
     _add_budget_flags(fac, None, None)
     _add_factor_flags(fac, "n x k", "k x m")
-    fac.add_argument("--report", help="write the metrics report (JSON)")
+    _add_report_flag(fac, stdout=False)
     fac.set_defaults(handler="cmd_factorize")
 
     sim = sub.add_parser("simulate",
@@ -291,13 +300,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     den = sub.add_parser("denoise",
                          help="mask a csv matrix by its binary patterns")
-    den.add_argument("--input", required=True, help="csv matrix to denoise")
-    den.add_argument("--threshold", type=_finite, default=0.0,
-                     help="binarization threshold")
+    _add_input_flags(den, ("csv",))
     _add_budget_flags(den, 0.6, 5)
     den.add_argument("--out", required=True, help="write the masked csv")
     _add_factor_flags(den, "n x k", "k x m")
-    den.add_argument("--report", help="write the metrics report (JSON)")
+    _add_report_flag(den, stdout=False)
     den.set_defaults(handler="cmd_denoise")
 
     met = sub.add_parser("metrics",
@@ -307,8 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
     met.add_argument("--b", required=True, help="k x m factor file (dense01)")
     met.add_argument("--u", help="ground-truth row factor (dense01)")
     met.add_argument("--v", help="ground-truth column factor (dense01)")
-    met.add_argument("--report",
-                     help="report output path (default: stdout)")
+    _add_report_flag(met, stdout=True)
     met.set_defaults(handler="cmd_metrics")
 
     return parser

@@ -23,7 +23,8 @@ chunks, so a ``dense01`` read holds about twice the packed matrix and a
 size; a ``csv`` read holds its float64 matrix about twice (at most 2.1
 times).  ``dense01`` and ``coo`` are parsed in numpy passes over each chunk
 and formatted in numpy passes over blocks of rows, one unpacked block and
-one block's text alive at a time.  A file is read once, so a pipe works too:
+one block's text alive at a time; a ``coo`` block's text is filled in place
+and cut to its digits once.  A file is read once, so a pipe works too:
 the first ``coo`` chunk that fails a bulk check is scanned line by line to
 name its bad line, and the rest are only counted.
 """
@@ -371,9 +372,10 @@ def _dense01_chunks(mat: BinaryMatrix):
 
 
 def _decimal_lines(first: int, count: int, width: int, end: int):
-    """ASCII lines of the integers first .. first+count-1, one per row.
+    """ASCII lines of the integers first .. first+count-1, one void item
+    of ``width + 1`` bytes each.
 
-    Each row holds the digits right-aligned in ``width`` bytes, with NUL
+    Each line holds the digits right-aligned in ``width`` bytes, with NUL
     bytes in place of the leading zeros, then the byte ``end``.
     """
     values = np.arange(first, first + count, dtype=np.int64)[:, None]
@@ -381,7 +383,7 @@ def _decimal_lines(first: int, count: int, width: int, end: int):
     text = np.full((count, width + 1), end, dtype=np.uint8)
     text[:, :width] = np.where(values >= powers, values // powers % 10 + 48,
                                0)
-    return text
+    return text.view(np.dtype((np.void, width + 1))).ravel()
 
 
 def _coo_chunks(mat: BinaryMatrix):
@@ -393,12 +395,22 @@ def _coo_chunks(mat: BinaryMatrix):
     row_width = len(str(mat.n_rows))
     for start, block in mat.row_blocks():
         row_text = _decimal_lines(start + 1, len(block), row_width, ord(" "))
-        rows, cols = np.divmod(np.flatnonzero(block.view(bool)), mat.n_cols)
+        flat = np.flatnonzero(block.view(bool))
         del block
-        text = np.hstack([np.take(row_text, rows, axis=0),
-                          np.take(col_text, cols, axis=0)])
-        del rows, cols
-        yield text.tobytes().replace(b"\0", b"")
+        # the narrowest indices that hold a row of the block and a column
+        rows = np.empty(len(flat), np.min_scalar_type(len(row_text)))
+        cols = np.empty(len(flat), np.min_scalar_type(mat.n_cols))
+        np.divmod(flat, mat.n_cols, out=(rows, cols), casting="unsafe")
+        del flat
+        # the lines fill one buffer in place, the block's only text until
+        # its padding is cut out
+        text = bytearray(len(rows) * (row_text.itemsize + col_text.itemsize))
+        lines = np.frombuffer(text, dtype=[("row", row_text.dtype),
+                                           ("col", col_text.dtype)])
+        lines["row"] = row_text[rows]
+        lines["col"] = col_text[cols]
+        del rows, cols, lines
+        yield text.translate(None, b"\0")
         del text
 
 

@@ -6,7 +6,8 @@ ones), density (average fill of the factor matrices), and coverage rate
 (fraction of the input's ones reproduced by the product).  A metric whose
 denominator is zero raises :class:`UndefinedMetricError`; report builders
 turn that into an absent field plus a warning instead of serializing NaN.
-Both reports form the product of A and B with ``bool_product``.  A report
+Both reports form the product of A and B with ``bool_product``, and count
+its overlap with x or with the truth without forming it.  A report
 rebuilt from factor files alone recovers the cost trace one pattern at a
 time, pricing each against the union of the patterns before it with
 ``RowGroups.gain``, as the factorization loop does.
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .boolmat import BinaryMatrix, RowGroups, bool_product, elementwise
+from .boolmat import BinaryMatrix, RowGroups, bool_product, elementwise_count
 from .factorize import FactorResult
 
 __all__ = [
@@ -47,7 +48,7 @@ def reconstruction_error(truth: BinaryMatrix,
     if denom == 0:
         raise UndefinedMetricError(
             "reconstruction_error undefined: true product has no ones")
-    return elementwise("xor", truth, estimate).count() / denom
+    return elementwise_count("xor", truth, estimate) / denom
 
 
 def density(a_mat: BinaryMatrix, b_mat: BinaryMatrix) -> float:
@@ -68,7 +69,7 @@ def coverage_rate(x: BinaryMatrix, recon: BinaryMatrix) -> float:
     denom = x.count()
     if denom == 0:
         raise UndefinedMetricError("coverage_rate undefined: x has no ones")
-    return elementwise("and", x, recon).count() / denom
+    return elementwise_count("and", x, recon) / denom
 
 
 @dataclass(frozen=True)

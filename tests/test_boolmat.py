@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from mebf import boolmat
 from mebf.boolmat import (
     BinaryMatrix,
     BinaryVector,
@@ -18,6 +19,7 @@ from mebf.boolmat import (
     col_dot_counts,
     complement,
     elementwise,
+    elementwise_count,
     rank1_cost,
     rank1_product,
     row_dot_counts,
@@ -274,6 +276,32 @@ class TestElementwise:
                             BinaryMatrix.zeros(2, 2))
 
 
+class TestElementwiseCount:
+    """elementwise_count against numpy: widths around the 8-bit byte and
+    the 64-bit word, and row counts either side of its block of packed
+    rows."""
+
+    @pytest.mark.parametrize("op", ["and", "xor"])
+    @pytest.mark.parametrize("n_cols", [1, 7, 8, 9, 63, 64, 65])
+    @pytest.mark.parametrize("n_rows", [
+        0, 1, boolmat._COUNT_ROWS - 1, boolmat._COUNT_ROWS,
+        boolmat._COUNT_ROWS + 1])
+    def test_against_numpy(self, op, n_cols, n_rows):
+        rng = np.random.default_rng(n_rows * 100 + n_cols)
+        a, b = (rng.random((n_rows, n_cols)) < 0.5 for _ in range(2))
+        expected = (a & b) if op == "and" else (a ^ b)
+        a_mat, b_mat = BinaryMatrix.from_dense(a), BinaryMatrix.from_dense(b)
+        assert elementwise_count(op, a_mat, b_mat) == int(expected.sum())
+
+    def test_errors(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            elementwise_count("and", BinaryMatrix.zeros(2, 2),
+                              BinaryMatrix.zeros(3, 2))
+        with pytest.raises(ValueError, match="unknown elementwise op"):
+            elementwise_count("or", BinaryMatrix.zeros(2, 2),
+                              BinaryMatrix.zeros(2, 2))
+
+
 class TestRank1Product:
     def test_all_ones(self):
         out = rank1_product(np.arange(3), ones_vector(4), 3)
@@ -398,14 +426,55 @@ class TestKernelsAtBlockEdges:
         assert BinaryMatrix.zeros(0, 70).count() == 0
 
 
+class TestBlockRule:
+    """col_sums, col_dot_counts and row_blocks against numpy across the
+    edges of their unpacked blocks.
+
+    A block holds at most 255 rows, and unpacks to at most the packed bytes
+    of the matrix it reads, or 64 KiB if that is more: 255 rows at m = 100,
+    n/8 rows of an n x 1000 or n x 4000 matrix past 64 KiB packed, and 16
+    rows of a 4000-column matrix below it.  The cases sit at a size whose
+    blocks come out even, or one row either side of it.
+    """
+
+    @staticmethod
+    def block_rows(n_rows, n_cols):
+        packed = n_rows * ((n_cols + 7) // 8)
+        return min(255, max(packed, 1 << 16) // n_cols)
+
+    @pytest.mark.parametrize("n_cols,n_rows", [
+        (100, 254), (100, 255), (100, 256), (1000, 999), (1000, 1000),
+        (1000, 1001), (4000, 15), (4000, 16), (4000, 17), (4000, 1001)])
+    def test_against_numpy(self, n_cols, n_rows):
+        rng = np.random.default_rng(n_rows * 10000 + n_cols)
+        dense = (rng.integers(0, 10, (n_rows, n_cols), dtype=np.uint8)
+                 < 3).astype(np.uint8)
+        dense[:, 0] = 1
+        mat = BinaryMatrix.from_dense(dense)
+        half = np.flatnonzero(rng.random(n_rows) < 0.5)
+        assert np.array_equal(mat.col_sums(), dense.sum(axis=0))
+        assert np.array_equal(col_dot_counts(mat, np.arange(n_rows)),
+                              dense.sum(axis=0))
+        assert np.array_equal(col_dot_counts(mat, half),
+                              dense[half].sum(axis=0))
+        starts, blocks = zip(*mat.row_blocks())
+        assert starts == tuple(range(0, n_rows,
+                                     self.block_rows(n_rows, n_cols)))
+        assert max(block.nbytes for block in blocks) <= max(
+            mat._packed.nbytes, 1 << 16)
+        assert np.array_equal(np.vstack(blocks), dense)
+
+
 class TestColTallyPeakMemory:
     """A full column tally holds one unpacked block at a time.
 
-    A block is 255 rows of m bytes, 2.04x the packed matrix at m = 1000 and
-    1.02x at m = 2000; the int64 totals and the uint8 tally of a block add
-    little.  col_dot_counts also holds the rows it gathers.  The bounds are
-    the measured peaks, as multiples of the packed matrix; lower them as the
-    tally allocates less, never raise them.
+    A block holds at most 255 rows and unpacks to at most the packed bytes
+    of the matrix it reads, or 64 KiB if that is more: 125 rows of m bytes,
+    1.0x the packed matrix, at m = 1000 and 250 rows at m = 2000.  The
+    int64 totals and the uint8 tally of a block add little.  col_dot_counts
+    also holds the rows it gathers, and unpacks blocks no larger than them.
+    The bounds are the measured peaks, as multiples of the packed matrix;
+    lower them as the tally allocates less, never raise them.
     """
 
     @staticmethod
@@ -420,10 +489,12 @@ class TestColTallyPeakMemory:
             tracemalloc.stop()
 
     @pytest.mark.parametrize("n,bound", [
-        # measured 2.149x, and 2.150x beside col_dot_counts' rows (4.192x
-        # and 4.112x while the block before was still held)
-        (1000, 2.16),
-        # measured 1.063x for both (2.084x)
+        # measured 1.109x, and 0.630x beside col_dot_counts' rows (2.149x
+        # and 2.150x with blocks of 255 rows, 4.192x and 4.112x while the
+        # block before was still held)
+        (1000, 1.11),
+        # measured 1.043x, and 0.544x beside col_dot_counts' rows (1.063x
+        # for both with blocks of 255 rows, 2.084x)
         (2000, 1.07),
     ])
     def test_one_block_plus_the_totals(self, n, bound):

@@ -576,11 +576,13 @@ def test_unknown_preset_is_reported_alike(tmp_path, capsys):
 
 def test_shared_flags_are_declared_once():
     # factorize, bench and denoise share one --t; factorize, simulate and
-    # denoise one --out-a and --out-b
+    # denoise one --out-a and --out-b; factorize, denoise and metrics one
+    # --input, --threshold and --report
     tree = ast.parse(pathlib.Path(cli.__file__).read_text())
     constants = [node.value for node in ast.walk(tree)
                  if isinstance(node, ast.Constant)]
-    for flag in ("--t", "--out-a", "--out-b"):
+    for flag in ("--t", "--out-a", "--out-b", "--input", "--threshold",
+                 "--report"):
         assert constants.count(flag) == 1, flag
 
 
@@ -608,11 +610,12 @@ BENCH_SCENARIO = "1000x1000_d0.2_n0.01"
 COMMAND_PEAKS = {
     "factorize-coo": (4.33, "mebf_factorize"),
     "factorize-dense01": (4.14, "mebf_factorize"),
-    "metrics-coo": (4.29, "report_from_factors"),
-    "metrics-dense01": (4.30, "report_from_factors"),
+    "metrics-coo": (3.28, "reconstruction_error's count, beside X, A∘B "
+                           "and U∘V"),
+    "metrics-dense01": (3.57, "the dense01 read of X"),
     "denoise-csv": (2.17, "mask_denoise, beside the input it masks"),
-    "simulate-dense01": (3.09, "the dense01 writer"),
-    "bench-" + BENCH_SCENARIO: (4.76, "build_report"),
+    "simulate-dense01": (3.05, "the dense01 writer"),
+    "bench-" + BENCH_SCENARIO: (4.33, "UtlView.clear in mebf_factorize"),
 }
 
 

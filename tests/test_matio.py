@@ -470,20 +470,31 @@ class TestReadPeakMemory:
 
 
 class TestWritePeakMemory:
-    """A dense01 or coo write holds one unpacked block of 255 rows (255 m
-    bytes) and the text of one block at a time, plus the column digits of a
-    coo file.
+    """A dense01 or coo write holds one unpacked block of rows and the text
+    of one block at a time, plus the column digits of a coo file.  A block
+    holds at most 255 rows and unpacks to at most the packed matrix, or 64
+    KiB if that is more: 125 rows at 1000 x 1000, 250 at 2000 x 2000.  A coo
+    block's text is filled in place and then cut to its digits once.
 
     The bounds are the measured peaks, as multiples of the packed matrix;
     lower them as the writers allocate less, never raise them.
     """
 
     @pytest.mark.parametrize("fmt,spec,bound", [
-        # a block is 1.02 x packed and its text 1.02 x; measured 2.070 x
-        # (3.091 x while the block and the text before were still held)
+        # a block is 1.0 x packed and its text 1.0 x; measured 2.030 x
+        # (2.070 x with blocks of 255 rows, 3.091 x while the block and the
+        # text before were still held)
         ("dense01", SimulationSpec(2000, 2000, 5, 0.2, 0.01, 0), 2.08),
-        # a block is 0.13 x packed; measured 0.285 x (0.486 x)
-        ("coo", SimulationSpec(16000, 500, 12, 0.06, 0.003, 0), 0.29),
+        # a block is 0.13 x packed; measured 0.196 x (0.285 x while a
+        # block's text was held three times, 0.486 x)
+        ("coo", SimulationSpec(16000, 500, 12, 0.06, 0.003, 0), 0.20),
+        # the bench scenario 1000x1000_d0.2_n0.01: a block is 1.0 x packed;
+        # measured 2.118 x (4.199 x with blocks of 255 rows)
+        ("dense01", SimulationSpec(1000, 1000, 5, 0.2, 0.01, 0), 2.12),
+        # a block's text is 1.9 x packed, its cut copy 1.6 x; measured
+        # 4.457 x (15.741 x with blocks of 255 rows, int64 indices and the
+        # text held three times)
+        ("coo", SimulationSpec(1000, 1000, 5, 0.2, 0.01, 0), 4.46),
     ])
     def test_one_block_and_one_text_at_a_time(self, tmp_path, fmt, spec,
                                               bound):

@@ -75,6 +75,17 @@ def test_readme_commands_parse():
             pytest.fail(f"README command does not parse: {command}")
 
 
+def test_readme_install_names_the_build_requirements():
+    # an install without build isolation needs these already installed
+    install = README.read_text().split("## Install", 1)[1].split("\n## ")[0]
+    requires = tomllib.loads(PYPROJECT.read_text())["build-system"][
+        "requires"]
+    assert requires
+    for requirement in requires:
+        assert f"`{requirement}`" in install, requirement
+    assert "PYTHONPATH=src python -m mebf.cli " in install
+
+
 def test_console_script_resolves():
     # tier-1 runs from src/ without installing, so a renamed entry point
     # would break the installed mebf command while every other test passes
