@@ -3,14 +3,14 @@
 Entries are stored one per bit in row-major uint8 words, most significant
 bit first (the ``np.packbits`` convention).  Padding bits past the last
 column of each row are kept at zero, so whole-word AND/XOR/OR and popcounts
-are valid without masking.  Popcounts use ``np.bitwise_count``; whole-array
-totals read contiguous bytes as uint64 words when their count allows it.
-A full pass that needs dense rows (a column tally, ``row_blocks``) unpacks
-one block of rows at a time and drops it before it unpacks the next.  A
-block holds at most 255 rows, and its unpacked bytes stay within the
-packed bytes of the matrix it reads, or 64 KiB if that is more.
-``elementwise_count`` counts an AND or XOR of two matrices a block of
-packed rows at a time, without forming it.
+are valid without masking.  Popcounts use ``np.bitwise_count``: every
+total counts the whole uint64 words of its bytes and then the tail bytes
+past them.  A full pass over packed rows steps at most 255 rows at a
+time: ``elementwise_count`` counts an AND or XOR of two matrices that way
+without forming it.  A pass that needs dense rows (a column tally,
+``row_blocks``) also keeps each unpacked block within the packed bytes
+of the matrix it reads, or 64 KiB if that is more, and drops it before
+it unpacks the next.
 
 A rank-1 pattern is a pair ``(rows, col_mask)``: the indices of its rows,
 distinct and ascending, as an integer array, and its columns as a packed
@@ -53,17 +53,14 @@ __all__ = [
     "utl_rearrange",
 ]
 
-# Rows per unpacked block: a full pass holds one block at a time, so this
-# bounds its dense temporaries, and a uint8 column tally of one block
-# cannot overflow.  A block also unpacks to at most the packed bytes of
-# the matrix it reads, or _BLOCK_FLOOR (64 KiB, the floor of simulate's
-# draw blocks too) if that is more: 125 rows at 1000 x 1000, 255 at
-# 4000 x 4000, all 100 rows at 100 x 100.
+# Rows per block of a full pass over packed rows: it holds one block at a
+# time, so this bounds its temporaries, and a uint8 column tally of one
+# block cannot overflow.  An unpacked block also stays within the packed
+# bytes of the matrix it reads, or _BLOCK_FLOOR (64 KiB, the floor of
+# simulate's draw blocks too) if that is more: 125 rows at 1000 x 1000,
+# 255 at 4000 x 4000, all 100 rows at 100 x 100.
 _BLOCK_ROWS = 255
 _BLOCK_FLOOR = 1 << 16
-# Rows per block of a count of packed words: a multiple of 8, so that a
-# block of contiguous rows is whole uint64 words.
-_COUNT_ROWS = _BLOCK_ROWS & -8
 # Packed bytes per chunk of a row tally: 8191 bytes hold at most 65528 ones,
 # so a uint16 row tally of one chunk cannot overflow.
 _TALLY_BYTES = 8191
@@ -83,11 +80,12 @@ def _packed_width(n_cols: int) -> int:
 
 
 def _popcount(words: np.ndarray) -> int:
-    """Total number of set bits in an array of packed words."""
+    """Total number of set bits in an array of packed bytes: its whole
+    uint64 words, then the tail bytes past the last of them."""
     flat = words.reshape(-1)
-    if flat.flags.c_contiguous and flat.size % 8 == 0:
-        flat = flat.view(np.uint64)
-    return int(np.bitwise_count(flat).sum(dtype=np.int64))
+    whole = flat.size & -8
+    tail = int.from_bytes(flat[whole:].tobytes(), "big").bit_count()
+    return int(np.bitwise_count(flat[:whole].view(np.uint64)).sum()) + tail
 
 
 def _block_rows(x: BinaryMatrix) -> int:
@@ -442,9 +440,9 @@ def elementwise_count(op: str, a: BinaryMatrix, b: BinaryMatrix) -> int:
     """Ones of ``elementwise(op, a, b)``, counted one block of packed rows
     at a time without forming it."""
     ufunc = _elementwise_ufunc(op, a, b)
-    return sum(_popcount(ufunc(a._packed[start:start + _COUNT_ROWS],
-                               b._packed[start:start + _COUNT_ROWS]))
-               for start in range(0, a.n_rows, _COUNT_ROWS))
+    return sum(_popcount(ufunc(a._packed[start:start + _BLOCK_ROWS],
+                               b._packed[start:start + _BLOCK_ROWS]))
+               for start in range(0, a.n_rows, _BLOCK_ROWS))
 
 
 def complement(x: BinaryMatrix) -> BinaryMatrix:
@@ -491,9 +489,10 @@ def row_dot_counts(x: BinaryMatrix, v: BinaryVector) -> np.ndarray:
 
 
 def _rows_fit(rows: np.ndarray, n_rows: int) -> bool:
-    """Whether ascending row indices all lie in [0, n_rows): the first and
-    the last decide."""
-    return not len(rows) or (0 <= rows[0] and rows[-1] < n_rows)
+    """Whether row indices all lie in [0, n_rows), in any order: read as
+    unsigned, a negative index lies past every row."""
+    unsigned = np.asarray(rows, dtype=np.intp).view(np.uintp)
+    return not len(rows) or unsigned.max() < n_rows
 
 
 def _check_fit(rows: np.ndarray, col_mask: BinaryVector,

@@ -153,6 +153,26 @@ def test_one_place_forms_the_product_of_factors():
     assert not hasattr(boolmat.RowGroups, "product")
 
 
+def test_one_popcount():
+    # boolmat alone counts bits, and only _popcount reads packed bytes as
+    # uint64 words
+    def named(tree, name):
+        return sum(name in (getattr(node, "id", None),
+                            getattr(node, "attr", None),
+                            getattr(node, "name", None))
+                   for node in ast.walk(tree))
+
+    src = pathlib.Path(mebf.__file__).parent
+    for path in src.glob("*.py"):
+        if path.stem != "boolmat":
+            assert not named(ast.parse(path.read_text()),
+                             "bitwise_count"), path.name
+    tree = ast.parse((src / "boolmat.py").read_text())
+    [popcount] = [node for node in tree.body
+                  if getattr(node, "name", None) == "_popcount"]
+    assert named(tree, "uint64") == named(popcount, "uint64") > 0
+
+
 def test_the_loop_reports_and_cli_leave_the_packed_layout_to_boolmat():
     # they reach bits through BinaryMatrix and BinaryVector; matio's
     # parsers and simulate's flip kernel still know the MSB-first layout

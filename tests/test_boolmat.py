@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -278,14 +278,15 @@ class TestElementwise:
 
 class TestElementwiseCount:
     """elementwise_count against numpy: widths around the 8-bit byte and
-    the 64-bit word, and row counts either side of its block of packed
+    the 64-bit word, row counts either side of a multiple of 8 (whole
+    words at one byte per row), and either side of its block of packed
     rows."""
 
     @pytest.mark.parametrize("op", ["and", "xor"])
     @pytest.mark.parametrize("n_cols", [1, 7, 8, 9, 63, 64, 65])
     @pytest.mark.parametrize("n_rows", [
-        0, 1, boolmat._COUNT_ROWS - 1, boolmat._COUNT_ROWS,
-        boolmat._COUNT_ROWS + 1])
+        0, 1, 247, 248, 249, boolmat._BLOCK_ROWS - 1, boolmat._BLOCK_ROWS,
+        boolmat._BLOCK_ROWS + 1])
     def test_against_numpy(self, op, n_cols, n_rows):
         rng = np.random.default_rng(n_rows * 100 + n_cols)
         a, b = (rng.random((n_rows, n_cols)) < 0.5 for _ in range(2))
@@ -300,6 +301,35 @@ class TestElementwiseCount:
         with pytest.raises(ValueError, match="unknown elementwise op"):
             elementwise_count("or", BinaryMatrix.zeros(2, 2),
                               BinaryMatrix.zeros(2, 2))
+
+
+class TestPopcount:
+    """Every count of ones against ``np.unpackbits``: whole uint64 words
+    plus a tail of 0 to 7 bytes."""
+
+    @pytest.mark.parametrize("n_bytes", range(18))
+    def test_arrays_of_every_length(self, n_bytes):
+        rng = np.random.default_rng(n_bytes)
+        packed = rng.integers(0, 256, n_bytes, dtype=np.uint8)
+        vector = BinaryVector(8 * n_bytes, packed)
+        assert vector.count() == int(np.unpackbits(packed).sum())
+        matrix = BinaryMatrix(1, 8 * n_bytes, packed[None])
+        assert matrix.count() == vector.count()
+
+    @pytest.mark.parametrize("width", [1, 63, 125, 500])
+    def test_gathered_hits_of_every_residue(self, width):
+        # over 1-9 rows an odd width takes every residue of the byte count
+        # mod 8; 500 bytes, a row at m = 4000, takes 4 and 0
+        rng = np.random.default_rng(width)
+        x = BinaryMatrix.from_dense(rng.random((12, 8 * width)) < 0.5)
+        cols = BinaryVector.from_dense(rng.random(8 * width) < 0.5)
+        for n_rows in range(1, 10):
+            rows = np.sort(rng.choice(12, n_rows, replace=False))
+            hit = x._packed[rows] & cols._packed
+            ones = int(np.unpackbits(hit).sum())
+            assert BinaryMatrix(n_rows, 8 * width, hit).count() == ones
+            assert rank1_cost(rows, cols, x) == n_rows * int(
+                np.unpackbits(cols._packed).sum()) - 2 * ones
 
 
 class TestRank1Product:
@@ -906,7 +936,10 @@ class TestRowIndexKernels:
         assert rank1_product(rows, cols, n) == BinaryMatrix.from_dense(p)
         assert x_mat == BinaryMatrix.from_dense(x)
 
-    @given(row_patterns(), st.sampled_from(("below", "above", "cols")))
+    @given(row_patterns(),
+           st.sampled_from(("below", "above", "unordered", "cols")))
+    @example((np.eye(3, 4, dtype=np.uint8), None, np.array([0]),
+              np.ones(4, np.uint8)), "unordered")
     def test_a_pattern_that_does_not_fit_changes_nothing(self, instance,
                                                          fault):
         x, _, rows, col_mask = instance
@@ -916,6 +949,9 @@ class TestRowIndexKernels:
             rows = np.concatenate(([-1], rows))
         elif fault == "above":
             rows = np.concatenate((rows, [n]))
+        elif fault == "unordered":
+            # the first and last index alone would pass [0, -1]
+            rows = np.concatenate((rows, [-1]))
         else:
             cols = BinaryVector.from_dense(np.append(col_mask, 1))
         x_mat = BinaryMatrix.from_dense(x)

@@ -86,6 +86,18 @@ def test_readme_install_names_the_build_requirements():
     assert "PYTHONPATH=src python -m mebf.cli " in install
 
 
+def test_readme_names_the_python_and_numpy_floors():
+    # the popcount needs Python 3.10 (int.bit_count) and numpy 2.0
+    # (np.bitwise_count); CI runs one Python, so only this keeps the two
+    # files together
+    project = tomllib.loads(PYPROJECT.read_text())["project"]
+    python = project["requires-python"].removeprefix(">=")
+    [numpy] = [d.removeprefix("numpy>=") for d in project["dependencies"]
+               if d.startswith("numpy>=")]
+    assert f"Requires Python >= {python} and numpy >= {numpy} " in \
+        README.read_text()
+
+
 def test_console_script_resolves():
     # tier-1 runs from src/ without installing, so a renamed entry point
     # would break the installed mebf command while every other test passes
