@@ -13,12 +13,13 @@ import math
 import sys
 import time
 
+import numpy as np
+
 from .boolmat import BinaryMatrix
 from .factorize import FactorResult, MebfConfig, mebf_factorize
 from .matio import (
     BINARY_FORMATS,
     FORMATS,
-    RealMatrix,
     binarize,
     mask_denoise,
     read_matrix,
@@ -61,9 +62,7 @@ def _log(message: str) -> None:
 def _load_binary(path: str, format: str, threshold: float):
     """Read a matrix file; csv inputs are binarized at the threshold."""
     mat = read_matrix(path, format)
-    if isinstance(mat, RealMatrix):
-        return binarize(mat, threshold)
-    return mat
+    return mat if format in BINARY_FORMATS else binarize(mat, threshold)
 
 
 def _emit(payload: str, path: str | None) -> None:
@@ -197,9 +196,9 @@ def cmd_denoise(args) -> int:
 
     write_matrix(masked, args.out, "csv")
     _write_outputs(observed, result, args)
-    kept = int((masked.values != 0).sum())
-    total = int((real.values != 0).sum())
-    _log(f"denoised {real.n_rows}x{real.n_cols}: {result.k} patterns, "
+    kept = np.count_nonzero(masked)
+    total = np.count_nonzero(real)
+    _log(f"denoised {real.shape[0]}x{real.shape[1]}: {result.k} patterns, "
          f"kept {kept} of {total} non-zero entries, {elapsed:.3f}s")
     return 0
 

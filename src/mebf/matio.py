@@ -1,7 +1,8 @@
 """Matrix file formats, binarization, and mask-based denoising.
 
 Three bit-exact text formats, each declared once in a table that gives its
-kind, its matrix type, its parser and its chunk writer.  Files are ASCII.  On read, a line ends at
+kind, its matrix type (``BinaryMatrix``, or ``np.ndarray`` for csv), its
+parser and its chunk writer.  Files are ASCII.  On read, a line ends at
 LF, at CRLF, or at any other break ``str.splitlines`` knows in ASCII (CR,
 VT, FF, 0x1c-0x1e), and the final line end is optional; written files end
 every line with LF.
@@ -13,8 +14,9 @@ every line with LF.
   separated by spaces or tabs, and duplicates are rejected.  Binary
   matrices.
 * ``csv`` -- comma-separated numeric fields with '.' as the decimal
-  separator.  Real matrices; floats are written in shortest round-trip
-  form, so write-then-read is the identity.
+  separator.  Real matrices, held as 2-D float64 ``np.ndarray``s of finite
+  values; floats are written in shortest round-trip form, so
+  write-then-read is the identity.
 
 A malformed file raises :class:`MatrixFormatError` with a message that
 starts ``line N:`` at the first bad line.  Files are read in line-aligned
@@ -43,7 +45,6 @@ __all__ = [
     "BINARY_FORMATS",
     "FORMATS",
     "MatrixFormatError",
-    "RealMatrix",
     "binarize",
     "mask_denoise",
     "read_matrix",
@@ -52,43 +53,6 @@ __all__ = [
 
 class MatrixFormatError(ValueError):
     """Raised for unparseable or inconsistent matrix files."""
-
-
-class RealMatrix:
-    """Dense matrix of finite float64 values."""
-
-    __slots__ = ("n_rows", "n_cols", "values")
-
-    def __init__(self, values):
-        arr = np.array(values, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValueError(f"expected a 2-D array, got ndim={arr.ndim}")
-        if arr.size and not np.isfinite(arr).all():
-            raise ValueError("all values must be finite")
-        self.values = arr
-        self.n_rows, self.n_cols = arr.shape
-
-    @classmethod
-    def _wrap(cls, values: np.ndarray) -> RealMatrix:
-        """Hold a 2-D float64 array that this module built and knows is
-        finite: no copy and no check.  The public constructor copies."""
-        mat = object.__new__(cls)
-        mat.values = values
-        mat.n_rows, mat.n_cols = values.shape
-        return mat
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.n_rows, self.n_cols)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RealMatrix):
-            return NotImplemented
-        return self.shape == other.shape and np.array_equal(
-            self.values, other.values)
-
-    def __repr__(self) -> str:
-        return f"RealMatrix(shape={self.n_rows}x{self.n_cols})"
 
 
 # Besides LF, str.splitlines breaks ASCII text at CR, VT, FF and 0x1c-0x1e.
@@ -332,7 +296,7 @@ def _coo_line_error(line: bytes, lineno: int, n: int, m: int,
     return None
 
 
-def _read_csv(chunks) -> RealMatrix:
+def _read_csv(chunks) -> np.ndarray:
     rows = []
     width = None
     for lineno, line in _lines(chunks):
@@ -356,10 +320,7 @@ def _read_csv(chunks) -> RealMatrix:
                 f"line {lineno}: expected {width} fields, got {len(row)}")
         # a float64 array holds a row in a fraction of a list's memory
         rows.append(np.array(row))
-    if not rows:
-        return RealMatrix._wrap(np.zeros((0, 0)))
-    # every field was checked finite as it was parsed
-    return RealMatrix._wrap(np.stack(rows))
+    return np.stack(rows) if rows else np.zeros((0, 0))
 
 
 def _dense01_chunks(mat: BinaryMatrix):
@@ -414,16 +375,24 @@ def _coo_chunks(mat: BinaryMatrix):
         del text
 
 
-def _csv_chunks(mat: RealMatrix):
-    for row in mat.values:
-        yield (",".join(repr(v) for v in row.tolist()) + "\n").encode("ascii")
+def _csv_chunks(arr: np.ndarray):
+    """The lines of a 2-D finite float64 array, checked when called, so
+    that no file is opened for an array that would not read back."""
+    if arr.ndim != 2 or arr.dtype != np.float64:
+        raise MatrixFormatError(f"format 'csv' stores 2-D float64 arrays, "
+                                f"got {arr.ndim}-D {arr.dtype}")
+    # NaN propagates through min and max, which need no n x m temporary
+    if arr.size and not np.isfinite([arr.min(), arr.max()]).all():
+        raise MatrixFormatError("format 'csv' stores finite values only")
+    return ((",".join(repr(v) for v in row.tolist()) + "\n").encode("ascii")
+            for row in arr)
 
 
 # Each format's kind, its matrix type, its parser and its chunk writer.
 _TABLE = {
     "dense01": ("binary", BinaryMatrix, _parse_dense01, _dense01_chunks),
     "coo": ("binary", BinaryMatrix, _parse_coo, _coo_chunks),
-    "csv": ("real", RealMatrix, _read_csv, _csv_chunks),
+    "csv": ("real", np.ndarray, _read_csv, _csv_chunks),
 }
 FORMATS = tuple(_TABLE)
 BINARY_FORMATS = tuple(name for name, (kind, *_) in _TABLE.items()
@@ -437,8 +406,8 @@ def _lookup(format: str) -> tuple:
     return _TABLE[format]
 
 
-def read_matrix(path, format: str) -> BinaryMatrix | RealMatrix:
-    """Parse a matrix file; dense01/coo yield binary, csv yields real."""
+def read_matrix(path, format: str) -> BinaryMatrix | np.ndarray:
+    """Parse a matrix file; dense01/coo yield binary, csv a float64 array."""
     _, _, parse, _ = _lookup(format)
     chunks = _text_chunks(path)
     try:
@@ -454,26 +423,28 @@ def read_matrix(path, format: str) -> BinaryMatrix | RealMatrix:
 def write_matrix(mat, path, format: str) -> None:
     """Write a matrix in the given format; inverse of :func:`read_matrix`."""
     kind, matrix_type, _, chunks = _lookup(format)
-    if not isinstance(mat, matrix_type):
+    # exactly the type: an np.matrix row would be written as "[1.5, 0.0]"
+    if type(mat) is not matrix_type:
         raise MatrixFormatError(
             f"format {format!r} stores {kind} matrices, got "
             f"{type(mat).__name__}")
+    # the csv writer checks its array here, before the file is opened
+    text = chunks(mat)
     with open(path, "wb") as fh:
         # holds no chunk while it asks for the next
-        fh.writelines(chunks(mat))
+        fh.writelines(text)
 
 
-def binarize(real: RealMatrix, threshold: float = 0.0) -> BinaryMatrix:
+def binarize(real: np.ndarray, threshold: float = 0.0) -> BinaryMatrix:
     """1 where the value strictly exceeds the threshold, else 0."""
-    return BinaryMatrix.from_dense(real.values > threshold)
+    return BinaryMatrix.from_dense(real > threshold)
 
 
-def mask_denoise(real: RealMatrix, a_mat: BinaryMatrix,
-                 b_mat: BinaryMatrix) -> RealMatrix:
+def mask_denoise(real: np.ndarray, a_mat: BinaryMatrix,
+                 b_mat: BinaryMatrix) -> np.ndarray:
     """Keep entries supported by the Boolean product of A and B, zero rest."""
     recon = bool_product(a_mat, b_mat)
     if recon.shape != real.shape:
         raise ValueError(
             f"support {recon.shape} does not match matrix {real.shape}")
-    return RealMatrix._wrap(np.where(recon.to_dense() == 1, real.values,
-                                     0.0))
+    return np.where(recon.to_dense() == 1, real, 0.0)

@@ -23,9 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from mebf import (BinaryMatrix, MebfConfig, RealMatrix, SimulationSpec,
-                  build_report, mebf_factorize, report_from_factors,
-                  simulate, write_matrix)
+from mebf import (BinaryMatrix, MebfConfig, SimulationSpec, build_report,
+                  mebf_factorize, report_from_factors, simulate,
+                  write_matrix)
 from mebf.cli import main
 
 CONTRACT = Path(__file__).with_name("contract.json")
@@ -151,7 +151,7 @@ def _real_input(path: Path) -> None:
                                                      < 0.1), 3)
     values[:30, :20] += np.round(rng.uniform(0.5, 4, (30, 20)), 3)
     values[25:, 30:] += np.round(rng.uniform(0.5, 4, (35, 15)), 3)
-    write_matrix(RealMatrix(values), path, "csv")
+    write_matrix(values, path, "csv")
 
 
 def cli_digests(workdir: Path) -> dict:

@@ -16,7 +16,7 @@ import pytest
 from mebf.boolmat import BinaryMatrix, bool_product
 from mebf.cli import main
 from mebf.factorize import MebfConfig, mebf_factorize
-from mebf.matio import RealMatrix, binarize, write_matrix
+from mebf.matio import binarize, write_matrix
 from mebf.metrics import (
     build_report,
     coverage_rate,
@@ -259,8 +259,7 @@ def test_criterion_7_determinism_roundtrip(tmp_path):
     x = read_matrix(x_path, "dense01")
     write_matrix(x, tmp_path / "x.dense01", "dense01")
     write_matrix(x, tmp_path / "x.coo", "coo")
-    write_matrix(RealMatrix(x.to_dense().astype(float)), tmp_path / "x.csv",
-                 "csv")
+    write_matrix(x.to_dense().astype(float), tmp_path / "x.csv", "csv")
     for fmt in ("dense01", "coo", "csv"):
         rebuilt = tmp_path / f"metrics_{fmt}.json"
         assert main(["metrics", "--input", str(tmp_path / f"x.{fmt}"),
@@ -287,14 +286,13 @@ def test_criterion_8_denoise_pipeline(tmp_path):
 
     src = tmp_path / "x.csv"
     dst = tmp_path / "denoised.csv"
-    write_matrix(RealMatrix(values), src, "csv")
+    write_matrix(values, src, "csv")
     # no --t/--k: the defaults (0.6, 5) are under test
     assert main(["denoise", "--input", str(src), "--out", str(dst)]) == 0
 
-    result = mebf_factorize(binarize(RealMatrix(values)),
-                            MebfConfig(t=0.6, k_max=5))
+    result = mebf_factorize(binarize(values), MebfConfig(t=0.6, k_max=5))
     support = bool_product(result.A, result.B).to_dense().astype(bool)
     from mebf.matio import read_matrix
-    out = read_matrix(dst, "csv").values
+    out = read_matrix(dst, "csv")
     assert np.array_equal(out[support], values[support])
     assert not out[~support].any()

@@ -39,7 +39,7 @@ def test_package_root_exports_what_a_user_calls():
     assert sorted(mebf.__all__) == [
         "BINARY_FORMATS", "BinaryMatrix", "BinaryVector", "FORMATS",
         "FactorResult",
-        "MatrixFormatError", "MebfConfig", "MetricsReport", "RealMatrix",
+        "MatrixFormatError", "MebfConfig", "MetricsReport",
         "SimulatedInstance", "SimulationSpec", "UndefinedMetricError",
         "bidirectional_growth", "binarize", "bool_product", "build_report",
         "coverage_rate", "density", "mask_denoise", "mebf_factorize",

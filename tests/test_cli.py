@@ -12,7 +12,7 @@ from mebf import cli, metrics
 from mebf.boolmat import BinaryMatrix, bool_product
 from mebf.cli import _build_parser, main
 from mebf.factorize import MebfConfig, mebf_factorize
-from mebf.matio import RealMatrix, binarize, read_matrix, write_matrix
+from mebf.matio import binarize, read_matrix, write_matrix
 from mebf.simulate import SimulationSpec, simulate
 from reference import identity, ones
 
@@ -106,8 +106,8 @@ class TestFactorize:
 
     def test_csv_input_is_binarized(self, tmp_path, capsys):
         path = tmp_path / "x.csv"
-        write_matrix(RealMatrix([[2.5, 2.5, 0.0], [2.5, 2.5, 0.0]]),
-                     path, "csv")
+        write_matrix(np.array([[2.5, 2.5, 0.0], [2.5, 2.5, 0.0]]), path,
+                     "csv")
         code = main(["factorize", "--input", str(path), "--format", "csv",
                      "--t", "0.5", "--k", "1"])
         assert code == 0
@@ -116,8 +116,8 @@ class TestFactorize:
     def test_csv_threshold_is_strict(self, tmp_path):
         # an entry equal to the threshold becomes 0, one above it 1
         path, out_b = tmp_path / "x.csv", tmp_path / "b.txt"
-        write_matrix(RealMatrix([[0.5, 0.7, 2.0], [0.5, 0.7, 2.0]]),
-                     path, "csv")
+        write_matrix(np.array([[0.5, 0.7, 2.0], [0.5, 0.7, 2.0]]), path,
+                     "csv")
         code = main(["factorize", "--input", str(path), "--format", "csv",
                      "--threshold", "0.5", "--t", "0.5", "--k", "1",
                      "--out-b", str(out_b)])
@@ -419,36 +419,35 @@ class TestDenoise:
             1, 5, (6, 7))
         src = tmp_path / "x.csv"
         dst = tmp_path / "out.csv"
-        write_matrix(RealMatrix(values), src, "csv")
+        write_matrix(values, src, "csv")
         assert main(["denoise", "--input", str(src), "--out",
                      str(dst)]) == 0
-        real = RealMatrix(values)
-        result = mebf_factorize(binarize(real), MebfConfig(t=0.6, k_max=5))
+        result = mebf_factorize(binarize(values), MebfConfig(t=0.6, k_max=5))
         support = bool_product(result.A, result.B).to_dense().astype(bool)
         out = read_matrix(dst, "csv")
-        assert np.array_equal(out.values[support], values[support])
-        assert not out.values[~support].any()
+        assert np.array_equal(out[support], values[support])
+        assert not out[~support].any()
 
     def test_all_zero_input(self, tmp_path):
         src = tmp_path / "x.csv"
         dst = tmp_path / "out.csv"
-        write_matrix(RealMatrix(np.zeros((3, 4))), src, "csv")
+        write_matrix(np.zeros((3, 4)), src, "csv")
         assert main(["denoise", "--input", str(src), "--out",
                      str(dst)]) == 0
-        assert read_matrix(dst, "csv") == RealMatrix(np.zeros((3, 4)))
+        assert np.array_equal(read_matrix(dst, "csv"), np.zeros((3, 4)))
 
     def test_threshold_is_strict(self, tmp_path):
         # an entry equal to the threshold becomes 0 and is masked out; the
         # entries above it form the one pattern and are kept
         src, dst = tmp_path / "x.csv", tmp_path / "out.csv"
         out_b = tmp_path / "b.txt"
-        write_matrix(RealMatrix([[0.5, 0.7, 2.0], [0.5, 0.7, 2.0]]),
-                     src, "csv")
+        write_matrix(np.array([[0.5, 0.7, 2.0], [0.5, 0.7, 2.0]]), src,
+                     "csv")
         assert main(["denoise", "--input", str(src), "--threshold", "0.5",
                      "--out", str(dst), "--out-b", str(out_b)]) == 0
         assert out_b.read_text() == "011\n"
-        assert read_matrix(dst, "csv") == RealMatrix(
-            [[0.0, 0.7, 2.0], [0.0, 0.7, 2.0]])
+        assert np.array_equal(read_matrix(dst, "csv"),
+                              [[0.0, 0.7, 2.0], [0.0, 0.7, 2.0]])
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -458,7 +457,7 @@ def test_non_finite_threshold_is_usage_error(tmp_path, capsys, command,
     # a nan threshold binarizes every entry to 0, so it used to factorize
     # an empty matrix; each command now stops before it reads or writes
     src, a, b = tmp_path / "x.csv", tmp_path / "a.txt", tmp_path / "b.txt"
-    write_matrix(RealMatrix([[0.5, 0.7, 2.0], [0.5, 0.7, 2.0]]), src, "csv")
+    write_matrix(np.array([[0.5, 0.7, 2.0], [0.5, 0.7, 2.0]]), src, "csv")
     write_matrix(ones(2, 1), a, "dense01")
     write_matrix(ones(1, 3), b, "dense01")
     inputs = sorted(tmp_path.iterdir())
@@ -613,7 +612,7 @@ COMMAND_PEAKS = {
     "metrics-coo": (3.28, "reconstruction_error's count, beside X, A∘B "
                            "and U∘V"),
     "metrics-dense01": (3.57, "the dense01 read of X"),
-    "denoise-csv": (2.17, "mask_denoise, beside the input it masks"),
+    "denoise-csv": (2.16, "mask_denoise, beside the input it masks"),
     "simulate-dense01": (3.05, "the dense01 writer"),
     "bench-" + BENCH_SCENARIO: (4.33, "UtlView.clear in mebf_factorize"),
 }
@@ -655,7 +654,7 @@ def peak_inputs(tmp_path_factory):
     rng = np.random.default_rng(0)
     real = np.where(rng.random((600, 600)) < 0.3,
                     rng.standard_normal((600, 600)), 0.0)
-    write_matrix(RealMatrix(real), root / "x.csv", "csv")
+    write_matrix(real, root / "x.csv", "csv")
     argv["denoise-csv"] = ["denoise", "--input", str(root / "x.csv"),
                            "--out", "x.csv", "--out-a", "a.txt",
                            "--out-b", "b.txt", "--report", "r.json"]

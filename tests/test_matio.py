@@ -17,7 +17,6 @@ from mebf import matio
 from mebf.boolmat import BinaryMatrix, bool_product, elementwise
 from mebf.matio import (
     MatrixFormatError,
-    RealMatrix,
     binarize,
     mask_denoise,
     read_matrix,
@@ -133,6 +132,15 @@ def in_file(content: bytes, chunk_bytes, read):
         return read(path)
 
 
+def same(got, want) -> bool:
+    """Whether a matrix read back equals the one expected: a BinaryMatrix
+    by ==, a csv array by its exact type, dtype, shape and values."""
+    if isinstance(want, np.ndarray):
+        return (type(got) is np.ndarray and got.dtype == want.dtype
+                and np.array_equal(got, want))
+    return got == want
+
+
 def read_content(content: bytes, fmt, chunk_bytes=None):
     """read_matrix of the content, in reads of chunk_bytes if given."""
     return in_file(content, chunk_bytes, lambda path: read_matrix(path, fmt))
@@ -168,28 +176,6 @@ small_matrices = arrays(np.uint8,
 byte_edits = st.lists(st.tuples(st.sampled_from(EDIT_OPS),
                                 st.integers(0, 200),
                                 st.sampled_from(EDIT_BYTES)), max_size=5)
-
-
-class TestRealMatrix:
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError, match="finite"):
-            RealMatrix([[1.0, float("nan")]])
-        with pytest.raises(ValueError, match="finite"):
-            RealMatrix([[float("inf")]])
-
-    def test_rejects_wrong_ndim(self):
-        with pytest.raises(ValueError, match="2-D"):
-            RealMatrix([1.0, 2.0])
-
-    def test_equality(self):
-        assert RealMatrix([[1.5, 0.0]]) == RealMatrix([[1.5, 0.0]])
-        assert RealMatrix([[1.5, 0.0]]) != RealMatrix([[1.5, 1.0]])
-
-    def test_constructor_copies_the_callers_array(self):
-        values = np.array([[1.5, 0.0]])
-        mat = RealMatrix(values)
-        values[0, 0] = 2.5
-        assert mat.values.tolist() == [[1.5, 0.0]]
 
 
 class TestDense01:
@@ -414,15 +400,15 @@ class TestReadPeakMemory:
     def test_csv_peak_is_about_twice_the_matrix(self, tmp_path):
         # 3.1 MB file, 2.9 MB of float64: each row is kept as an array,
         # then the rows are stacked and held as they are; measured 2.08 x
-        # the matrix (2.17 x while RealMatrix copied the stack and checked
-        # it again, 5.27 x when each row was kept as a list of Python
-        # floats)
+        # the matrix (2.17 x when the stack was copied into a wrapper class
+        # and checked again, 5.27 x when each row was kept as a list of
+        # Python floats)
         rng = np.random.default_rng(600)
         values = np.where(rng.random((600, 600)) < 0.3,
                           rng.standard_normal((600, 600)), 0.0)
         path = tmp_path / "x.csv"
-        write_matrix(RealMatrix(values), path, "csv")
-        write_matrix(RealMatrix([[1.5, 0.0]]), tmp_path / "warm", "csv")
+        write_matrix(values, path, "csv")
+        write_matrix(np.array([[1.5, 0.0]]), tmp_path / "warm", "csv")
         read_matrix(tmp_path / "warm", "csv")
         tracemalloc.start()
         try:
@@ -431,7 +417,7 @@ class TestReadPeakMemory:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert np.array_equal(mat.values, values)
+        assert same(mat, values)
         assert peak <= 2.09 * values.nbytes
 
 
@@ -484,7 +470,7 @@ class TestWritePeakMemory:
         # a block is 1.0 x packed and its text 1.0 x; measured 2.030 x
         # (2.070 x with blocks of 255 rows, 3.091 x while the block and the
         # text before were still held)
-        ("dense01", SimulationSpec(2000, 2000, 5, 0.2, 0.01, 0), 2.08),
+        ("dense01", SimulationSpec(2000, 2000, 5, 0.2, 0.01, 0), 2.03),
         # a block is 0.13 x packed; measured 0.196 x (0.285 x while a
         # block's text was held three times, 0.486 x)
         ("coo", SimulationSpec(16000, 500, 12, 0.06, 0.003, 0), 0.20),
@@ -546,7 +532,7 @@ class TestChunkBoundaries:
         # a CR that ends one read and the LF that starts the next are one
         # break; two breaks would make an empty line and a format error
         expected = read_content(content.replace(b"\r\n", b"\n"), fmt)
-        assert read_content(content, fmt, chunk_bytes) == expected
+        assert same(read_content(content, fmt, chunk_bytes), expected)
 
     @pytest.mark.parametrize("chunk_bytes", [1, 2, 3, 4, 5, 8])
     def test_no_final_line_end(self, chunk_bytes):
@@ -554,8 +540,8 @@ class TestChunkBoundaries:
             identity(2)
         assert read_content(b"2 2 1\n1 2", "coo", chunk_bytes) == \
             BinaryMatrix.from_dense([[0, 1], [0, 0]])
-        assert read_content(b"1.5\r", "csv", chunk_bytes) == \
-            RealMatrix([[1.5]])
+        assert same(read_content(b"1.5\r", "csv", chunk_bytes),
+                    np.array([[1.5]]))
 
     def test_lines_longer_than_a_chunk(self):
         rng = np.random.default_rng(23)
@@ -814,8 +800,16 @@ class TestCsv:
     def test_read_reals(self, tmp_path):
         path = tmp_path / "x.csv"
         path.write_text("1.5,0\n0,2.0\n")
-        assert read_matrix(path, "csv") == RealMatrix([[1.5, 0.0],
-                                                       [0.0, 2.0]])
+        assert same(read_matrix(path, "csv"), np.array([[1.5, 0.0],
+                                                        [0.0, 2.0]]))
+
+    def test_read_returns_a_2d_float64_array(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("1.5,0\n")
+        mat = read_matrix(path, "csv")
+        assert type(mat) is np.ndarray and mat.dtype == np.float64
+        assert np.array_equal(mat, [[1.5, 0.0]])
+        assert not np.array_equal(mat, [[1.5, 1.0]])
 
     def test_bad_token_reports_line(self, tmp_path):
         path = tmp_path / "x.csv"
@@ -836,23 +830,22 @@ class TestCsv:
             read_matrix(path, "csv")
 
     def test_write_peak_is_about_one_row_of_text(self, tmp_path):
-        # each row is formatted on its own: measured 0.0243 x the float64
+        # each row is formatted on its own: measured 0.0224 x the float64
         # matrix (4.03 x when the whole matrix was turned into lists of
         # Python floats first); lower the bound as the writer allocates
         # less, never raise it
         rng = np.random.default_rng(600)
         values = np.where(rng.random((600, 600)) < 0.3,
                           rng.standard_normal((600, 600)), 0.0)
-        mat = RealMatrix(values)
-        write_matrix(RealMatrix([[1.5, 0.0]]), tmp_path / "warm", "csv")
+        write_matrix(np.array([[1.5, 0.0]]), tmp_path / "warm", "csv")
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            write_matrix(mat, tmp_path / "x.csv", "csv")
+            write_matrix(values, tmp_path / "x.csv", "csv")
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert read_matrix(tmp_path / "x.csv", "csv") == mat
+        assert same(read_matrix(tmp_path / "x.csv", "csv"), values)
         assert peak <= 0.025 * values.nbytes
 
 
@@ -860,7 +853,7 @@ def _round_trips(mat, fmt):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "m.dat")
         write_matrix(mat, path, fmt)
-        return read_matrix(path, fmt) == mat
+        return same(read_matrix(path, fmt), mat)
 
 
 class TestRoundTrips:
@@ -884,15 +877,15 @@ class TestRoundTrips:
                                      width=64)))
     @settings(max_examples=60)
     def test_csv(self, values):
-        assert _round_trips(RealMatrix(values), "csv")
+        assert _round_trips(values, "csv")
 
     def test_empty_matrix(self, tmp_path):
         for fmt, mat in (("dense01", BinaryMatrix.zeros(0, 0)),
                          ("coo", BinaryMatrix.zeros(0, 0)),
-                         ("csv", RealMatrix(np.zeros((0, 0))))):
+                         ("csv", np.zeros((0, 0)))):
             path = tmp_path / f"empty.{fmt}"
             write_matrix(mat, path, fmt)
-            assert read_matrix(path, fmt) == mat
+            assert same(read_matrix(path, fmt), mat)
 
     def test_large_random(self, tmp_path):
         rng = np.random.default_rng(131)
@@ -901,10 +894,10 @@ class TestRoundTrips:
             path = tmp_path / f"big.{fmt}"
             write_matrix(big, path, fmt)
             assert read_matrix(path, fmt) == big
-        real = RealMatrix(np.round(rng.random((300, 120)), 6))
+        real = np.round(rng.random((300, 120)), 6)
         path = tmp_path / "big.csv"
         write_matrix(real, path, "csv")
-        assert read_matrix(path, "csv") == real
+        assert same(read_matrix(path, "csv"), real)
 
 
 class TestFormatDispatch:
@@ -919,14 +912,51 @@ class TestFormatDispatch:
 
     def test_type_mismatch(self, tmp_path):
         with pytest.raises(MatrixFormatError, match="binary"):
-            write_matrix(RealMatrix([[1.0]]), tmp_path / "x", "dense01")
+            write_matrix(np.array([[1.0]]), tmp_path / "x", "dense01")
         with pytest.raises(MatrixFormatError, match="real"):
             write_matrix(BinaryMatrix.zeros(1, 1), tmp_path / "x", "csv")
         with pytest.raises(MatrixFormatError) as info:
-            write_matrix(RealMatrix([[1.0]]), tmp_path / "x", "coo")
+            write_matrix(np.array([[1.0]]), tmp_path / "x", "coo")
         assert str(info.value) == (
-            "format 'coo' stores binary matrices, got RealMatrix")
+            "format 'coo' stores binary matrices, got ndarray")
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("mat,message", [
+        (np.array([1.0, 2.0]), "2-D float64 arrays, got 1-D float64"),
+        (np.zeros((2, 2, 2)), "2-D float64 arrays, got 3-D float64"),
+        (np.array([[1, 0]]), "2-D float64 arrays, got 2-D int64"),
+        (np.array([[True, False]]), "2-D float64 arrays, got 2-D bool"),
+        # a view, as np.matrix() warns that the subclass is deprecated
+        (np.array([[1.5, 0.0]]).view(np.matrix), "real matrices, got matrix"),
+        (BinaryMatrix.zeros(1, 1), "real matrices, got BinaryMatrix"),
+    ], ids=["1d", "3d", "int", "bool", "np_matrix", "binary"])
+    def test_csv_write_rejects_what_would_not_read_back(self, tmp_path, mat,
+                                                        message):
+        with pytest.raises(MatrixFormatError) as info:
+            write_matrix(mat, tmp_path / "x", "csv")
+        assert str(info.value) == f"format 'csv' stores {message}"
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [(0, 0), (1, 2), (2, 3)],
+                             ids=["first", "interior", "last"])
+    def test_csv_write_rejects_non_finite(self, tmp_path, value, at):
+        # the first, an interior and the last entry of a 3 x 4 array
+        mat = np.arange(12, dtype=np.float64).reshape(3, 4)
+        mat[at] = value
+        with pytest.raises(MatrixFormatError) as info:
+            write_matrix(mat, tmp_path / "x", "csv")
+        assert str(info.value) == "format 'csv' stores finite values only"
+        assert not (tmp_path / "x").exists()
+
+    def test_csv_write_of_empty_arrays(self, tmp_path):
+        # 0 x 0 and n x 0 read back as written; a file of no lines carries
+        # no width, so 0 x m reads back as 0 x 0, as in dense01
+        for shape, back in (((0, 0), (0, 0)), ((3, 0), (3, 0)),
+                            ((0, 4), (0, 0))):
+            path = tmp_path / f"{shape[0]}x{shape[1]}.csv"
+            write_matrix(np.zeros(shape), path, "csv")
+            assert same(read_matrix(path, "csv"), np.zeros(back))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
@@ -935,64 +965,64 @@ class TestFormatDispatch:
 
 class TestBinarize:
     def test_zeros_stay_zero(self):
-        assert binarize(RealMatrix(np.zeros((3, 3)))).count() == 0
+        assert binarize(np.zeros((3, 3))).count() == 0
 
     def test_strictly_positive_only(self):
-        real = RealMatrix([[-1.0, 0.0], [0.5, -0.001]])
+        real = np.array([[-1.0, 0.0], [0.5, -0.001]])
         assert binarize(real).to_dense().tolist() == [[0, 0], [1, 0]]
 
     def test_hand_example(self):
-        real = RealMatrix([[1.5, 0.0], [0.0, 2.0]])
+        real = np.array([[1.5, 0.0], [0.0, 2.0]])
         assert binarize(real) == identity(2)
 
     def test_threshold_override(self):
-        real = RealMatrix([[1.5, 0.0], [0.0, 2.0]])
+        real = np.array([[1.5, 0.0], [0.0, 2.0]])
         assert binarize(real, threshold=1.6).to_dense().tolist() == [[0, 0],
                                                                      [0, 1]]
 
 
 class TestMaskDenoise:
     def test_full_support_keeps_everything(self):
-        real = RealMatrix([[1.5, -2.0], [0.25, 3.0]])
+        real = np.array([[1.5, -2.0], [0.25, 3.0]])
         a = ones(2, 1)
         b = ones(1, 2)
-        assert mask_denoise(real, a, b) == real
+        assert same(mask_denoise(real, a, b), real)
 
     def test_empty_support_zeroes_everything(self):
-        real = RealMatrix([[1.5, -2.0], [0.25, 3.0]])
+        real = np.array([[1.5, -2.0], [0.25, 3.0]])
         a = BinaryMatrix.zeros(2, 1)
         b = BinaryMatrix.zeros(1, 2)
-        assert mask_denoise(real, a, b) == RealMatrix(np.zeros((2, 2)))
+        assert same(mask_denoise(real, a, b), np.zeros((2, 2)))
 
     def test_hand_example(self):
-        real = RealMatrix([[1.5, 0.0], [0.0, 2.0]])
+        real = np.array([[1.5, 0.0], [0.0, 2.0]])
         a, b = (BinaryMatrix.from_dense([[1], [0]]),
                 BinaryMatrix.from_dense([[1, 1]]))
-        assert mask_denoise(real, a, b) == RealMatrix([[1.5, 0.0],
-                                                       [0.0, 0.0]])
+        assert same(mask_denoise(real, a, b), np.array([[1.5, 0.0],
+                                                        [0.0, 0.0]]))
 
     def test_masked_negative_entries_are_positive_zero(self, tmp_path):
-        real = RealMatrix([[-1.5, 2.0], [3.0, -4.0]])
+        real = np.array([[-1.5, 2.0], [3.0, -4.0]])
         a, b = BinaryMatrix.from_dense([[1], [0]]), ones(1, 2)
         masked = mask_denoise(real, a, b)
-        assert not np.signbit(masked.values[1]).any()
+        assert not np.signbit(masked[1]).any()
         path = tmp_path / "masked.csv"
         write_matrix(masked, path, "csv")
         assert path.read_bytes() == b"-1.5,2.0\n0.0,0.0\n"
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="does not match"):
-            mask_denoise(RealMatrix([[1.0]]), BinaryMatrix.zeros(2, 1),
+            mask_denoise(np.array([[1.0]]), BinaryMatrix.zeros(2, 1),
                          BinaryMatrix.zeros(1, 2))
 
     def test_peak_is_about_one_float64_matrix(self):
         # the result is held as np.where builds it, beside the unpacked
         # product and its mask; measured 1.141 x the float64 matrix (2.141
-        # x while RealMatrix copied the result); lower the bound as
-        # mask_denoise allocates less, never raise it
+        # x when the result was copied into a wrapper class); lower the
+        # bound as mask_denoise allocates less, never raise it
         rng = np.random.default_rng(600)
-        real = RealMatrix(np.where(rng.random((600, 600)) < 0.3,
-                                   rng.standard_normal((600, 600)), 0.0))
+        real = np.where(rng.random((600, 600)) < 0.3,
+                        rng.standard_normal((600, 600)), 0.0)
         a = BinaryMatrix.from_dense(rng.random((600, 5)) < 0.3)
         b = BinaryMatrix.from_dense(rng.random((5, 600)) < 0.3)
         mask_denoise(real, a, b)
@@ -1003,18 +1033,17 @@ class TestMaskDenoise:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert not np.shares_memory(masked.values, real.values)
+        assert not np.shares_memory(masked, real)
         support = bool_product(a, b).to_dense() == 1
-        assert np.array_equal(masked.values,
-                              np.where(support, real.values, 0.0))
-        assert peak <= 1.15 * real.values.nbytes, peak / real.values.nbytes
+        assert same(masked, np.where(support, real, 0.0))
+        assert peak <= 1.15 * real.nbytes, peak / real.nbytes
 
     def test_binarize_commutes_with_masking(self):
         rng = np.random.default_rng(137)
         for _ in range(40):
             n, m = rng.integers(1, 9, size=2)
             k = int(rng.integers(1, 4))
-            real = RealMatrix(rng.normal(size=(n, m)))
+            real = rng.normal(size=(n, m))
             a = BinaryMatrix.from_dense(rng.random((n, k)) < 0.5)
             b = BinaryMatrix.from_dense(rng.random((k, m)) < 0.5)
             lhs = binarize(mask_denoise(real, a, b))

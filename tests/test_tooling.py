@@ -1,6 +1,7 @@
 """The repository's pytest settings, run on throwaway test files, the
-README's commands, parsed by the CLI's parser, the installed command's
-entry points, and the CI workflow's test command."""
+README's commands, parsed by the CLI's parser, its library example, run,
+the installed command's entry points, and the CI workflow's test
+command."""
 
 import importlib
 import os
@@ -10,8 +11,10 @@ import sys
 import tomllib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from mebf import SimulationSpec, binarize, simulate, write_matrix
 from mebf.cli import _build_parser
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -73,6 +76,21 @@ def test_readme_commands_parse():
             parser.parse_args(shlex.split(command)[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {command}")
+
+
+def test_readme_library_block_runs(tmp_path, monkeypatch, capsys):
+    # a renamed or removed name must not leave the README's example stale
+    block = README.read_text().split("## Library", 1)[1].split(
+        "```python\n", 1)[1].split("```", 1)[0]
+    x = simulate(SimulationSpec(40, 30, 3, 0.2, 0.01, seed=0)).X
+    real = np.random.default_rng(0).uniform(0, 1, (40, 30))
+    write_matrix(x, tmp_path / "x.txt", "dense01")
+    write_matrix(real, tmp_path / "x.csv", "csv")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, str(README), "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == 3
+    assert printed[-1] == str(binarize(real, 0.5).count())
 
 
 def test_readme_install_names_the_build_requirements():
