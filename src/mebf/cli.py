@@ -25,7 +25,7 @@ from .matio import (
     read_matrix,
     write_matrix,
 )
-from .metrics import MetricsReport, build_report, report_from_factors
+from .metrics import build_report, report_from_factors
 from .simulate import SimulationSpec, preset_grid, replicate_seed, simulate
 
 BENCH_CSV_HEADER = ("scenario,replicate,seed,reconstruction_error,"
@@ -73,8 +73,8 @@ def _emit(payload: str, path: str | None) -> None:
         sys.stdout.write(payload)
 
 
-def _emit_report(report: MetricsReport, path: str | None) -> None:
-    _emit(json.dumps(report.to_json_dict(), indent=2) + "\n", path)
+def _emit_report(report: dict, path: str | None) -> None:
+    _emit(json.dumps(report, indent=2) + "\n", path)
 
 
 def _write_factors(a_mat: BinaryMatrix, b_mat: BinaryMatrix, args) -> None:
@@ -177,10 +177,10 @@ def cmd_bench(args) -> int:
             params["name"],
             str(rep),
             str(spec.seed),
-            _csv_field(report.reconstruction_error),
-            _csv_field(report.density),
-            _csv_field(report.coverage_rate),
-            str(report.pattern_count),
+            _csv_field(report.get("reconstruction_error")),
+            _csv_field(report.get("density")),
+            _csv_field(report.get("coverage_rate")),
+            str(report["pattern_count"]),
             repr(elapsed),
         ]))
 

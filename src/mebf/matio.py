@@ -18,6 +18,10 @@ every line with LF.
   values; floats are written in shortest round-trip form, so
   write-then-read is the identity.
 
+The one exception, in ``dense01`` and ``csv``: a matrix with no rows and
+some columns (0 x m) is written as an empty file, which reads back as
+0 x 0.  ``coo`` keeps the width in its header.
+
 A malformed file raises :class:`MatrixFormatError` with a message that
 starts ``line N:`` at the first bad line.  Files are read in line-aligned
 chunks, so a ``dense01`` read holds about twice the packed matrix and a

@@ -6,22 +6,20 @@ ones), density (average fill of the factor matrices), and coverage rate
 (fraction of the input's ones reproduced by the product).  A metric whose
 denominator is zero raises :class:`UndefinedMetricError`; report builders
 turn that into an absent field plus a warning instead of serializing NaN.
-Both reports form the product of A and B with ``bool_product``, and count
-its overlap with x or with the truth without forming it.  A report
-rebuilt from factor files alone recovers the cost trace one pattern at a
-time, pricing each against the union of the patterns before it with
-``RowGroups.gain``, as the factorization loop does.
+A report is a plain dict, the JSON object ``mebf`` writes, in its key
+order.  Both reports form the product of A and B with ``bool_product``,
+and count its overlap with x or with the truth without forming it.  A
+report rebuilt from factor files alone recovers the cost trace one
+pattern at a time, pricing each against the union of the patterns before
+it with ``RowGroups.gain``, as the factorization loop does.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .boolmat import BinaryMatrix, RowGroups, bool_product, elementwise_count
 from .factorize import FactorResult
 
 __all__ = [
-    "MetricsReport",
     "UndefinedMetricError",
     "build_report",
     "coverage_rate",
@@ -72,55 +70,9 @@ def coverage_rate(x: BinaryMatrix, recon: BinaryMatrix) -> float:
     return elementwise_count("and", x, recon) / denom
 
 
-@dataclass(frozen=True)
-class MetricsReport:
-    """Consolidated metrics for one factorization.
-
-    Ratio metrics are None when undefined for the inputs, with the reason
-    recorded in ``warnings``.  ``per_column_coverage`` holds the column
-    sums of the reconstructed matrix.
-    """
-
-    final_cost: int
-    cost_history: tuple[int, ...]
-    reconstruction_error: float | None = None
-    density: float | None = None
-    coverage_rate: float | None = None
-    per_column_coverage: tuple[int, ...] | None = None
-    warnings: tuple[str, ...] = ()
-
-    @property
-    def pattern_count(self) -> int:
-        """One cost per pattern, so the length of the cost trace."""
-        return len(self.cost_history)
-
-    def to_json_dict(self) -> dict:
-        """JSON-ready view with fixed key order; absent metrics are omitted.
-
-        Reports carry no timing, so a report rebuilt from the written
-        factor files is byte-identical to the original.
-        """
-        out: dict = {}
-        if self.reconstruction_error is not None:
-            out["reconstruction_error"] = self.reconstruction_error
-        if self.density is not None:
-            out["density"] = self.density
-        if self.coverage_rate is not None:
-            out["coverage_rate"] = self.coverage_rate
-        out["final_cost"] = self.final_cost
-        out["pattern_count"] = self.pattern_count
-        out["cost_history"] = list(self.cost_history)
-        if self.per_column_coverage is not None:
-            out["per_column_coverage"] = list(self.per_column_coverage)
-        if self.warnings:
-            out["warnings"] = list(self.warnings)
-        return out
-
-
 def _assemble(x: BinaryMatrix, a_mat: BinaryMatrix, b_mat: BinaryMatrix,
-              cost_history: tuple[int, ...],
-              truth: tuple[BinaryMatrix, BinaryMatrix] | None
-              ) -> MetricsReport:
+              cost_history: list[int],
+              truth: tuple[BinaryMatrix, BinaryMatrix] | None) -> dict:
     """The report of factors A, B of x with this cost trace."""
     recon = bool_product(a_mat, b_mat)
     warnings: list[str] = []
@@ -138,35 +90,40 @@ def _assemble(x: BinaryMatrix, a_mat: BinaryMatrix, b_mat: BinaryMatrix,
     rec_err = None if truth is None else defined(
         reconstruction_error, bool_product(*truth), recon)
 
-    return MetricsReport(
-        # the last cost of the trace; with no patterns, every one of x
-        final_cost=cost_history[-1] if cost_history else x.count(),
-        cost_history=cost_history,
-        reconstruction_error=rec_err,
-        density=dens,
-        coverage_rate=cov,
-        per_column_coverage=tuple(recon.col_sums().tolist()),
-        warnings=tuple(warnings),
-    )
+    ratios = (("reconstruction_error", rec_err), ("density", dens),
+              ("coverage_rate", cov))
+    report = {name: value for name, value in ratios if value is not None}
+    # the last cost of the trace; with no patterns, every one of x
+    report["final_cost"] = cost_history[-1] if cost_history else x.count()
+    report["pattern_count"] = len(cost_history)
+    report["cost_history"] = cost_history
+    report["per_column_coverage"] = recon.col_sums().tolist()
+    if warnings:
+        report["warnings"] = warnings
+    return report
 
 
 def build_report(x: BinaryMatrix, result: FactorResult,
                  truth: tuple[BinaryMatrix, BinaryMatrix] | None = None
-                 ) -> MetricsReport:
-    """Report for a factorization result of x.
+                 ) -> dict:
+    """Report for a factorization result of x, as its JSON object.
 
     x must be the matrix that was factorized: the final cost is read from
     the result's cost trace, not recounted against x.  ``truth`` is the
     optional pair of planted factor matrices; providing it enables the
-    reconstruction error.
+    reconstruction error.  A ratio that is undefined for the inputs is
+    left out, and its reason is listed in ``warnings``.
+    ``per_column_coverage`` holds the column sums of A∘B.  The keys come
+    in a fixed order and no timing is recorded, so a report rebuilt from
+    the written factor files dumps to the same bytes.
     """
-    return _assemble(x, result.A, result.B, result.cost_history, truth)
+    return _assemble(x, result.A, result.B, list(result.cost_history), truth)
 
 
 def report_from_factors(x: BinaryMatrix, a_mat: BinaryMatrix,
                         b_mat: BinaryMatrix,
                         truth: tuple[BinaryMatrix, BinaryMatrix] | None = None
-                        ) -> MetricsReport:
+                        ) -> dict:
     """Report rebuilt from factor matrices alone.
 
     The cost trace is recovered as the cost of each prefix of patterns
@@ -190,4 +147,4 @@ def report_from_factors(x: BinaryMatrix, a_mat: BinaryMatrix,
         union.add(*pair)
         history.append(cost)
     del union  # its groups are not held while the report is assembled
-    return _assemble(x, a_mat, b_mat, tuple(history), truth)
+    return _assemble(x, a_mat, b_mat, history, truth)

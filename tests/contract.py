@@ -72,7 +72,7 @@ def _matrix_sha(mat: BinaryMatrix) -> str:
 
 
 def _report_json(report) -> str:
-    return json.dumps(report.to_json_dict(), indent=2) + "\n"
+    return json.dumps(report, indent=2) + "\n"
 
 
 def library_digests(name: str) -> dict:

@@ -224,8 +224,8 @@ def test_criterion_6_metric_exactness():
     result = mebf_factorize(block, MebfConfig(t=0.5, k_max=2))
     report = build_report(block, result)
     assert (result.A.count() + result.B.count()) == 8
-    assert report.density == 8 / 16
-    assert report.coverage_rate == 1.0
+    assert report["density"] == 8 / 16
+    assert report["coverage_rate"] == 1.0
 
 
 @criterion("7 determinism and round-trip", budget_s=60)

@@ -1,5 +1,6 @@
 """Metric tests with hand-derived fixtures and definitional cross-checks."""
 
+import json
 import re
 import tracemalloc
 
@@ -18,7 +19,6 @@ from mebf.boolmat import (
 )
 from mebf.factorize import FactorResult, MebfConfig, mebf_factorize
 from mebf.metrics import (
-    MetricsReport,
     UndefinedMetricError,
     build_report,
     coverage_rate,
@@ -159,12 +159,12 @@ class TestBuildReport:
         x = BinaryMatrix.zeros(3, 4)
         result = mebf_factorize(x, MebfConfig(t=0.5, k_max=2))
         report = build_report(x, result)
-        assert report.final_cost == 0
-        assert report.pattern_count == 0
-        assert report.coverage_rate is None
-        assert report.density is None
-        assert report.per_column_coverage == (0, 0, 0, 0)
-        assert len(report.warnings) == 2
+        assert report["final_cost"] == 0
+        assert report["pattern_count"] == 0
+        assert "coverage_rate" not in report
+        assert "density" not in report
+        assert report["per_column_coverage"] == [0, 0, 0, 0]
+        assert len(report["warnings"]) == 2
 
     def test_perfect_factorization_with_truth(self):
         rng = np.random.default_rng(97)
@@ -173,17 +173,17 @@ class TestBuildReport:
         x = bool_product(u, v)
         result = mebf_factorize(x, MebfConfig(t=0.5, k_max=8))
         report = build_report(x, result, truth=(u, v))
-        assert report.coverage_rate == 1.0
-        assert report.reconstruction_error == 0.0
-        assert report.final_cost == 0
+        assert report["coverage_rate"] == 1.0
+        assert report["reconstruction_error"] == 0.0
+        assert report["final_cost"] == 0
 
     def test_block_diagonal_density_and_coverage(self):
         x, = mats([[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1]])
         result = mebf_factorize(x, MebfConfig(t=0.5, k_max=2))
         report = build_report(x, result)
-        assert report.coverage_rate == 1.0
-        assert report.density == 0.5
-        assert report.per_column_coverage == (2, 2, 2, 2)
+        assert report["coverage_rate"] == 1.0
+        assert report["density"] == 0.5
+        assert report["per_column_coverage"] == [2, 2, 2, 2]
 
     def test_report_from_factors_matches_build_report(self):
         rng = np.random.default_rng(101)
@@ -203,8 +203,8 @@ class TestBuildReport:
         report = build_report(
             x, result,
             truth=(BinaryMatrix.zeros(2, 1), BinaryMatrix.zeros(1, 2)))
-        assert report.reconstruction_error is None
-        assert any("reconstruction_error" in w for w in report.warnings)
+        assert "reconstruction_error" not in report
+        assert any("reconstruction_error" in w for w in report["warnings"])
 
 
 # factor pairs that MEBF would not return, as (columns of A, rows of B)
@@ -250,12 +250,13 @@ class TestForeignFactors:
             truth=(BinaryMatrix.from_dense(u), BinaryMatrix.from_dense(v)))
         recon = (a @ b > 0).astype(np.uint8)
         truth = (u @ v > 0).astype(np.uint8)
-        assert report.cost_history == tuple(numpy_costs(x, a, b))
-        assert report.final_cost == int((x ^ recon).sum())
-        assert report.coverage_rate == int((x & recon).sum()) / int(x.sum())
-        assert report.per_column_coverage == tuple(recon.sum(axis=0))
-        assert report.reconstruction_error == (int((truth ^ recon).sum())
-                                               / int(truth.sum()))
+        assert report["cost_history"] == numpy_costs(x, a, b)
+        assert report["final_cost"] == int((x ^ recon).sum())
+        assert report["coverage_rate"] == (int((x & recon).sum())
+                                           / int(x.sum()))
+        assert report["per_column_coverage"] == recon.sum(axis=0).tolist()
+        assert report["reconstruction_error"] == (int((truth ^ recon).sum())
+                                                  / int(truth.sum()))
 
     @pytest.mark.parametrize("name", sorted(FOREIGN))
     def test_build_report_final_cost_matches_numpy(self, name):
@@ -268,7 +269,7 @@ class TestForeignFactors:
                               iterations=len(history), weak_signal_uses=0,
                               residual_history=())
         report = build_report(BinaryMatrix.from_dense(x), result)
-        assert report.final_cost == int((x ^ (a @ b > 0)).sum())
+        assert report["final_cost"] == int((x ^ (a @ b > 0)).sum())
 
 
 @st.composite
@@ -320,10 +321,10 @@ class TestPricingAgainstNumpy:
 
         report = report_from_factors(x_mat, a_mat, b_mat)
         product = (a.astype(np.int64) @ b > 0).astype(np.uint8)
-        assert report.cost_history == tuple(numpy_costs(x, a, b))
-        assert report.final_cost == int((x ^ product).sum())
-        assert report.per_column_coverage == tuple(product.sum(axis=0))
-        assert report.pattern_count == a.shape[1]
+        assert report["cost_history"] == numpy_costs(x, a, b)
+        assert report["final_cost"] == int((x ^ product).sum())
+        assert report["per_column_coverage"] == product.sum(axis=0).tolist()
+        assert report["pattern_count"] == a.shape[1]
 
     def test_peak_memory_with_truth(self):
         # measured at 2.271x the packed input, with X, A∘B and U∘V held
@@ -342,7 +343,7 @@ class TestPricingAgainstNumpy:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert report.cost_history == result.cost_history
+        assert report["cost_history"] == list(result.cost_history)
         assert peak <= 2.28 * inst.X._packed.nbytes
 
 
@@ -365,20 +366,47 @@ class TestReportShapes:
                                 ones(k, 4))
 
 
-class TestSerialization:
-    def test_key_order_and_omission(self):
-        report = MetricsReport(final_cost=3, cost_history=(5, 3),
-                               density=0.25, coverage_rate=0.75,
-                               per_column_coverage=(1, 2))
-        payload = report.to_json_dict()
-        assert list(payload) == ["density", "coverage_rate", "final_cost",
-                                 "pattern_count", "cost_history",
-                                 "per_column_coverage"]
-        assert payload["pattern_count"] == 2
-        assert "reconstruction_error" not in payload
-        assert "wall_time_s" not in payload
+BLOCKS = [[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1]]
+TRUTH = ([[1, 0], [1, 0], [0, 1], [0, 1]], [[1, 1, 0, 0], [0, 0, 1, 1]])
+COUNTS = ["final_cost", "pattern_count", "cost_history", "per_column_coverage"]
 
-    def test_warnings_serialized_when_present(self):
-        report = MetricsReport(final_cost=0, cost_history=(),
-                               warnings=("oops",))
-        assert report.to_json_dict()["warnings"] == ["oops"]
+
+def plain(value) -> bool:
+    """A value json.dumps writes as it is: int, float, str or a list."""
+    if type(value) is list:
+        return all(plain(item) for item in value)
+    return type(value) in (int, float, str)
+
+
+class TestReportKeys:
+    """Each report's exact key list, from both builders."""
+
+    @pytest.mark.parametrize("truth,keys,warnings", [
+        (TRUTH, ["reconstruction_error", "density", "coverage_rate",
+                 *COUNTS], None),
+        (None, ["density", "coverage_rate", *COUNTS], None),
+        (([[0]] * 4, [[0] * 4]), ["density", "coverage_rate", *COUNTS,
+                                  "warnings"],
+         ["reconstruction_error undefined: true product has no ones"]),
+    ], ids=["truth", "no_truth", "truth_without_ones"])
+    def test_keys_in_json_order(self, truth, keys, warnings):
+        self.check(BLOCKS, truth, keys, warnings)
+
+    def test_all_zero_x_has_no_ratios(self):
+        self.check([[0] * 4] * 3, None, [*COUNTS, "warnings"],
+                   ["coverage_rate undefined: x has no ones",
+                    "density undefined: factorization has no patterns"])
+
+    @staticmethod
+    def check(x, truth, keys, warnings):
+        x = BinaryMatrix.from_dense(x)
+        if truth is not None:
+            truth = mats(*truth)
+        result = mebf_factorize(x, MebfConfig(t=0.5, k_max=3))
+        for report in (build_report(x, result, truth),
+                       report_from_factors(x, result.A, result.B, truth)):
+            assert list(report) == keys
+            assert report.get("warnings") == warnings
+            assert report["pattern_count"] == len(report["cost_history"])
+            assert all(plain(value) for value in report.values())
+            assert json.loads(json.dumps(report)) == report

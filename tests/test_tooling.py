@@ -1,8 +1,9 @@
 """The repository's pytest settings, run on throwaway test files, the
 README's commands, parsed by the CLI's parser, its library example, run,
-the installed command's entry points, and the CI workflow's test
-command."""
+the installed command's entry points, the package's syntax at its Python
+floor, and the CI workflow's test command."""
 
+import ast
 import importlib
 import os
 import shlex
@@ -114,6 +115,21 @@ def test_readme_names_the_python_and_numpy_floors():
                if d.startswith("numpy>=")]
     assert f"Requires Python >= {python} and numpy >= {numpy} " in \
         README.read_text()
+
+
+def test_package_parses_at_the_python_floor():
+    # CI runs one newer Python, so syntax the floor lacks would pass it;
+    # ast's feature_version rejects such syntax, e.g. 3.11's except*
+    floor = tomllib.loads(PYPROJECT.read_text())["project"][
+        "requires-python"].removeprefix(">=")
+    version = tuple(int(part) for part in floor.split("."))
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n",
+                  feature_version=version)
+    modules = sorted((PYPROJECT.parent / "src" / "mebf").glob("*.py"))
+    assert modules
+    for module in modules:
+        ast.parse(module.read_text(), str(module), feature_version=version)
 
 
 def test_console_script_resolves():
