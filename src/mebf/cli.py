@@ -155,6 +155,24 @@ def _csv_field(value) -> str:
     return "" if value is None else repr(value)
 
 
+def _bench_row(name: str, rep: int, spec: SimulationSpec, args) -> str:
+    """One bench run's CSV row; its instance, factors and report die when
+    this returns, so no run sits beside the next one's."""
+    inst = simulate(spec)
+    result, elapsed = _factorize(inst.X, args)
+    report = build_report(inst.X, result, truth=(inst.U, inst.V))
+    return ",".join([
+        name,
+        str(rep),
+        str(spec.seed),
+        _csv_field(report.get("reconstruction_error")),
+        _csv_field(report.get("density")),
+        _csv_field(report.get("coverage_rate")),
+        str(report["pattern_count"]),
+        repr(elapsed),
+    ])
+
+
 def cmd_bench(args) -> int:
     if args.scenarios == "all":
         chosen = preset_grid()
@@ -170,19 +188,7 @@ def cmd_bench(args) -> int:
 
     rows = [BENCH_CSV_HEADER]
     for params, rep, spec in runs:
-        inst = simulate(spec)
-        result, elapsed = _factorize(inst.X, args)
-        report = build_report(inst.X, result, truth=(inst.U, inst.V))
-        rows.append(",".join([
-            params["name"],
-            str(rep),
-            str(spec.seed),
-            _csv_field(report.get("reconstruction_error")),
-            _csv_field(report.get("density")),
-            _csv_field(report.get("coverage_rate")),
-            str(report["pattern_count"]),
-            repr(elapsed),
-        ]))
+        rows.append(_bench_row(params["name"], rep, spec, args))
 
     _emit("\n".join(rows) + "\n", args.out)
     return 0

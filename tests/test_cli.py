@@ -227,6 +227,28 @@ class TestBench:
             runs.append(rows)
         assert runs[0] == runs[1]
 
+    def test_replicate_runs_as_its_own_seed(self, tmp_path):
+        # row r of --seed s is row 0 of --seed s+r: each run keeps its
+        # replicate seed and shares no state with the runs before it
+        def rows(seed, replicates):
+            out = tmp_path / f"{seed}-{replicates}.csv"
+            assert main(["bench", "--scenarios", self.SCENARIOS,
+                         "--replicates", str(replicates), "--seed",
+                         str(seed), "--out", str(out)]) == 0
+            return [line.split(",")
+                    for line in out.read_text().splitlines()[1:]]
+
+        def kept(row):  # every field but replicate and seconds
+            return row[:1] + row[2:7]
+
+        batch = rows(4, 3)
+        assert [row[1] for row in batch] == ["0", "1", "2"] * 2
+        for r in range(3):
+            single = rows(4 + r, 1)
+            assert [row[1] for row in single] == ["0", "0"]
+            assert [kept(batch[r]), kept(batch[3 + r])] == [
+                kept(row) for row in single]
+
     def test_stdout_default(self, capsys):
         assert main(["bench", "--scenarios", "100x100_d0.2_n0",
                      "--replicates", "1"]) == 0
@@ -615,6 +637,10 @@ COMMAND_PEAKS = {
     "denoise-csv": (2.16, "mask_denoise, beside the input it masks"),
     "simulate-dense01": (3.05, "the dense01 writer"),
     "bench-" + BENCH_SCENARIO: (4.33, "UtlView.clear in mebf_factorize"),
+    # one scenario's peak, whatever the replicates: each run's instance,
+    # factors and report are gone before the next run starts
+    "bench-" + BENCH_SCENARIO + "-x2": (4.34, "UtlView.clear in "
+                                              "mebf_factorize"),
 }
 
 
@@ -646,10 +672,11 @@ def peak_inputs(tmp_path_factory):
                                 "--out", "x.txt", "--out-a", "u.txt",
                                 "--out-b", "v.txt"]
     base["simulate-dense01"] = base["factorize-dense01"]
-    argv["bench-" + BENCH_SCENARIO] = ["bench", "--scenarios",
-                                       BENCH_SCENARIO, "--replicates", "1",
-                                       "--out", "bench.csv"]
-    base["bench-" + BENCH_SCENARIO] = 1000 * 125  # the packed 1000 x 1000 X
+    for suffix, replicates in (("", "1"), ("-x2", "2")):
+        argv["bench-" + BENCH_SCENARIO + suffix] = [
+            "bench", "--scenarios", BENCH_SCENARIO, "--replicates",
+            replicates, "--out", "bench.csv"]
+        base["bench-" + BENCH_SCENARIO + suffix] = 1000 * 125  # packed X
     # 30 % non-zero standard normals
     rng = np.random.default_rng(0)
     real = np.where(rng.random((600, 600)) < 0.3,

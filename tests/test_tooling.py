@@ -1,11 +1,13 @@
 """The repository's pytest settings, run on throwaway test files, the
 README's commands, parsed by the CLI's parser, its library example, run,
-the installed command's entry points, the package's syntax at its Python
-floor, and the CI workflow's test command."""
+its benchmark workloads, the installed command's entry points, the
+package's syntax at its Python floor, and the CI workflow's test command."""
 
 import ast
 import importlib
+import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -20,6 +22,7 @@ from mebf.cli import _build_parser
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 README = PYPROJECT.parent / "README.md"
+BENCHMARK = PYPROJECT.parent / "BENCHMARK.json"
 ROADMAP = PYPROJECT.parent / "ROADMAP.md"
 WORKFLOW = PYPROJECT.parent / ".github" / "workflows" / "tests.yml"
 
@@ -92,6 +95,20 @@ def test_readme_library_block_runs(tmp_path, monkeypatch, capsys):
     printed = capsys.readouterr().out.splitlines()
     assert len(printed) == 3
     assert printed[-1] == str(binarize(real, 0.5).count())
+
+
+def test_readme_lists_the_benchmark_workloads():
+    # a workload added to or dropped from the benchmark must not leave the
+    # README's list stale
+    tests = README.read_text().split("## Tests", 1)[1].split("\n## ")[0]
+    listed = re.findall(r"^- `(\w+)`:", tests, re.MULTILINE)
+    declared = [w["name"] for w in json.loads(BENCHMARK.read_text())[
+        "workloads"]]
+    assert listed == declared
+    for text in ("python3 perfbench/run.py --workload <name> --seed 0 "
+                 "--seconds 10 --trace 0", "python3 perfbench/run.py "
+                 "--smoke", "perfbench/README.md"):
+        assert text in tests, text
 
 
 def test_readme_install_names_the_build_requirements():
