@@ -143,9 +143,9 @@ def cmd_simulate(args) -> int:
                          "preset name")
 
     spec = _spec(params, args.seed)
-    inst = simulate(spec)
-    write_matrix(inst.X, args.out, args.format)
-    _write_factors(inst.U, inst.V, args)
+    x, u, v = simulate(spec)
+    write_matrix(x, args.out, args.format)
+    _write_factors(u, v, args)
     _log(f"simulated {spec.n}x{spec.m}: k={spec.k}, p0={spec.p0:g}, "
          f"p={spec.p:g}, seed={spec.seed}")
     return 0
@@ -158,9 +158,9 @@ def _csv_field(value) -> str:
 def _bench_row(name: str, rep: int, spec: SimulationSpec, args) -> str:
     """One bench run's CSV row; its instance, factors and report die when
     this returns, so no run sits beside the next one's."""
-    inst = simulate(spec)
-    result, elapsed = _factorize(inst.X, args)
-    report = build_report(inst.X, result, truth=(inst.U, inst.V))
+    x, u, v = simulate(spec)
+    result, elapsed = _factorize(x, args)
+    report = build_report(x, result, truth=(u, v))
     return ",".join([
         name,
         str(rep),

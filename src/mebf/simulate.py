@@ -18,7 +18,6 @@ import numpy as np
 from .boolmat import BinaryMatrix, bool_product
 
 __all__ = [
-    "SimulatedInstance",
     "SimulationSpec",
     "preset_grid",
     "replicate_seed",
@@ -60,21 +59,13 @@ class SimulationSpec:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
-@dataclass(frozen=True)
-class SimulatedInstance:
-    """Observed matrix X plus the planted factors it was assembled from.
+def simulate(spec: SimulationSpec) -> tuple[BinaryMatrix, BinaryMatrix,
+                                            BinaryMatrix]:
+    """Draw one instance from the spec, bit-reproducibly, as (X, U, V).
 
     X is the Boolean product of U and V, flipped in place by the noise
-    mask; that mask is ``elementwise("xor", X, bool_product(U, V))``.
-    """
-
-    X: BinaryMatrix
-    U: BinaryMatrix
-    V: BinaryMatrix
-
-
-def simulate(spec: SimulationSpec) -> SimulatedInstance:
-    """Draw one instance from the spec, bit-reproducibly.
+    mask.  The mask is not kept: ``elementwise("xor", X, bool_product(U,
+    V))`` derives it.
 
     The stream is NumPy's default generator (PCG64) seeded with
     ``spec.seed``.  Sampling order is fixed: U row-major, then V
@@ -88,7 +79,7 @@ def simulate(spec: SimulationSpec) -> SimulatedInstance:
     x = bool_product(u, v)
     if spec.p > 0:
         _flip(rng, x, spec.p)
-    return SimulatedInstance(X=x, U=u, V=v)
+    return x, u, v
 
 
 def _flip(rng: np.random.Generator, mat: BinaryMatrix,

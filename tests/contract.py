@@ -79,8 +79,8 @@ def library_digests(name: str) -> dict:
     """Digests of one library instance's factorization and reports."""
     source, t, k_max = LIBRARY[name]
     if isinstance(source, SimulationSpec):
-        inst = simulate(source)
-        x, truth = inst.X, (inst.U, inst.V)
+        x, u, v = simulate(source)
+        truth = (u, v)
     else:
         dense = np.random.default_rng(source).random((24, 40)) < 0.25
         x, truth = BinaryMatrix.from_dense(dense), None

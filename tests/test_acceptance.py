@@ -152,14 +152,14 @@ def test_criterion_4_simulation_protocol():
             for rep in range(replicates):
                 spec = SimulationSpec(n=100, m=100, k=5, p0=p0, p=p,
                                       seed=replicate_seed(base_seed, rep))
-                inst = simulate(spec)
-                result = mebf_factorize(inst.X, cfg)
+                x, u, v = simulate(spec)
+                result = mebf_factorize(x, cfg)
                 assert all(a >= b for a, b in zip(result.cost_history,
                                                   result.cost_history[1:]))
                 assert all(a > b for a, b in zip(result.residual_history,
                                                  result.residual_history[1:]))
                 per_scenario.append(reconstruction_error(
-                    bool_product(inst.U, inst.V),
+                    bool_product(u, v),
                     bool_product(result.A, result.B)))
             errors[(p0, p)] = per_scenario
 
@@ -177,10 +177,10 @@ def test_criterion_5_complexity_scaling():
         total_time = 0.0
         total_iterations = 0
         for rep in range(reps):
-            inst = simulate(SimulationSpec(n=n, m=n, k=5, p0=0.2, p=0.01,
-                                           seed=replicate_seed(2005, rep)))
+            x, _, _ = simulate(SimulationSpec(n=n, m=n, k=5, p0=0.2, p=0.01,
+                                              seed=replicate_seed(2005, rep)))
             start = time.perf_counter()
-            result = mebf_factorize(inst.X, cfg)
+            result = mebf_factorize(x, cfg)
             total_time += time.perf_counter() - start
             total_iterations += result.iterations
         return total_time / total_iterations

@@ -11,7 +11,7 @@ import pytest
 
 import mebf
 from mebf import boolmat, matio, metrics
-from mebf.boolmat import BinaryMatrix, BinaryVector, UtlView
+from mebf.boolmat import BinaryMatrix, BinaryVector, UtlView, bool_product
 from mebf.cli import main
 from mebf.factorize import FactorResult, MebfConfig, mebf_factorize
 from mebf.metrics import (
@@ -20,7 +20,7 @@ from mebf.metrics import (
     reconstruction_error,
     report_from_factors,
 )
-from mebf.simulate import SimulatedInstance
+from mebf.simulate import SimulationSpec, simulate
 
 
 def test_exports_resolve_and_config_has_two_fields():
@@ -37,13 +37,12 @@ def test_exports_resolve_and_config_has_two_fields():
 def test_package_root_exports_what_a_user_calls():
     assert sorted(mebf.__all__) == [
         "BINARY_FORMATS", "BinaryMatrix", "BinaryVector", "FORMATS",
-        "FactorResult", "MatrixFormatError", "MebfConfig",
-        "SimulatedInstance", "SimulationSpec", "UndefinedMetricError",
-        "bidirectional_growth", "binarize", "bool_product", "build_report",
-        "coverage_rate", "density", "mask_denoise", "mebf_factorize",
-        "preset_grid", "read_matrix", "reconstruction_error",
-        "replicate_seed", "report_from_factors", "simulate",
-        "weak_signal_detection", "write_matrix"]
+        "FactorResult", "MatrixFormatError", "MebfConfig", "SimulationSpec",
+        "UndefinedMetricError", "bidirectional_growth", "binarize",
+        "bool_product", "build_report", "coverage_rate", "density",
+        "mask_denoise", "mebf_factorize", "preset_grid", "read_matrix",
+        "reconstruction_error", "replicate_seed", "report_from_factors",
+        "simulate", "weak_signal_detection", "write_matrix"]
     # the loop's kernels stay public where the loop imports them
     for name in ("UtlView", "utl_rearrange", "complement", "elementwise",
                  "rank1_product"):
@@ -246,6 +245,13 @@ def test_simulate_offers_the_binary_formats(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_simulated_instance_keeps_x_and_its_factors():
-    fields = tuple(f.name for f in dataclasses.fields(SimulatedInstance))
-    assert fields == ("X", "U", "V")
+def test_simulate_returns_x_and_its_factors():
+    drawn = simulate(SimulationSpec(n=7, m=70, k=3, p0=0.4, p=0.0, seed=2))
+    assert type(drawn) is tuple and len(drawn) == 3
+    assert all(type(mat) is BinaryMatrix for mat in drawn)
+    x, u, v = drawn
+    assert (x.shape, u.shape, v.shape) == ((7, 70), (7, 3), (3, 70))
+    assert x == bool_product(u, v)
+    assert not hasattr(mebf, "SimulatedInstance")
+    assert not hasattr(importlib.import_module("mebf.simulate"),
+                       "SimulatedInstance")

@@ -651,10 +651,10 @@ def peak_inputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("peak_inputs")
     argv, base = {}, {}
     for fmt, spec, t, k in PEAK_INSTANCES:
-        inst = simulate(spec)
-        result = mebf_factorize(inst.X, MebfConfig(t=t, k_max=k))
+        x, u, v = simulate(spec)
+        result = mebf_factorize(x, MebfConfig(t=t, k_max=k))
         files = {}
-        for name, mat in (("x", inst.X), ("u", inst.U), ("v", inst.V),
+        for name, mat in (("x", x), ("u", u), ("v", v),
                           ("a", result.A), ("b", result.B)):
             files[name] = str(root / f"{name}.{fmt}")
             write_matrix(mat, files[name], fmt if name == "x" else "dense01")
@@ -666,7 +666,7 @@ def peak_inputs(tmp_path_factory):
                                   "--b", files["b"], "--u", files["u"],
                                   "--v", files["v"], "--report", "r.json"]
         base[f"factorize-{fmt}"] = base[f"metrics-{fmt}"] = \
-            inst.X._packed.nbytes
+            x._packed.nbytes
     argv["simulate-dense01"] = ["simulate", "--n", "2000", "--m", "2000",
                                 "--k", "5", "--p0", "0.2", "--p", "0.01",
                                 "--out", "x.txt", "--out-a", "u.txt",

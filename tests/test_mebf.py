@@ -660,7 +660,7 @@ class TestPlantedInvariants:
     @pytest.mark.parametrize("name", sorted(PLANTED))
     def test_running_counts_match_recomputation(self, name):
         spec, t, k_max = PLANTED[name]
-        x = simulate(spec).X
+        x, _, _ = simulate(spec)
         result = mebf_factorize(x, MebfConfig(t=t, k_max=k_max))
         assert result.k > 1
         if name == "weak_fallback":
@@ -678,7 +678,7 @@ class TestPlantedInvariants:
     @pytest.mark.parametrize("name", sorted(PLANTED))
     def test_input_is_left_unchanged(self, name):
         spec, t, k_max = PLANTED[name]
-        x = simulate(spec).X
+        x, _, _ = simulate(spec)
         before = x._packed.tobytes()
         result = mebf_factorize(x, MebfConfig(t=t, k_max=k_max))
         assert result.weak_signal_uses == (4 if name == "weak_fallback" else 0)
@@ -687,8 +687,8 @@ class TestPlantedInvariants:
     def test_peak_memory_is_a_small_multiple_of_the_input(self):
         # measured at 3.131x; lower the bound as the loop allocates less,
         # never raise it
-        x = simulate(SimulationSpec(n=2000, m=2000, k=5, p0=0.2, p=0.01,
-                                    seed=3)).X
+        x, _, _ = simulate(SimulationSpec(n=2000, m=2000, k=5, p0=0.2,
+                                          p=0.01, seed=3))
         cfg = MebfConfig(t=0.8, k_max=10)
         tracemalloc.start()
         try:
@@ -709,8 +709,8 @@ class TestPlantedInvariants:
     ])
     def test_peak_memory_at_the_bench_scale(self, p0, bound):
         # a 1000 x 1000 scenario of preset_grid(), with noise
-        x = simulate(SimulationSpec(n=1000, m=1000, k=5, p0=p0, p=0.01,
-                                    seed=0)).X
+        x, _, _ = simulate(SimulationSpec(n=1000, m=1000, k=5, p0=p0,
+                                          p=0.01, seed=0))
         cfg = MebfConfig(t=0.8, k_max=10)
         mebf_factorize(x, cfg)
         tracemalloc.start()
@@ -742,7 +742,7 @@ class TestSharedView:
     @pytest.mark.parametrize("name", sorted(VIEW_INSTANCES))
     def test_view_matches_a_fresh_one(self, name, monkeypatch):
         spec, t, k_max = VIEW_INSTANCES[name]
-        x = simulate(spec).X
+        x, _, _ = simulate(spec)
         finders = []
         calls = []
 
@@ -805,7 +805,7 @@ class TestLoopWork:
     @pytest.mark.parametrize("name", sorted(VIEW_INSTANCES))
     def test_one_count_and_only_and(self, name, monkeypatch):
         spec, t, k_max = VIEW_INSTANCES[name]
-        x = simulate(spec).X
+        x, _, _ = simulate(spec)
         counted = []
         ops = []
         count = BinaryMatrix.count
@@ -836,7 +836,7 @@ class TestLoopWork:
         # unpacks a row mask again, and A is stacked from its packed
         # columns in one unpack, not one per column
         spec, t, k_max = VIEW_INSTANCES[name]
-        x = simulate(spec).X
+        x, _, _ = simulate(spec)
         unpacked, anchors = [], []
         to_dense, grow = BinaryVector.to_dense, mebf.factorize._grow
 

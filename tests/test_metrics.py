@@ -136,10 +136,10 @@ class TestRanges:
     def test_truth_against_itself_is_zero_on_sampled_instances(self):
         from mebf.simulate import SimulationSpec, simulate
         for seed in range(5):
-            inst = simulate(SimulationSpec(n=15, m=12, k=3, p0=0.4,
-                                           p=0.02, seed=seed))
-            assert reconstruction_error(bool_product(inst.U, inst.V),
-                                        bool_product(inst.U, inst.V)) == 0.0
+            _, u, v = simulate(SimulationSpec(n=15, m=12, k=3, p0=0.4,
+                                              p=0.02, seed=seed))
+            assert reconstruction_error(bool_product(u, v),
+                                        bool_product(u, v)) == 0.0
 
     def test_ratios_bounded_on_random_instances(self):
         rng = np.random.default_rng(89)
@@ -332,19 +332,19 @@ class TestPricingAgainstNumpy:
         # each count formed its n x m matrix); lower the bound as the report
         # allocates less, never raise it
         from mebf.simulate import SimulationSpec, simulate
-        inst = simulate(SimulationSpec(n=2000, m=2000, k=5, p0=0.2, p=0.01,
-                                       seed=3))
-        result = mebf_factorize(inst.X, MebfConfig(t=0.8, k_max=10))
+        x, u, v = simulate(SimulationSpec(n=2000, m=2000, k=5, p0=0.2,
+                                          p=0.01, seed=3))
+        result = mebf_factorize(x, MebfConfig(t=0.8, k_max=10))
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            report = report_from_factors(inst.X, result.A, result.B,
-                                         truth=(inst.U, inst.V))
+            report = report_from_factors(x, result.A, result.B,
+                                         truth=(u, v))
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
         assert report["cost_history"] == list(result.cost_history)
-        assert peak <= 2.28 * inst.X._packed.nbytes
+        assert peak <= 2.28 * x._packed.nbytes
 
 
 class TestReportShapes:

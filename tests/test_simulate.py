@@ -16,60 +16,61 @@ from mebf.simulate import (
 
 
 def test_no_patterns_no_noise_is_all_zero():
-    inst = simulate(SimulationSpec(n=8, m=9, k=3, p0=0.0, p=0.0, seed=1))
-    assert inst.X.count() == 0
+    x, _, _ = simulate(SimulationSpec(n=8, m=9, k=3, p0=0.0, p=0.0, seed=1))
+    assert x.count() == 0
 
 
 def test_full_density_no_noise_is_all_ones():
-    inst = simulate(SimulationSpec(n=8, m=9, k=3, p0=1.0, p=0.0, seed=1))
-    assert inst.X.count() == 8 * 9
+    x, _, _ = simulate(SimulationSpec(n=8, m=9, k=3, p0=1.0, p=0.0, seed=1))
+    assert x.count() == 8 * 9
 
 
-def flips(inst):
+def flips(x, u, v):
     """The noise mask of an instance: where X differs from U times V."""
-    return elementwise("xor", inst.X, bool_product(inst.U, inst.V))
+    return elementwise("xor", x, bool_product(u, v))
 
 
 def test_noise_free_equals_product():
-    inst = simulate(SimulationSpec(n=20, m=30, k=4, p0=0.3, p=0.0, seed=9))
-    assert inst.X == bool_product(inst.U, inst.V)
+    x, u, v = simulate(SimulationSpec(n=20, m=30, k=4, p0=0.3, p=0.0, seed=9))
+    assert x == bool_product(u, v)
 
 
 def test_noise_free_keeps_the_factors_of_a_noisy_draw():
     # at p = 0 the mask is not drawn; U and V come first in the stream, so
     # they are the factors any rate would give
-    quiet = simulate(SimulationSpec(n=40, m=70, k=4, p0=0.3, p=0.0, seed=5))
-    noisy = simulate(SimulationSpec(n=40, m=70, k=4, p0=0.3, p=0.2, seed=5))
-    assert quiet.U == noisy.U and quiet.V == noisy.V
-    assert quiet.X == bool_product(noisy.U, noisy.V)
+    x, quiet_u, quiet_v = simulate(SimulationSpec(n=40, m=70, k=4, p0=0.3,
+                                                  p=0.0, seed=5))
+    _, u, v = simulate(SimulationSpec(n=40, m=70, k=4, p0=0.3, p=0.2, seed=5))
+    assert quiet_u == u and quiet_v == v
+    assert x == bool_product(u, v)
 
 
 def test_reproducible():
     spec = SimulationSpec(n=25, m=40, k=5, p0=0.25, p=0.02, seed=1234)
     first, second = simulate(spec), simulate(spec)
-    assert first.X == second.X
-    assert first.U == second.U
-    assert first.V == second.V
+    assert first[0] == second[0]
+    assert first[1] == second[1]
+    assert first[2] == second[2]
 
 
 def test_different_seeds_differ():
     base = SimulationSpec(n=25, m=40, k=5, p0=0.25, p=0.02, seed=1)
     other = SimulationSpec(n=25, m=40, k=5, p0=0.25, p=0.02, seed=2)
-    assert simulate(base).X != simulate(other).X
+    assert simulate(base)[0] != simulate(other)[0]
 
 
 def test_flip_rule():
     spec = SimulationSpec(n=30, m=30, k=4, p0=0.3, p=0.1, seed=77)
-    inst = simulate(spec)
+    x, u, v = simulate(spec)
     # the mask is the third draw, after U's and V's
     rng = np.random.default_rng(spec.seed)
     rng.random((spec.n, spec.k))
     rng.random((spec.k, spec.m))
     mask = rng.random((spec.n, spec.m)) < spec.p
-    assert flips(inst) == BinaryMatrix.from_dense(mask)
+    assert flips(x, u, v) == BinaryMatrix.from_dense(mask)
     # spelled out entrywise: X agrees with the product exactly off the mask
-    product = bool_product(inst.U, inst.V).to_dense()
-    observed = inst.X.to_dense()
+    product = bool_product(u, v).to_dense()
+    observed = x.to_dense()
     assert np.array_equal(observed[~mask], product[~mask])
     assert np.array_equal(observed[mask], 1 - product[mask])
 
@@ -106,10 +107,10 @@ def assert_matches_one_shot(spec):
     u = BinaryMatrix.from_dense(rng.random((spec.n, spec.k)) < spec.p0)
     v = BinaryMatrix.from_dense(rng.random((spec.k, spec.m)) < spec.p0)
     e = BinaryMatrix.from_dense(rng.random((spec.n, spec.m)) < spec.p)
-    inst = simulate(spec)
-    assert inst.U == u
-    assert inst.V == v
-    assert inst.X == elementwise("xor", bool_product(u, v), e)
+    x, su, sv = simulate(spec)
+    assert su == u
+    assert sv == v
+    assert x == elementwise("xor", bool_product(u, v), e)
 
 
 @pytest.mark.parametrize("n, m, k, p0, p, bound", [
@@ -134,20 +135,20 @@ def test_peak_memory_is_a_small_multiple_of_the_output(n, m, k, p0, p,
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        inst = simulate(spec)
+        x, _, _ = simulate(spec)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak <= bound * inst.X._packed.nbytes
+    assert peak <= bound * x._packed.nbytes
 
 
 def test_empirical_rates_within_three_standard_errors():
     # U and the mask both carry >= 1e5 entries for this spec
     spec = SimulationSpec(n=1000, m=100, k=100, p0=0.37, p=0.08, seed=5)
-    inst = simulate(spec)
-    for mat, rate, count in ((inst.U, spec.p0, spec.n * spec.k),
-                             (inst.V, spec.p0, spec.k * spec.m),
-                             (flips(inst), spec.p, spec.n * spec.m)):
+    x, u, v = simulate(spec)
+    for mat, rate, count in ((u, spec.p0, spec.n * spec.k),
+                             (v, spec.p0, spec.k * spec.m),
+                             (flips(x, u, v), spec.p, spec.n * spec.m)):
         stderr = (rate * (1 - rate) / count) ** 0.5
         assert abs(mat.count() / count - rate) < 3 * stderr
 
@@ -183,7 +184,7 @@ def test_integer_spec_fields_are_kept(value):
                           seed=value)
     assert all(type(getattr(spec, f)) is int for f in ("n", "m", "k", "seed"))
     inst = simulate(spec)
-    assert inst.X.shape == (3, 3) and inst.U.shape == (3, 3)
+    assert inst[0].shape == (3, 3) and inst[1].shape == (3, 3)
     assert inst == simulate(SimulationSpec(n=3, m=3, k=3, p0=0.5, p=0.1,
                                            seed=3))
 

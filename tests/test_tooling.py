@@ -1,7 +1,8 @@
 """The repository's pytest settings, run on throwaway test files, the
 README's commands, parsed by the CLI's parser, its library example, run,
-its benchmark workloads, the installed command's entry points, the
-package's syntax at its Python floor, and the CI workflow's test command."""
+its benchmark workloads and the line ends of its file grammar, the
+installed command's entry points, the package's syntax at its Python
+floor, and the CI workflow's test command."""
 
 import ast
 import importlib
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mebf import SimulationSpec, binarize, simulate, write_matrix
+from mebf import SimulationSpec, binarize, matio, simulate, write_matrix
 from mebf.cli import _build_parser
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -86,15 +87,16 @@ def test_readme_library_block_runs(tmp_path, monkeypatch, capsys):
     # a renamed or removed name must not leave the README's example stale
     block = README.read_text().split("## Library", 1)[1].split(
         "```python\n", 1)[1].split("```", 1)[0]
-    x = simulate(SimulationSpec(40, 30, 3, 0.2, 0.01, seed=0)).X
+    x, _, _ = simulate(SimulationSpec(40, 30, 3, 0.2, 0.01, seed=0))
     real = np.random.default_rng(0).uniform(0, 1, (40, 30))
     write_matrix(x, tmp_path / "x.txt", "dense01")
     write_matrix(real, tmp_path / "x.csv", "csv")
     monkeypatch.chdir(tmp_path)
     exec(compile(block, str(README), "exec"), {})
     printed = capsys.readouterr().out.splitlines()
-    assert len(printed) == 3
-    assert printed[-1] == str(binarize(real, 0.5).count())
+    assert len(printed) == 4
+    assert printed[2] == str(binarize(real, 0.5).count())
+    assert printed[3] == "(40, 30) (40, 3) (3, 30)"
 
 
 def test_readme_lists_the_benchmark_workloads():
@@ -109,6 +111,23 @@ def test_readme_lists_the_benchmark_workloads():
                  "--seconds 10 --trace 0", "python3 perfbench/run.py "
                  "--smoke", "perfbench/README.md"):
         assert text in tests, text
+
+
+# the ASCII names of the control bytes 0x00-0x1f
+CONTROL_NAMES = ("NUL SOH STX ETX EOT ENQ ACK BEL BS HT LF VT FF CR SO SI DLE "
+                 "DC1 DC2 DC3 DC4 NAK SYN ETB CAN EM SUB ESC FS GS RS "
+                 "US").split()
+
+
+def test_readme_names_every_line_end_the_reader_accepts():
+    # a break byte added to or dropped from the reader must not leave the
+    # README's grammar stale
+    formats = README.read_text().split("## File formats", 1)[1].split(
+        "\n## ")[0]
+    [names] = re.findall(r"\(a lone ([^)]*) also ends\s+a line", formats)
+    named = [CONTROL_NAMES.index(name) for name in re.findall(r"[A-Z]+",
+                                                               names)]
+    assert sorted(named) == sorted(matio._OTHER_BREAKS)
 
 
 def test_readme_install_names_the_build_requirements():
