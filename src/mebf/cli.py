@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -155,22 +156,18 @@ def _csv_field(value) -> str:
     return "" if value is None else repr(value)
 
 
-def _bench_row(name: str, rep: int, spec: SimulationSpec, args) -> str:
-    """One bench run's CSV row; its instance, factors and report die when
-    this returns, so no run sits beside the next one's."""
+def _bench_row(params: dict, rep: int, args) -> str:
+    """One bench run's CSV row; its spec, instance, factors and report die
+    when this returns, so no run sits beside the next one's."""
+    spec = _spec(params, replicate_seed(args.seed, rep))
     x, u, v = simulate(spec)
     result, elapsed = _factorize(x, args)
     report = build_report(x, result, truth=(u, v))
-    return ",".join([
-        name,
-        str(rep),
-        str(spec.seed),
-        _csv_field(report.get("reconstruction_error")),
-        _csv_field(report.get("density")),
-        _csv_field(report.get("coverage_rate")),
-        str(report["pattern_count"]),
-        repr(elapsed),
-    ])
+    rates = [report.get(key) for key in ("reconstruction_error", "density",
+                                          "coverage_rate")]
+    return ",".join([params["name"], str(rep), str(spec.seed),
+                     *map(_csv_field, rates), str(report["pattern_count"]),
+                     repr(elapsed)])
 
 
 def cmd_bench(args) -> int:
@@ -180,15 +177,16 @@ def cmd_bench(args) -> int:
         chosen = _presets([nm.strip() for nm in args.scenarios.split(",")
                            if nm.strip()])
 
-    # every spec is checked before the header is logged
-    runs = [(params, rep, _spec(params, replicate_seed(args.seed, rep)))
-            for params in chosen for rep in range(args.replicates)]
+    # every spec is checked before the header is logged, then dropped:
+    # _bench_row builds it again for its run
+    for params, rep in itertools.product(chosen, range(args.replicates)):
+        _spec(params, replicate_seed(args.seed, rep))
     _log(f"bench: t={args.t:g}, k_max={args.k}, "
          f"replicates={args.replicates}, master seed {args.seed}")
 
     rows = [BENCH_CSV_HEADER]
-    for params, rep, spec in runs:
-        rows.append(_bench_row(params["name"], rep, spec, args))
+    for params, rep in itertools.product(chosen, range(args.replicates)):
+        rows.append(_bench_row(params, rep, args))
 
     _emit("\n".join(rows) + "\n", args.out)
     return 0
@@ -332,7 +330,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError, RuntimeError, MemoryError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

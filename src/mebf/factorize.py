@@ -7,12 +7,17 @@ When that pattern would raise the cost against the input, a weak-signal
 fallback seeds a pattern from the overlap of the two densest columns or
 rows instead.  For t >= 1/2 that never happens: every line a grown
 pattern takes shares more than half of the anchor's ones, so its change
-of cost is below (1 - 2t)|pattern| <= 0.  Accepted patterns zero out the
-residual entries they cover (``UtlView.clear``, the residual's only
-update).  ``rank1_cost`` picks the direction by a change of cost read from
-the pattern's rows only.  A pattern is the pair (row indices, packed column
-mask); the indices are found once, where the pattern is grown, and every
-kernel that reads its rows takes them.
+of cost is below (1 - 2t)|pattern| <= 0.  The run stops where the
+fallback finds no candidate (``default_rng(111).random((11, 14)) < 0.2``
+at t 0.1) or its candidate raises the cost too (``default_rng(30)``'s
+24x40 draw of density 0.25 at t 0.3).  A candidate covers at least one
+residual one: it takes its anchor's own line, of overlap ratio 1 > t.
+Accepted patterns zero out the residual entries they cover
+(``UtlView.clear``, the residual's only update).  ``rank1_cost`` picks the
+direction by a change of cost read from the pattern's rows only.  A pattern
+is the pair (row indices, packed column mask); the indices are found once,
+where the pattern is grown, and every kernel that reads its rows takes
+them.
 
 No reconstruction is formed.  The accepted patterns are held as row groups
 (``RowGroups``): rows in one group lie in the same patterns, so their row
@@ -196,16 +201,14 @@ def mebf_factorize(x: BinaryMatrix, cfg: MebfConfig) -> FactorResult:
     """Factorize x into at most cfg.k_max rank-1 patterns.
 
     The loop grows one pattern per round from the residual and accepts it
-    while the cost against x does not increase (the first pattern is
-    always accepted).  A rejected growth candidate triggers the
-    weak-signal fallback; if that candidate is also rejected the run ends.
-    Accepted patterns are flipped to zero in the residual, so the run also
-    ends when the residual empties or the budget is reached.  The cost and
-    the residual one-count are kept as running integers, moved by each
-    pattern's delta and c (see the module docstring) rather than recounted
-    over the whole matrix.  The residual lives in its view, which both
-    pattern finders of a round share; ``view.clear`` updates its line sums
-    from the pattern's rows.
+    while the cost against x does not increase (the first pattern is always
+    accepted).  It ends at the budget, on an empty residual, or at one of
+    the fallback's two stops.  The cost and the residual one-count are
+    running integers, moved by each pattern's delta and c rather than
+    recounted over the whole matrix (the module docstring states the stops,
+    delta and c).  The residual lives in its view, which both pattern
+    finders of a round share; ``view.clear`` updates its line sums from the
+    pattern's rows.
     """
     if x.n_rows < 1 or x.n_cols < 1:
         raise ValueError(f"matrix must have at least one row and one "
@@ -237,10 +240,8 @@ def mebf_factorize(x: BinaryMatrix, cfg: MebfConfig) -> FactorResult:
                 break
             from_weak = True
 
-        if not covered:
-            raise RuntimeError(
-                "accepted pattern covered no residual ones; "
-                "factorization cannot progress")
+        # covered >= 1: every candidate takes its anchor's line (ratio 1 > t;
+        # the fallback's overlap lies in both lines), whose ones are residual
         # kept packed until A is stacked: 1 bit per row of x, where the
         # indices would hold 8 bytes per row of the pattern
         row_parts.append(BinaryVector.from_dense(

@@ -48,6 +48,8 @@ LIBRARY = {
     "weak_fallback": (_spec(600, 600, 12, 0.06, 0.003, 2), 0.3, 20),
     # the run that ends on a rejected fallback candidate
     "weak_rejected": (30, 0.3, 20),
+    # the run that ends where the fallback finds no candidate
+    "weak_no_candidate": (18, 0.1, 20),
     # widths at and around packed-word boundaries
     **{f"width_{m}": (_spec(50, m, 3, 0.3, 0.03, m), 0.3, 8)
        for m in (1, 7, 8, 9, 63, 64, 65)},

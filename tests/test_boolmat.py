@@ -163,6 +163,28 @@ class TestStorage:
         assert mat == BinaryMatrix.from_dense([[1, 0], [1, 1]])
         assert mat != BinaryMatrix.zeros(2, 2)
 
+    @pytest.mark.parametrize("value", [
+        BinaryVector.from_dense([1, 0, 1]),
+        BinaryMatrix.from_dense([[1, 0], [1, 1]]),
+    ])
+    def test_equality_with_another_type_defers_to_it(self, value):
+        # __eq__ returns NotImplemented, so Python asks the other operand
+        # and, when that declines too, falls back to identity
+        class Decides:
+            def __eq__(self, other):
+                return "asked"
+
+        assert (value == Decides()) == "asked"
+        for other in (None, 3, "101", [1, 0, 1]):
+            assert (value == other) is False
+            assert (value != other) is True
+
+    def test_repr_names_the_shape_and_ones(self):
+        assert repr(BinaryVector.from_dense([1, 0, 1, 1])) == \
+            "BinaryVector(length=4, ones=3)"
+        assert repr(BinaryMatrix.from_dense([[1, 0], [1, 1], [0, 0]])) == \
+            "BinaryMatrix(shape=3x2, ones=3)"
+
     def test_complement_keeps_padding_clean(self):
         mat = BinaryMatrix.from_dense([[1, 0, 1, 1, 0, 1, 0, 1, 1]])
         flipped = complement(mat)

@@ -141,6 +141,21 @@ def ref_factorize(dense, t, k_max):
     return patterns, history, weak_uses
 
 
+def factorize_recording_fallbacks(dense, t, k_max):
+    """mebf_factorize's result, and what each fallback call returned."""
+    fallbacks = []
+
+    def recording(view, t):
+        fallbacks.append(weak_signal_detection(view, t))
+        return fallbacks[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mebf.factorize, "weak_signal_detection", recording)
+        result = mebf_factorize(BinaryMatrix.from_dense(dense),
+                                MebfConfig(t=t, k_max=k_max))
+    return result, fallbacks
+
+
 # widths on both sides of the 8-bit byte and the 64-bit word
 WORD_WIDTHS = (1, 7, 8, 9, 63, 64, 65, 127, 129)
 
@@ -390,16 +405,7 @@ class TestFactorize:
         dense = (np.random.default_rng(30).random((24, 40))
                  < 0.25).astype(np.uint8)
         t, k_max = 0.3, 20
-        fallbacks = []
-
-        def recording(view, t):
-            fallbacks.append(weak_signal_detection(view, t))
-            return fallbacks[-1]
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(mebf.factorize, "weak_signal_detection", recording)
-            result = mebf_factorize(BinaryMatrix.from_dense(dense),
-                                    MebfConfig(t=t, k_max=k_max))
+        result, fallbacks = factorize_recording_fallbacks(dense, t, k_max)
         assert fallbacks[-1] is not None
         assert result.k < k_max and result.iterations == result.k + 1
         assert result.weak_signal_uses == len(fallbacks) - 1 == 1
@@ -409,6 +415,30 @@ class TestFactorize:
             recon |= np.outer(result.A.col(l).to_dense(),
                               result.B.row(l).to_dense())
             assert result.residual_history[l] == int((dense & ~recon).sum())
+
+    # (seed, shape, density, t, k_max, cost_history, residual_history,
+    # iterations, weak uses): the smallest seeded witness, and the 24x40
+    # draw that tests/contract.py pins as weak_no_candidate
+    @pytest.mark.parametrize("seed, shape, density, t, k_max, costs, "
+                             "residuals, iterations, weak_uses", [
+        (111, (11, 14), 0.2, 0.1, 10, (35, 33), (26, 24), 3, 1),
+        (18, (24, 40), 0.25, 0.1, 20, (319, 318, 306, 300, 294),
+         (183, 145, 121, 101, 77), 6, 4),
+    ])
+    def test_run_ends_when_the_fallback_finds_no_candidate(
+            self, seed, shape, density, t, k_max, costs, residuals,
+            iterations, weak_uses):
+        # the last round's fallback returns None: on each axis the two
+        # densest residual lines share no one, or fewer than two are active
+        dense = (np.random.default_rng(seed).random(shape)
+                 < density).astype(np.uint8)
+        result, fallbacks = factorize_recording_fallbacks(dense, t, k_max)
+        assert fallbacks[-1] is None
+        assert result.cost_history == costs
+        assert result.residual_history == residuals
+        assert result.iterations == iterations == result.k + 1
+        assert result.weak_signal_uses == len(fallbacks) - 1 == weak_uses
+        assert_matches_reference(dense, t, k_max)
 
     @given(st.integers(1, 40), st.integers(1, 40), st.integers(0, 2**32 - 1),
            st.sampled_from((0.05, 0.2, 0.5, 0.9)),
