@@ -1,8 +1,9 @@
 """The repository's pytest settings, run on throwaway test files, the
 README's commands, parsed by the CLI's parser, its library example, run,
 its benchmark workloads and the line ends of its file grammar, the
-installed command's entry points, the package's syntax at its Python
-floor, and the CI workflow's test command."""
+committed benchmark runs, the installed command's entry points, the
+package's syntax at its Python floor, and the CI workflow's test
+command."""
 
 import ast
 import importlib
@@ -111,6 +112,28 @@ def test_readme_lists_the_benchmark_workloads():
                  "--seconds 10 --trace 0", "python3 perfbench/run.py "
                  "--smoke", "perfbench/README.md"):
         assert text in tests, text
+
+
+def test_committed_bench_runs_are_whole_and_correct():
+    # each BENCH_*.json lists the perfbench runs a change quotes: one entry
+    # per run, its result and environment without per-operation lists
+    spec = json.loads(BENCHMARK.read_text())
+    workloads = {w["name"] for w in spec["workloads"]}
+    metrics = {m["name"] for m in spec["end_to_end"]}
+    paths = sorted(PYPROJECT.parent.glob("BENCH_*.json"))
+    assert paths
+    for path in paths:
+        entries = json.loads(path.read_text())
+        assert isinstance(entries, list) and entries, path.name
+        for entry in entries:
+            assert set(entry) == {"side", "workload", "profile", "seed",
+                                  "result", "env"}, path.name
+            assert entry["side"] in ("parent", "change")
+            assert entry["workload"] in workloads
+            result = entry["result"]
+            assert result["correct"] is True and result["failed"] == 0
+            assert metrics <= set(result["metrics"])
+            assert re.fullmatch(r"[0-9a-f]{40}", entry["env"]["git_sha"])
 
 
 # the ASCII names of the control bytes 0x00-0x1f
