@@ -22,10 +22,10 @@ Row growth reads only what its anchor can hit: when at most a quarter of
 the anchor's packed bytes are non-zero, ``row_dot_counts`` gathers those
 byte columns of x and tallies them, instead of ANDing every byte of every
 row.  ``rank1_cost`` prices a pattern alone from its own rows.
-``UtlView`` holds a factorization's residual with its line sums, and
-``UtlView.clear`` is the one place that clears an accepted pattern from
-it.  That still costs O(nm) per round: ``rank1_product``, ``complement``
-and an ``elementwise`` AND.  ``RowGroups`` holds a union of patterns as
+``UtlView`` holds a copy of x as the residual, with its line sums, and
+``UtlView.clear`` clears each accepted pattern from it in place, on the
+pattern's rows only: ``rank1_product``, ``complement`` and an
+``elementwise`` AND of that block.  ``RowGroups`` holds a union of patterns as
 groups of rows: it is the one place that prices a pattern against the
 patterns before it, for the loop and for a report rebuilt from factors,
 and never forms an n x m matrix; ``bool_product`` forms a product of factors.
@@ -279,8 +279,9 @@ class UtlView:
     order is a pure function of the totals.  It is never sorted:
     :meth:`row_at` and :meth:`col_at` select the line at one position.
     :meth:`clear` is the one place that sets a pattern's ones of the
-    residual to zero; it lowers the totals from the pattern's rows instead
-    of summing the whole residual again.
+    residual to zero.  It writes ``x`` in place (``utl_rearrange`` copies
+    its input; a view built by hand has its ``x`` written) and lowers the
+    totals from the pattern's rows instead of summing the residual again.
     """
 
     x: BinaryMatrix
@@ -309,19 +310,21 @@ class UtlView:
         """Set the pattern's ones of the residual to zero.
 
         A pattern that does not fit raises ``ValueError`` before anything
-        changes.  The totals are lowered in place by the residual's ones in
-        the pattern, read from its rows only; the residual is then replaced
-        by a new matrix, so no matrix is ever written.
+        changes.  ``x`` is written in place, on the pattern's rows only:
+        they are gathered once as a block, the block AND NOT the pattern is
+        written back, and the ones it cleared lower the totals in place.
         """
         x = self.x
         _check_fit(rows, col_mask, x.shape)
-        hit = x._packed[rows]
-        hit &= col_mask._packed
+        block = BinaryMatrix(len(rows), x.n_cols, x._packed[rows])
+        kept = elementwise("and", block, complement(
+            rank1_product(np.arange(len(rows)), col_mask, len(rows))))
+        x._packed[rows] = kept._packed
+        hit = block._packed
+        hit ^= kept._packed  # the ones cleared
+        del kept  # not held while the cleared ones are tallied
         self.col_totals -= _col_tally(hit, x)
         self.row_totals[rows] -= _row_tally(np.bitwise_count(hit, out=hit))
-        del hit  # not held while the residual is rebuilt
-        self.x = elementwise("and", x, complement(
-            rank1_product(rows, col_mask, x.n_rows)))
 
 
 class RowGroups:
@@ -400,8 +403,11 @@ def _line_at(keys: np.ndarray, rank: int) -> int:
 
 
 def utl_rearrange(x: BinaryMatrix) -> UtlView:
-    """x as a residual in UTL order, from its row and column sums."""
-    return UtlView(x, x.row_sums(), x.col_sums())
+    """x as a residual in UTL order, from its row and column sums, held in
+    a copy of x that ``clear`` writes."""
+    row_totals, col_totals = x.row_sums(), x.col_sums()
+    return UtlView(BinaryMatrix(x.n_rows, x.n_cols, x._packed.copy()),
+                   row_totals, col_totals)
 
 
 def bool_product(a_mat: BinaryMatrix, b_mat: BinaryMatrix) -> BinaryMatrix:

@@ -12,12 +12,12 @@ fallback finds no candidate (``default_rng(111).random((11, 14)) < 0.2``
 at t 0.1) or its candidate raises the cost too (``default_rng(30)``'s
 24x40 draw of density 0.25 at t 0.3).  A candidate covers at least one
 residual one: it takes its anchor's own line, of overlap ratio 1 > t.
-Accepted patterns zero out the residual entries they cover
-(``UtlView.clear``, the residual's only update).  ``rank1_cost`` picks the
-direction by a change of cost read from the pattern's rows only.  A pattern
-is the pair (row indices, packed column mask); the indices are found once,
-where the pattern is grown, and every kernel that reads its rows takes
-them.
+Accepted patterns zero out the residual entries they cover, in place on
+their own rows (``UtlView.clear``, the residual's only update).
+``rank1_cost`` picks the direction by a change of cost read from the
+pattern's rows only.  A pattern is the pair (row indices, packed column
+mask); the indices are found once, where the pattern is grown, and every
+kernel that reads its rows takes them.
 
 No reconstruction is formed.  The accepted patterns are held as row groups
 (``RowGroups``): rows in one group lie in the same patterns, so their row
@@ -214,7 +214,7 @@ def mebf_factorize(x: BinaryMatrix, cfg: MebfConfig) -> FactorResult:
         raise ValueError(f"matrix must have at least one row and one "
                          f"column, got {x.shape}")
 
-    view = utl_rearrange(x)  # clearing builds a new residual; x is unchanged
+    view = utl_rearrange(x)  # the view clears its own copy; x is unchanged
     accepted = RowGroups(x.n_rows, x.n_cols)
     # the empty factorization misses every one of x
     best_cost = residual_count = x.count()

@@ -841,14 +841,18 @@ class TestUtlRearrange:
         dense, _, rows, col_mask = instance
         mat = BinaryMatrix.from_dense(dense)
         view = utl_rearrange(mat)
-        totals = view.row_totals, view.col_totals
+        residual, totals = view.x, (view.row_totals, view.col_totals)
+        outside = np.setdiff1d(np.arange(len(dense)), rows)
+        kept = residual._packed[outside].tobytes()
         view.clear(rows, BinaryVector.from_dense(col_mask))
         left = dense & (1 - dense_pattern(rows, col_mask, len(dense)))
         fresh = utl_rearrange(BinaryMatrix.from_dense(left))
-        # the residual is replaced, never written; the totals are lowered
-        # in place
+        # the view's own residual and totals are written in place, the
+        # residual on the pattern's rows only; x is never written
         assert np.array_equal(mat.to_dense(), dense)
+        assert view.x is residual
         assert view.x == BinaryMatrix.from_dense(left)
+        assert view.x._packed[outside].tobytes() == kept
         assert view.row_totals is totals[0] and view.col_totals is totals[1]
         assert view.row_totals.tolist() == left.sum(axis=1).tolist()
         assert view.col_totals.tolist() == left.sum(axis=0).tolist()
@@ -866,6 +870,14 @@ class TestUtlRearrange:
         assert view.x is before[0] and view.x == ones(3, 10)
         assert view.row_totals.tolist() == before[1] == [10] * 3
         assert view.col_totals.tolist() == before[2] == [3] * 10
+
+    @given(binary_arrays())
+    def test_view_owns_its_residual(self, dense):
+        # clear writes view.x, so the view must not share x's words
+        mat = BinaryMatrix.from_dense(dense)
+        view = utl_rearrange(mat)
+        assert view.x == mat
+        assert not np.shares_memory(view.x._packed, mat._packed)
 
     def test_deterministic(self):
         rng = np.random.default_rng(17)
@@ -978,6 +990,7 @@ class TestRowIndexKernels:
             cols = BinaryVector.from_dense(np.append(col_mask, 1))
         x_mat = BinaryMatrix.from_dense(x)
         view = utl_rearrange(x_mat)
+        residual = view.x
         groups = RowGroups(n, m)
         kernels = [lambda: rank1_cost(rows, cols, x_mat),
                    lambda: view.clear(rows, cols),
@@ -990,7 +1003,7 @@ class TestRowIndexKernels:
             with pytest.raises(ValueError):
                 kernel()
         assert x_mat == BinaryMatrix.from_dense(x)
-        assert view.x is x_mat
+        assert view.x is residual and view.x == x_mat
         assert view.row_totals.tolist() == x.sum(axis=1).tolist()
         assert view.col_totals.tolist() == x.sum(axis=0).tolist()
         assert groups.group.tolist() == [0] * n and len(groups.table) == 1

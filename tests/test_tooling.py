@@ -134,6 +134,20 @@ def test_committed_bench_runs_are_whole_and_correct():
             assert result["correct"] is True and result["failed"] == 0
             assert metrics <= set(result["metrics"])
             assert re.fullmatch(r"[0-9a-f]{40}", entry["env"]["git_sha"])
+        # within each workload, runs come in consecutive parent/change
+        # pairs, and each side is one commit, not the other side's
+        sides = {}
+        for entry in entries:
+            sides.setdefault(entry["workload"], []).append(entry["side"])
+        for workload, order in sides.items():
+            assert len(order) % 2 == 0, (path.name, workload)
+            for pair in zip(order[::2], order[1::2]):
+                assert sorted(pair) == ["change", "parent"], (path.name,
+                                                              workload)
+        shas = {side: {e["env"]["git_sha"] for e in entries
+                       if e["side"] == side} for side in ("parent", "change")}
+        assert len(shas["parent"]) == len(shas["change"]) == 1, path.name
+        assert shas["parent"] != shas["change"], path.name
 
 
 # the ASCII names of the control bytes 0x00-0x1f
