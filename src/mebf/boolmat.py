@@ -9,8 +9,9 @@ past them.  A full pass over packed rows steps at most 255 rows at a
 time: ``elementwise_count`` counts an AND or XOR of two matrices that way
 without forming it.  A pass that needs dense rows (a column tally,
 ``row_blocks``) also keeps each unpacked block within the packed bytes
-of the matrix it reads, or 64 KiB if that is more, and drops it before
-it unpacks the next.
+of the matrix it reads, or 64 KiB if that is more (512 KiB at most), and
+drops it before it unpacks the next.  Gathers and ANDs of many packed rows
+take 256 KiB parts (``_parts``): a round holds the residual plus one part.
 
 A rank-1 pattern is a pair ``(rows, col_mask)``: the indices of its rows,
 distinct and ascending, as an integer array, and its columns as a packed
@@ -57,10 +58,12 @@ __all__ = [
 # time, so this bounds its temporaries, and a uint8 column tally of one
 # block cannot overflow.  An unpacked block also stays within the packed
 # bytes of the matrix it reads, or _BLOCK_FLOOR (64 KiB, the floor of
-# simulate's draw blocks too) if that is more: 125 rows at 1000 x 1000,
-# 255 at 4000 x 4000, all 100 rows at 100 x 100.
+# simulate's draw blocks too) if that is more, and within 2 * _BLOCK_BYTES:
+# 125 rows at 1000 x 1000, 250 at 2000 x 2000, 131 at 4000 x 4000, all
+# 100 rows at 100 x 100.
 _BLOCK_ROWS = 255
 _BLOCK_FLOOR = 1 << 16
+_BLOCK_BYTES = 1 << 18  # packed bytes of a part (_parts)
 # Packed bytes per chunk of a row tally: 8191 bytes hold at most 65528 ones,
 # so a uint16 row tally of one chunk cannot overflow.
 _TALLY_BYTES = 8191
@@ -91,8 +94,18 @@ def _popcount(words: np.ndarray) -> int:
 def _block_rows(x: BinaryMatrix) -> int:
     """Rows per unpacked block of a pass that reads rows of x, one at
     least."""
-    return max(1, min(_BLOCK_ROWS, max(x._packed.nbytes, _BLOCK_FLOOR)
-                      // max(x.n_cols, 1)))
+    unpacked = min(max(x._packed.nbytes, _BLOCK_FLOOR), 2 * _BLOCK_BYTES)
+    return max(1, min(_BLOCK_ROWS, unpacked // max(x.n_cols, 1)))
+
+
+def _parts(rows, x: BinaryMatrix):
+    """Rows of x (indices, or x's packed rows) in consecutive parts of at most
+    _BLOCK_BYTES packed, one row at least each; ``(rows,)`` when they fit."""
+    width = (x.n_cols + 7) >> 3
+    if len(rows) * width <= _BLOCK_BYTES:
+        return (rows,)
+    step = max(1, _BLOCK_BYTES // width)
+    return [rows[start:start + step] for start in range(0, len(rows), step)]
 
 
 def _col_tally(packed: np.ndarray, x: BinaryMatrix) -> np.ndarray:
@@ -115,6 +128,15 @@ def _row_tally(counts: np.ndarray) -> np.ndarray:
         totals += counts[:, start:start + _TALLY_BYTES].sum(axis=1,
                                                             dtype=np.uint16)
     return totals
+
+
+def _row_ones(x: BinaryMatrix, mask) -> np.ndarray:
+    """Ones per row of x AND a packed mask, one part of rows at a time."""
+    tallies = []
+    for part in _parts(x._packed, x):
+        words = part & mask
+        tallies.append(_row_tally(np.bitwise_count(words, out=words)))
+    return tallies[0] if len(tallies) == 1 else np.concatenate(tallies)
 
 
 def _validate_binary(dense: np.ndarray) -> np.ndarray:
@@ -231,7 +253,7 @@ class BinaryMatrix:
         return _popcount(self._packed)
 
     def row_sums(self) -> np.ndarray:
-        return _row_tally(np.bitwise_count(self._packed))
+        return _row_ones(self, np.uint8(0xFF))
 
     def col_sums(self) -> np.ndarray:
         """Ones per column, unpacking one block of rows at a time."""
@@ -310,12 +332,16 @@ class UtlView:
         """Set the pattern's ones of the residual to zero.
 
         A pattern that does not fit raises ``ValueError`` before anything
-        changes.  ``x`` is written in place, on the pattern's rows only:
-        they are gathered once as a block, the block AND NOT the pattern is
-        written back, and the ones it cleared lower the totals in place.
+        changes.  ``x`` is written in place, on the pattern's rows only: each
+        part of them (``_parts``) is gathered as a block, the block AND NOT
+        the pattern written back, and the ones it cleared lower the totals.
         """
         x = self.x
         _check_fit(rows, col_mask, x.shape)
+        if len(parts := _parts(rows, x)) > 1:
+            for part in parts:  # each part's temporaries go with its call
+                self.clear(part, col_mask)
+            return
         block = BinaryMatrix(len(rows), x.n_cols, x._packed[rows])
         kept = elementwise("and", block, complement(
             rank1_product(np.arange(len(rows)), col_mask, len(rows))))
@@ -358,12 +384,13 @@ class RowGroups:
             raise ValueError(f"shape mismatch: {self.shape} vs {x.shape}")
         _check_fit(rows, col_mask, self.shape)
         fresh = ~self.table & col_mask._packed
-        group = self.group[rows]
-        hit = x._packed[rows]
-        hit &= fresh[group]
-        covered = _popcount(hit)
+        covered = 0
+        for part in _parts(rows, x):
+            hit = x._packed[part]
+            hit &= fresh[self.group[part]]
+            covered += _popcount(hit)
         added = _row_tally(np.bitwise_count(fresh, out=fresh))
-        return int(added[group].sum()) - 2 * covered, covered
+        return int(added[self.group[rows]].sum()) - 2 * covered, covered
 
     def add(self, rows: np.ndarray, col_mask: BinaryVector) -> None:
         """OR the pattern (rows, col_mask) into the union: its rows in each
@@ -474,23 +501,26 @@ def col_dot_counts(x: BinaryMatrix, rows: np.ndarray) -> np.ndarray:
     of the columns with the rows' indicator vector."""
     if not _rows_fit(rows, x.n_rows):
         raise ValueError(f"row index outside {x.n_rows} rows")
-    return _col_tally(x._packed[rows], x)
+    parts = _parts(rows, x)  # (rows,) adds nothing to the first's peak
+    totals = _col_tally(x._packed[parts[0]], x)
+    for part in parts[1:]:
+        totals += _col_tally(x._packed[part], x)
+    return totals
 
 
 def row_dot_counts(x: BinaryMatrix, v: BinaryVector) -> np.ndarray:
     """Inner products of every row of x with a vector over the columns.
 
     A sparse v (see ``_GATHER_RATIO``) reads only the byte columns where v
-    has ones; both paths tally a fresh array, so x is never written.
+    has ones, a denser one every part of rows; both tally fresh arrays.
     """
     if v.length != x.n_cols:
         raise ValueError(f"length mismatch: {v.length} vs {x.n_cols} cols")
     touched = np.flatnonzero(v._packed)
-    if _GATHER_RATIO * len(touched) <= len(v._packed):
-        words = x._packed[:, touched]
-        words &= v._packed[touched]
-    else:
-        words = x._packed & v._packed
+    if _GATHER_RATIO * len(touched) > len(v._packed):
+        return _row_ones(x, v._packed)
+    words = x._packed[:, touched]
+    words &= v._packed[touched]
     return _row_tally(np.bitwise_count(words, out=words))
 
 
@@ -519,6 +549,9 @@ def rank1_cost(rows: np.ndarray, col_mask: BinaryVector,
     adds |x|, which every candidate against one x shares.
     """
     _check_fit(rows, col_mask, x.shape)
-    hit = x._packed[rows]
-    hit &= col_mask._packed
-    return len(rows) * col_mask.count() - 2 * _popcount(hit)
+    covered = 0
+    for part in _parts(rows, x):
+        hit = x._packed[part]
+        hit &= col_mask._packed
+        covered += _popcount(hit)
+    return len(rows) * col_mask.count() - 2 * covered
