@@ -4,13 +4,16 @@ None of this is used by the package itself: ``naive_bool_product`` is a
 triple loop, ``exhaustive_bmf`` enumerates every factor pair, and
 ``cost_gamma`` forms the full product to count the cost.  The builders
 ``identity``, ``ones`` and ``ones_vector``, the ``pattern`` accessor,
-``as_lists`` and ``union_dense`` serve only the tests.
+``as_lists``, ``union_dense`` and ``block_bytes`` serve only the tests.
 """
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 
+from mebf import boolmat
 from mebf.boolmat import (
     BinaryMatrix,
     BinaryVector,
@@ -61,6 +64,18 @@ def union_dense(union: RowGroups) -> np.ndarray:
     is the unpacked table row of its group."""
     return np.unpackbits(union.table, axis=1,
                          count=union.shape[1])[union.group]
+
+
+@contextlib.contextmanager
+def block_bytes(size: int):
+    """Within the block, ``boolmat._BLOCK_BYTES`` is size: a pattern's
+    rows then span several parts at sizes the dense references afford."""
+    saved = boolmat._BLOCK_BYTES
+    boolmat._BLOCK_BYTES = size
+    try:
+        yield
+    finally:
+        boolmat._BLOCK_BYTES = saved
 
 
 def cost_gamma(a_mat: BinaryMatrix, b_mat: BinaryMatrix,

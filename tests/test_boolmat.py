@@ -26,6 +26,7 @@ from mebf.boolmat import (
     utl_rearrange,
 )
 from reference import (
+    block_bytes,
     cost_gamma,
     identity,
     naive_bool_product,
@@ -483,20 +484,22 @@ class TestBlockRule:
     edges of their unpacked blocks.
 
     A block holds at most 255 rows, and unpacks to at most the packed bytes
-    of the matrix it reads, or 64 KiB if that is more: 255 rows at m = 100,
-    n/8 rows of an n x 1000 or n x 4000 matrix past 64 KiB packed, and 16
-    rows of a 4000-column matrix below it.  The cases sit at a size whose
-    blocks come out even, or one row either side of it.
+    of the matrix it reads, or 64 KiB if that is more, and to 512 KiB at
+    most: 255 rows at m = 100, n/8 rows of an n x 1000 or n x 4000 matrix
+    past 64 KiB packed, 16 rows of a 4000-column matrix below it, and 131
+    rows of one past 512 KiB packed.  The cases sit at a size whose blocks
+    come out even, or one row either side of it.
     """
 
     @staticmethod
     def block_rows(n_rows, n_cols):
         packed = n_rows * ((n_cols + 7) // 8)
-        return min(255, max(packed, 1 << 16) // n_cols)
+        return min(255, min(max(packed, 1 << 16), 1 << 19) // n_cols)
 
     @pytest.mark.parametrize("n_cols,n_rows", [
         (100, 254), (100, 255), (100, 256), (1000, 999), (1000, 1000),
-        (1000, 1001), (4000, 15), (4000, 16), (4000, 17), (4000, 1001)])
+        (1000, 1001), (4000, 15), (4000, 16), (4000, 17), (4000, 1001),
+        (4000, 1048), (4000, 1049), (4000, 1100)])
     def test_against_numpy(self, n_cols, n_rows):
         rng = np.random.default_rng(n_rows * 10000 + n_cols)
         dense = (rng.integers(0, 10, (n_rows, n_cols), dtype=np.uint8)
@@ -512,8 +515,8 @@ class TestBlockRule:
         starts, blocks = zip(*mat.row_blocks())
         assert starts == tuple(range(0, n_rows,
                                      self.block_rows(n_rows, n_cols)))
-        assert max(block.nbytes for block in blocks) <= max(
-            mat._packed.nbytes, 1 << 16)
+        assert max(block.nbytes for block in blocks) <= min(max(
+            mat._packed.nbytes, 1 << 16), 1 << 19)
         assert np.array_equal(np.vstack(blocks), dense)
 
 
@@ -951,6 +954,62 @@ class TestCostGamma:
                                                               x)[0]
 
 
+def part_sizes(rows, width):
+    """``_BLOCK_BYTES`` values that split rows of this packed width at
+    their edges: one row per part, 64 bytes, and the rows' packed bytes
+    less one row, exactly, and plus one row."""
+    whole = len(rows) * width
+    return [1, 64] + [max(1, whole + d * width) for d in (-1, 0, 1)]
+
+
+class TestParts:
+    """The kernels that read many packed rows, against numpy when the
+    rows span several parts (``_parts``): ``row_sums`` and
+    ``row_dot_counts`` step every row, ``col_dot_counts``, ``rank1_cost``,
+    ``RowGroups.gain`` and ``UtlView.clear`` a pattern's rows."""
+
+    @given(row_patterns(), st.integers(0, 4))
+    @settings(max_examples=300)
+    def test_against_numpy(self, instance, size):
+        x, recon, rows, col_mask = instance
+        n, m = x.shape
+        p = dense_pattern(rows, col_mask, n)
+        cols = BinaryVector.from_dense(col_mask)
+        x_mat = BinaryMatrix.from_dense(x)
+        with block_bytes(part_sizes(rows, (m + 7) // 8)[size]):
+            assert np.array_equal(x_mat.row_sums(), x.sum(axis=1))
+            for anchor in (col_mask, np.ones(m, np.uint8)):
+                assert np.array_equal(row_dot_counts(
+                    x_mat, BinaryVector.from_dense(anchor)),
+                    x.astype(np.int64) @ anchor)
+            assert np.array_equal(col_dot_counts(x_mat, rows),
+                                  x[rows].sum(axis=0))
+            assert rank1_cost(rows, cols, x_mat) == int(p.sum()) - 2 * int(
+                (p & x).sum())
+            assert union_of(recon).gain(rows, cols, x_mat) == numpy_gain(
+                x, recon, p)
+            view = utl_rearrange(x_mat)
+            view.clear(rows, cols)
+        residual = x & (1 - p)
+        assert view.x == BinaryMatrix.from_dense(residual)
+        assert view.row_totals.tolist() == residual.sum(axis=1).tolist()
+        assert view.col_totals.tolist() == residual.sum(axis=0).tolist()
+        assert x_mat == BinaryMatrix.from_dense(x)
+
+    def test_parts_are_consecutive_and_fit(self):
+        rows = np.arange(3, 40, 2)  # 19 rows
+        x = BinaryMatrix.zeros(40, 65)  # 9 bytes a row
+        with block_bytes(9 * 19):
+            assert boolmat._parts(rows, x) == (rows,)
+        for size, step in ((9 * 19 - 1, 18), (64, 7), (9, 1), (1, 1)):
+            with block_bytes(size):
+                parts = boolmat._parts(rows, x)
+            assert [len(part) for part in parts[:-1]] == [step] * (
+                len(parts) - 1)
+            assert 1 <= len(parts[-1]) <= step
+            assert np.array_equal(np.concatenate(parts), rows)
+
+
 class TestRowIndexKernels:
     """The kernels that take a pattern as (rows, col_mask), against numpy;
     ``RowGroups`` and ``UtlView.clear`` take the same instances in their
@@ -970,18 +1029,29 @@ class TestRowIndexKernels:
         assert rank1_product(rows, cols, n) == BinaryMatrix.from_dense(p)
         assert x_mat == BinaryMatrix.from_dense(x)
 
-    @given(row_patterns(),
-           st.sampled_from(("below", "above", "unordered", "cols")))
+    @given(row_patterns(), st.sampled_from(
+        ("below", "above", "unordered", "cols", "last part")))
     @example((np.eye(3, 4, dtype=np.uint8), None, np.array([0]),
               np.ones(4, np.uint8)), "unordered")
+    @example((np.ones((12, 65), np.uint8), None, np.arange(12),
+              np.ones(65, np.uint8)), "last part")
     def test_a_pattern_that_does_not_fit_changes_nothing(self, instance,
                                                          fault):
         x, _, rows, col_mask = instance
         n, m = x.shape
+        # "last part": one row per part, so the one bad row, past the end,
+        # is the last part alone
+        with block_bytes((m + 7) // 8 if fault == "last part" else
+                         boolmat._BLOCK_BYTES):
+            self.assert_nothing_changes(x, rows, col_mask, fault)
+
+    @staticmethod
+    def assert_nothing_changes(x, rows, col_mask, fault):
+        n, m = x.shape
         cols = BinaryVector.from_dense(col_mask)
         if fault == "below":
             rows = np.concatenate(([-1], rows))
-        elif fault == "above":
+        elif fault in ("above", "last part"):
             rows = np.concatenate((rows, [n]))
         elif fault == "unordered":
             # the first and last index alone would pass [0, -1]

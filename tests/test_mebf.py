@@ -35,6 +35,7 @@ from mebf.factorize import (
 from mebf.simulate import SimulationSpec, simulate
 from reference import (
     as_lists,
+    block_bytes,
     cost_gamma,
     identity,
     ones,
@@ -498,6 +499,13 @@ class TestWordBoundaries:
     def test_matches_reference_loop(self, instance):
         assert_matches_reference(*instance)
 
+    @given(boundary_instances(), st.sampled_from((1, 64)))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_reference_loop_in_parts(self, instance, size):
+        # one row or 64 bytes per part: every pattern's rows span parts
+        with block_bytes(size):
+            assert_matches_reference(*instance)
+
     def test_fallback_at_word_widths(self):
         # sparse 24-line matrices make the fallback fire; the random cases
         # above reach it only now and then
@@ -750,11 +758,21 @@ class TestPlantedInvariants:
 
     def test_peak_memory_on_the_tall_instance(self):
         # the tall instance whose weak fallback is accepted: measured
-        # 2.515x, set by row_dot_counts' full AND (3.316x while
+        # 1.887x, set by row_dot_counts' parts of rows and their tallies
+        # (2.515x while its full AND formed n x m/8 bytes, 3.316x while
         # UtlView.clear built three n x m matrices)
         assert_second_peak(SimulationSpec(n=16000, m=500, k=12, p0=0.06,
                                           p=0.003, seed=4),
-                           MebfConfig(t=0.3, k_max=20), 2.52)
+                           MebfConfig(t=0.3, k_max=20), 1.89)
+
+    def test_peak_memory_on_the_factorize_4k_instance(self):
+        # perfbench's factorize_4k instance: measured 1.4697x, set by
+        # col_dot_counts on one 256 KiB part of the anchor's rows beside
+        # the view's residual (UtlView.clear 1.467x); 2.097x while
+        # row_dot_counts' full AND formed n x m/8 bytes
+        assert_second_peak(SimulationSpec(n=4000, m=4000, k=5, p0=0.2,
+                                          p=0.01, seed=0),
+                           MebfConfig(t=0.8, k_max=10), 1.47)
 
 
 def assert_second_peak(spec, cfg, bound):
@@ -852,12 +870,20 @@ class TestSharedView:
 class TestLoopWork:
     """Work the loop must not repeat: x is counted once, and each accepted
     pattern is cleared from its own rows of the residual, never the
-    whole."""
+    whole, one part of them at a time."""
 
     @pytest.mark.parametrize("name", sorted(VIEW_INSTANCES))
     def test_one_count_and_only_and(self, name, monkeypatch):
+        # at the block size, and with 4 KiB parts, where every accepted
+        # pattern spans several of them
         spec, t, k_max = VIEW_INSTANCES[name]
         x, _, _ = simulate(spec)
+        for size in (mebf.boolmat._BLOCK_BYTES, 4096):
+            with block_bytes(size):
+                self.assert_one_count_and_only_and(x, t, k_max, monkeypatch)
+
+    @staticmethod
+    def assert_one_count_and_only_and(x, t, k_max, monkeypatch):
         counted = []
         ops = []
         count = BinaryMatrix.count
@@ -867,7 +893,7 @@ class TestLoopWork:
             return count(mat)
 
         def recording_elementwise(op, a, b):
-            ops.append((op, a.n_rows, b.n_rows))
+            ops.append((op, a._packed.copy(), b.n_rows))
             return elementwise(op, a, b)
 
         monkeypatch.setattr(BinaryMatrix, "count", recording_count)
@@ -878,12 +904,29 @@ class TestLoopWork:
 
         assert result.k > 1
         assert len(counted) == 1 and counted[0] is x
-        # one AND per accepted pattern but the one that fills the budget,
-        # on that pattern's rows alone
-        cleared = [result.A.col(l).count()
-                   for l in range(result.k - (result.k == k_max))]
-        assert ops == [("and", r, r) for r in cleared]
-        assert max(cleared) < x.n_rows
+        assert all(op == "and" and len(a) == b for op, a, b in ops)
+        # the ANDs of one accept, every accept but the one that fills the
+        # budget, cover exactly that pattern's rows of the residual before
+        # it, in order, in parts of step rows and a last one of at most
+        # step
+        step = max(1, mebf.boolmat._BLOCK_BYTES // x._packed.shape[1])
+        union = RowGroups(*x.shape)
+        dense = x.to_dense()
+        for l in range(result.k - (result.k == k_max)):
+            rows, cols = pattern(result, l)
+            assert 0 < len(rows) < x.n_rows
+            parts = []
+            while sum(map(len, parts)) < len(rows):
+                parts.append(ops.pop(0)[1])
+            assert [len(p) for p in parts[:-1]] == [step] * (len(parts) - 1)
+            assert len(parts[-1]) <= step
+            residual = dense[rows] & (1 - union_dense(union)[rows])
+            assert np.array_equal(np.vstack(parts),
+                                  np.packbits(residual, axis=1))
+            union.add(rows, cols)
+        assert ops == []
+        if step < 1000:
+            assert max(result.A.to_dense().sum(axis=0)) > step
 
     @pytest.mark.parametrize("name", sorted(VIEW_INSTANCES))
     def test_rows_are_unpacked_once_per_column_anchor(self, name,
@@ -970,3 +1013,73 @@ class TestFactorResult:
             recon |= np.outer(a[:, l], b[l])
         assert BinaryMatrix.from_dense(recon) == bool_product(result.A,
                                                               result.B)
+
+
+def insert_zeros(dense, rows, cols):
+    """dense with zero rows inserted before the given row positions and zero
+    columns before the given column positions (positions of dense, in any
+    order, repeats allowed), and the indices of its own lines in the
+    result."""
+    padded = np.insert(np.insert(dense, sorted(rows), 0, axis=0), sorted(cols),
+                       0, axis=1)
+    kept = [np.delete(np.arange(size + len(pos)),
+                      np.sort(pos).astype(np.intp) + np.arange(len(pos)))
+            for size, pos in ((dense.shape[0], rows), (dense.shape[1], cols))]
+    return padded, kept
+
+
+def assert_same_run(dense, rows, cols, t, k_max, plain=None):
+    """Zero lines inserted into x give the same run as x's, plain: equal
+    traces, and A and B with zero rows and columns at the inserted places.
+    Returns plain."""
+    cfg = MebfConfig(t=t, k_max=k_max)
+    plain = plain or mebf_factorize(BinaryMatrix.from_dense(dense), cfg)
+    padded, (kept_rows, kept_cols) = insert_zeros(dense, rows, cols)
+    run = mebf_factorize(BinaryMatrix.from_dense(padded), cfg)
+    for field in ("cost_history", "residual_history", "iterations",
+                  "weak_signal_uses"):
+        assert getattr(run, field) == getattr(plain, field), field
+    a, b = run.A.to_dense(), run.B.to_dense()
+    assert np.array_equal(a[kept_rows], plain.A.to_dense())
+    assert np.array_equal(b[:, kept_cols], plain.B.to_dense())
+    assert a.sum() == a[kept_rows].sum() and b.sum() == b[:, kept_cols].sum()
+    return plain
+
+
+class TestLayoutInvariance:
+    """An all-zero line is never active, never anchors and is never taken
+    by growth, and the UTL order keeps the original relative order of
+    ties; so zero rows and columns inserted anywhere leave the run as it
+    was.  An inserted column moves every later bit of each row to another
+    bit and byte, and an inserted row moves every part boundary, so each
+    packed kernel is checked against itself at another alignment."""
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_zero_lines_anywhere_give_the_same_run(self, data):
+        n = data.draw(st.integers(1, 39))
+        m = data.draw(st.sampled_from((1, 5, 7, 8, 9, 30, 57, 63, 64, 65)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        dense = (rng.random((n, m)) < data.draw(st.sampled_from(
+            (0.03, 0.1, 0.3, 0.6)))).astype(np.uint8)
+        rows, cols = (data.draw(st.lists(st.integers(0, size), max_size=8))
+                      for size in (n, m))
+        size = data.draw(st.sampled_from((None, 1, 64)))
+        with block_bytes(size or mebf.boolmat._BLOCK_BYTES):
+            assert_same_run(dense, rows, cols,
+                            data.draw(st.floats(0.05, 0.95)),
+                            data.draw(st.integers(1, 9)))
+
+    @pytest.mark.parametrize("name", ["2000s3", "tall_weak"])
+    def test_zero_columns_at_column_0(self, name):
+        # 1 to 7 zero columns at column 0 move every bit of every row
+        spec, t, k_max = {
+            "2000s3": (SimulationSpec(n=2000, m=2000, k=5, p0=0.2, p=0.01,
+                                      seed=3), 0.8, 10),
+            "tall_weak": VIEW_INSTANCES["tall"]}[name]
+        x, _, _ = simulate(spec)
+        dense, plain = x.to_dense(), None
+        for zeros in range(1, 8):
+            plain = assert_same_run(dense, [], [0] * zeros, t, k_max, plain)
+        assert plain.k == k_max
+        assert plain.weak_signal_uses == (name == "tall_weak")
