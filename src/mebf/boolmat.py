@@ -5,13 +5,14 @@ bit first (the ``np.packbits`` convention).  Padding bits past the last
 column of each row are kept at zero, so whole-word AND/XOR/OR and popcounts
 are valid without masking.  Popcounts use ``np.bitwise_count``: every
 total counts the whole uint64 words of its bytes and then the tail bytes
-past them.  A full pass over packed rows steps at most 255 rows at a
-time: ``elementwise_count`` counts an AND or XOR of two matrices that way
-without forming it.  A pass that needs dense rows (a column tally,
-``row_blocks``) also keeps each unpacked block within the packed bytes
-of the matrix it reads, or 64 KiB if that is more (512 KiB at most), and
-drops it before it unpacks the next.  Gathers and ANDs of many packed rows
-take 256 KiB parts (``_parts``): a round holds the residual plus one part.
+past them.  ``row_sums`` counts x in one pass; ``elementwise_count``
+counts an AND or XOR of two matrices 255 rows at a time without forming
+it.  A pass that needs dense rows (a column tally, ``row_blocks``) keeps
+each unpacked block within the packed bytes of the matrix it reads, or
+64 KiB if that is more (512 KiB at most), and drops it before it unpacks
+the next.  A round gathers and ANDs many packed rows in 256 KiB parts
+(``_parts``), so it holds the residual plus one part, save the sparse
+path of ``row_dot_counts``: it gathers up to a quarter of every row.
 
 A rank-1 pattern is a pair ``(rows, col_mask)``: the indices of its rows,
 distinct and ascending, as an integer array, and its columns as a packed
@@ -130,15 +131,6 @@ def _row_tally(counts: np.ndarray) -> np.ndarray:
     return totals
 
 
-def _row_ones(x: BinaryMatrix, mask) -> np.ndarray:
-    """Ones per row of x AND a packed mask, one part of rows at a time."""
-    tallies = []
-    for part in _parts(x._packed, x):
-        words = part & mask
-        tallies.append(_row_tally(np.bitwise_count(words, out=words)))
-    return tallies[0] if len(tallies) == 1 else np.concatenate(tallies)
-
-
 def _validate_binary(dense: np.ndarray) -> np.ndarray:
     if dense.dtype == np.bool_:  # holds only 0 and 1; packs as it is
         return dense
@@ -253,7 +245,7 @@ class BinaryMatrix:
         return _popcount(self._packed)
 
     def row_sums(self) -> np.ndarray:
-        return _row_ones(self, np.uint8(0xFF))
+        return _row_tally(np.bitwise_count(self._packed))
 
     def col_sums(self) -> np.ndarray:
         """Ones per column, unpacking one block of rows at a time."""
@@ -332,25 +324,22 @@ class UtlView:
         """Set the pattern's ones of the residual to zero.
 
         A pattern that does not fit raises ``ValueError`` before anything
-        changes.  ``x`` is written in place, on the pattern's rows only: each
-        part of them (``_parts``) is gathered as a block, the block AND NOT
-        the pattern written back, and the ones it cleared lower the totals.
+        changes.  ``x`` is written in place, one part of the pattern's rows
+        (``_parts``) at a time: a part is gathered, written back AND NOT the
+        pattern, and its cleared ones lower the totals before the next one.
         """
         x = self.x
         _check_fit(rows, col_mask, x.shape)
-        if len(parts := _parts(rows, x)) > 1:
-            for part in parts:  # each part's temporaries go with its call
-                self.clear(part, col_mask)
-            return
-        block = BinaryMatrix(len(rows), x.n_cols, x._packed[rows])
-        kept = elementwise("and", block, complement(
-            rank1_product(np.arange(len(rows)), col_mask, len(rows))))
-        x._packed[rows] = kept._packed
-        hit = block._packed
-        hit ^= kept._packed  # the ones cleared
-        del kept  # not held while the cleared ones are tallied
-        self.col_totals -= _col_tally(hit, x)
-        self.row_totals[rows] -= _row_tally(np.bitwise_count(hit, out=hit))
+        for part in _parts(rows, x):
+            hit = x._packed[part]
+            kept = elementwise("and", BinaryMatrix(len(part), x.n_cols, hit),
+                               complement(rank1_product(
+                                   np.arange(len(part)), col_mask, len(part))))
+            x._packed[part] = kept._packed
+            hit ^= kept._packed  # the ones cleared
+            del kept  # not held while the cleared ones are tallied
+            self.col_totals -= _col_tally(hit, x)
+            self.row_totals[part] -= _row_tally(np.bitwise_count(hit, out=hit))
 
 
 class RowGroups:
@@ -518,7 +507,11 @@ def row_dot_counts(x: BinaryMatrix, v: BinaryVector) -> np.ndarray:
         raise ValueError(f"length mismatch: {v.length} vs {x.n_cols} cols")
     touched = np.flatnonzero(v._packed)
     if _GATHER_RATIO * len(touched) > len(v._packed):
-        return _row_ones(x, v._packed)
+        tallies = []
+        for part in _parts(x._packed, x):
+            words = part & v._packed
+            tallies.append(_row_tally(np.bitwise_count(words, out=words)))
+        return tallies[0] if len(tallies) == 1 else np.concatenate(tallies)
     words = x._packed[:, touched]
     words &= v._packed[touched]
     return _row_tally(np.bitwise_count(words, out=words))

@@ -25,6 +25,7 @@ from mebf.boolmat import (
     row_dot_counts,
     utl_rearrange,
 )
+from mebf.simulate import SimulationSpec, simulate
 from reference import (
     block_bytes,
     cost_gamma,
@@ -520,6 +521,18 @@ class TestBlockRule:
         assert np.array_equal(np.vstack(blocks), dense)
 
 
+def second_peak(kernel) -> int:
+    """The tracemalloc peak of a second call of kernel, in bytes."""
+    kernel()  # one-off allocations of a first call stay out
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kernel()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
 class TestColTallyPeakMemory:
     """A full column tally holds one unpacked block at a time.
 
@@ -531,17 +544,6 @@ class TestColTallyPeakMemory:
     The bounds are the measured peaks, as multiples of the packed matrix;
     lower them as the tally allocates less, never raise them.
     """
-
-    @staticmethod
-    def _peak(kernel) -> int:
-        kernel()  # one-off allocations of a first call stay out
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            kernel()
-            return tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
 
     @pytest.mark.parametrize("n,bound", [
         # measured 1.109x, and 0.630x beside col_dot_counts' rows (2.149x
@@ -558,9 +560,37 @@ class TestColTallyPeakMemory:
         rows = np.arange(0, n, 2)
         gathered = mat._packed[rows].nbytes
         packed = mat._packed.nbytes
-        assert self._peak(mat.col_sums) <= bound * packed
-        assert self._peak(lambda: col_dot_counts(mat, rows)) <= (
+        assert second_peak(mat.col_sums) <= bound * packed
+        assert second_peak(lambda: col_dot_counts(mat, rows)) <= (
             bound * packed + gathered)
+
+
+class TestOnePassRowSumsPeakMemory:
+    """``row_sums`` counts every packed byte in one pass, so it holds a
+    uint8 count of each, 1x the packed matrix, beside its int64 totals and
+    the uint16 tally of one chunk.  It runs once per factorization, in
+    ``utl_rearrange`` before the view's copy of x exists, so the copy and
+    the count are never held at once and the arrangement peaks where the
+    count does.  Both stay below every factorization's peak (1.47x and
+    1.87x at these sizes).  The bounds are the measured peaks, as
+    multiples of the packed matrix; lower them as the sums allocate less,
+    never raise them.
+    """
+
+    @pytest.mark.parametrize("spec,bound", [
+        # perfbench's factorize_4k instance: measured 1.0362x for both
+        # (0.2756x and 1.0324x while row_sums ANDed 256 KiB parts)
+        (SimulationSpec(n=4000, m=4000, k=5, p0=0.2, p=0.01, seed=0), 1.037),
+        # cli_coo_tall's shape: measured 1.2252x for both (0.5872x and
+        # 1.1315x in parts)
+        (SimulationSpec(n=16000, m=500, k=12, p0=0.06, p=0.003, seed=0),
+         1.226),
+    ], ids=["4000x4000", "16000x500"])
+    def test_count_then_copy(self, spec, bound):
+        x, _, _ = simulate(spec)
+        packed = x._packed.nbytes
+        assert second_peak(x.row_sums) <= bound * packed
+        assert second_peak(lambda: utl_rearrange(x)) <= bound * packed
 
 
 class TestRowTallyAtChunkEdges:
@@ -964,9 +994,10 @@ def part_sizes(rows, width):
 
 class TestParts:
     """The kernels that read many packed rows, against numpy when the
-    rows span several parts (``_parts``): ``row_sums`` and
-    ``row_dot_counts`` step every row, ``col_dot_counts``, ``rank1_cost``,
-    ``RowGroups.gain`` and ``UtlView.clear`` a pattern's rows."""
+    rows span several parts (``_parts``): ``row_dot_counts``' dense path
+    steps every row, ``col_dot_counts``, ``rank1_cost``, ``RowGroups.gain``
+    and ``UtlView.clear`` a pattern's rows.  ``row_sums`` counts in one
+    pass, and is checked here at every part size all the same."""
 
     @given(row_patterns(), st.integers(0, 4))
     @settings(max_examples=300)
@@ -995,6 +1026,21 @@ class TestParts:
         assert view.row_totals.tolist() == residual.sum(axis=1).tolist()
         assert view.col_totals.tolist() == residual.sum(axis=0).tolist()
         assert x_mat == BinaryMatrix.from_dense(x)
+
+    def test_clear_holds_one_part_at_a_time(self):
+        # a pattern on all 4000 rows of 500 bytes spans 8 parts, so 7 more
+        # than one; measured 3.148 parts (the part, its pattern and that
+        # pattern's complement, or the part, the part cleared and a tally
+        # block), as in a clear of one part; 4.149 while the part cleared
+        # was held through the tallies
+        rng = np.random.default_rng(0)
+        x = BinaryMatrix(4000, 4000, rng.integers(0, 256, (4000, 500),
+                                                  dtype=np.uint8))
+        view, rows = utl_rearrange(x), np.arange(4000)
+        cols = BinaryVector.from_dense(rng.random(4000) < 0.5)
+        part = boolmat._BLOCK_BYTES // 500 * 500
+        assert len(boolmat._parts(rows, x)) == 8
+        assert second_peak(lambda: view.clear(rows, cols)) <= 3.15 * part
 
     def test_parts_are_consecutive_and_fit(self):
         rows = np.arange(3, 40, 2)  # 19 rows

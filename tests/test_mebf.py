@@ -32,6 +32,7 @@ from mebf.factorize import (
     mebf_factorize,
     weak_signal_detection,
 )
+from mebf.metrics import report_from_factors
 from mebf.simulate import SimulationSpec, simulate
 from reference import (
     as_lists,
@@ -1046,13 +1047,44 @@ def assert_same_run(dense, rows, cols, t, k_max, plain=None):
     return plain
 
 
+def assert_same_report(dense, a, b, truth, rows, cols):
+    """Zero lines inserted into x, and alike into its factors A, B and the
+    truth's U, V (rows of A and U at x's inserted rows, columns of B and V
+    at its inserted columns), give the same report from factors:
+    ``per_column_coverage`` gains zeros at the inserted columns, density
+    keeps its numerator over the new line count, and every other field is
+    equal, the cost trace among them."""
+
+    def report(pad_rows, pad_cols):
+        x, a_mat, b_mat, u, v = (BinaryMatrix.from_dense(d) for d in (
+            insert_zeros(dense, pad_rows, pad_cols)[0],
+            insert_zeros(a, pad_rows, [])[0],
+            insert_zeros(b, [], pad_cols)[0],
+            insert_zeros(truth[0], pad_rows, [])[0],
+            insert_zeros(truth[1], [], pad_cols)[0]))
+        return report_from_factors(x, a_mat, b_mat, (u, v))
+
+    plain, padded = report([], []), report(rows, cols)
+    assert list(padded) == list(plain)
+    lines = sum(dense.shape), sum(dense.shape) + len(rows) + len(cols)
+    for key, value in plain.items():
+        if key == "per_column_coverage":
+            value = np.insert(value, sorted(cols), 0).tolist()
+        elif key == "density":
+            value = pytest.approx(value * lines[0] / lines[1], rel=1e-12)
+        assert padded[key] == value, key
+    return plain
+
+
 class TestLayoutInvariance:
     """An all-zero line is never active, never anchors and is never taken
     by growth, and the UTL order keeps the original relative order of
     ties; so zero rows and columns inserted anywhere leave the run as it
     was.  An inserted column moves every later bit of each row to another
     bit and byte, and an inserted row moves every part boundary, so each
-    packed kernel is checked against itself at another alignment."""
+    packed kernel is checked against itself at another alignment.  A
+    report rebuilt from factors padded alike keeps its cost trace, so its
+    pricing is checked the same way."""
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
@@ -1083,3 +1115,34 @@ class TestLayoutInvariance:
             plain = assert_same_run(dense, [], [0] * zeros, t, k_max, plain)
         assert plain.k == k_max
         assert plain.weak_signal_uses == (name == "tall_weak")
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_zero_lines_anywhere_give_the_same_report(self, data):
+        n = data.draw(st.integers(1, 39))
+        m = data.draw(st.sampled_from((1, 5, 7, 8, 9, 30, 57, 63, 64, 65)))
+        k, k_truth = data.draw(st.integers(0, 5)), data.draw(st.integers(1, 3))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        density = data.draw(st.sampled_from((0.03, 0.1, 0.3, 0.6)))
+        dense, a, b, u, v = ((rng.random(shape) < density).astype(np.uint8)
+                             for shape in ((n, m), (n, k), (k, m),
+                                           (n, k_truth), (k_truth, m)))
+        rows, cols = (data.draw(st.lists(st.integers(0, size), max_size=8))
+                      for size in (n, m))
+        size = data.draw(st.sampled_from((None, 1, 64)))
+        with block_bytes(size or mebf.boolmat._BLOCK_BYTES):
+            assert_same_report(dense, a, b, (u, v), rows, cols)
+
+    def test_zero_columns_at_column_0_give_the_same_report(self):
+        # the 2000 x 2000 s3 run, one zero row at row 0 (every part
+        # boundary moves) and 1 to 7 zero columns at column 0
+        spec = SimulationSpec(n=2000, m=2000, k=5, p0=0.2, p=0.01, seed=3)
+        x, u, v = simulate(spec)
+        result = mebf_factorize(x, MebfConfig(t=0.8, k_max=10))
+        dense, a, b = x.to_dense(), result.A.to_dense(), result.B.to_dense()
+        for zeros in range(1, 8):
+            plain = assert_same_report(dense, a, b, (u.to_dense(),
+                                                     v.to_dense()),
+                                       [0], [0] * zeros)
+        assert plain["cost_history"] == list(result.cost_history)
+        assert plain["pattern_count"] == 10
