@@ -153,10 +153,6 @@ class BinaryVector:
         dense = _validate_binary(np.asarray(values).ravel())
         return cls(dense.size, np.packbits(dense))
 
-    @classmethod
-    def zeros(cls, length: int) -> BinaryVector:
-        return cls(length, np.zeros(_packed_width(length), dtype=np.uint8))
-
     def to_dense(self) -> np.ndarray:
         return np.unpackbits(self._packed, count=self.length)
 

@@ -242,8 +242,10 @@ def mebf_factorize(x: BinaryMatrix, cfg: MebfConfig) -> FactorResult:
 
         # covered >= 1: every candidate takes its anchor's line (ratio 1 > t;
         # the fallback's overlap lies in both lines), whose ones are residual
-        # kept packed until A is stacked: 1 bit per row of x, where the
-        # indices would hold 8 bytes per row of the pattern
+        # ones.
+
+        # the rows are kept packed until A is stacked: 1 bit per row of x,
+        # where the indices would hold 8 bytes per row of the pattern
         row_parts.append(BinaryVector.from_dense(
             np.bincount(pair[0], minlength=x.n_rows) > 0))
         col_parts.append(pair[1])

@@ -3,13 +3,16 @@
 None of this is used by the package itself: ``naive_bool_product`` is a
 triple loop, ``exhaustive_bmf`` enumerates every factor pair, and
 ``cost_gamma`` forms the full product to count the cost.  The builders
-``identity``, ``ones`` and ``ones_vector``, the ``pattern`` accessor,
-``as_lists``, ``union_dense`` and ``block_bytes`` serve only the tests.
+``identity``, ``ones``, ``ones_vector`` and ``zeros_vector``, the
+``pattern`` accessor, ``as_lists``, ``union_dense``, ``block_bytes`` and
+the peak harness ``traced_peak`` (with ``second_peak``) serve only the
+tests.
 """
 
 from __future__ import annotations
 
 import contextlib
+import tracemalloc
 
 import numpy as np
 
@@ -41,6 +44,11 @@ def ones(n_rows: int, n_cols: int) -> BinaryMatrix:
 def ones_vector(length: int) -> BinaryVector:
     """The all-ones vector of this length."""
     return BinaryVector.from_dense(np.ones(length, dtype=np.uint8))
+
+
+def zeros_vector(length: int) -> BinaryVector:
+    """The all-zeros vector of this length."""
+    return BinaryVector.from_dense(np.zeros(length, dtype=np.uint8))
 
 
 def pattern(result: FactorResult,
@@ -76,6 +84,24 @@ def block_bytes(size: int):
         yield
     finally:
         boolmat._BLOCK_BYTES = saved
+
+
+def traced_peak(call):
+    """(call(), its tracemalloc peak in bytes above the traced memory at
+    its start).  Every memory bound of the tests is read here."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def second_peak(kernel) -> int:
+    """The tracemalloc peak of a second call of kernel, in bytes."""
+    kernel()  # one-off allocations of a first call stay out
+    return traced_peak(kernel)[1]
 
 
 def cost_gamma(a_mat: BinaryMatrix, b_mat: BinaryMatrix,

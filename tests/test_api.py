@@ -21,6 +21,7 @@ from mebf.metrics import (
     report_from_factors,
 )
 from mebf.simulate import SimulationSpec, simulate
+from reference import zeros_vector
 
 
 def test_exports_resolve_and_config_has_two_fields():
@@ -72,6 +73,7 @@ def test_test_only_references_are_not_shipped():
     assert not hasattr(BinaryMatrix, "identity")
     assert not hasattr(BinaryMatrix, "ones")
     assert not hasattr(BinaryVector, "ones")
+    assert not hasattr(BinaryVector, "zeros")
     assert not hasattr(FactorResult, "pattern")
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("mebf.oracle")
@@ -117,7 +119,7 @@ def test_mutable_matrices_are_unhashable():
     # a matrix wraps a writable buffer (bool_product ORs patterns into its
     # output in place), so a content hash could go stale while the object
     # sits in a set or dict
-    for value in (BinaryMatrix.zeros(2, 3), BinaryVector.zeros(3)):
+    for value in (BinaryMatrix.zeros(2, 3), zeros_vector(3)):
         with pytest.raises(TypeError):
             hash(value)
 

@@ -1,7 +1,6 @@
 """Kernel tests: packed storage, Boolean products, orderings, cost."""
 
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,7 +32,9 @@ from reference import (
     naive_bool_product,
     ones,
     ones_vector,
+    second_peak,
     union_dense,
+    zeros_vector,
 )
 
 
@@ -521,18 +522,6 @@ class TestBlockRule:
         assert np.array_equal(np.vstack(blocks), dense)
 
 
-def second_peak(kernel) -> int:
-    """The tracemalloc peak of a second call of kernel, in bytes."""
-    kernel()  # one-off allocations of a first call stay out
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        kernel()
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-
-
 class TestColTallyPeakMemory:
     """A full column tally holds one unpacked block at a time.
 
@@ -730,8 +719,7 @@ class TestRank1Gain:
     def test_empty_pattern(self):
         x = ones(4, 5)
         assert gain_on_empty(NO_ROWS, ones_vector(5), x) == (0, 0)
-        assert gain_on_empty(np.arange(4), BinaryVector.zeros(5),
-                             x) == (0, 0)
+        assert gain_on_empty(np.arange(4), zeros_vector(5), x) == (0, 0)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="does not fit"):
@@ -977,7 +965,7 @@ class TestCostGamma:
         x = BinaryMatrix.from_dense(rng.random((n, width)) < 0.5)
         row_sets = [NO_ROWS, np.arange(n),
                     np.flatnonzero(rng.random(n) < 0.5)]
-        col_masks = [BinaryVector.zeros(width), ones_vector(width),
+        col_masks = [zeros_vector(width), ones_vector(width),
                      BinaryVector.from_dense(rng.random(width) < 0.5)]
         for rows, cols in itertools.product(row_sets, col_masks):
             assert rank1_cost(rows, cols, x) == gain_on_empty(rows, cols,

@@ -3,7 +3,6 @@
 import ast
 import json
 import pathlib
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ from mebf.cli import _build_parser, main
 from mebf.factorize import MebfConfig, mebf_factorize
 from mebf.matio import binarize, read_matrix, write_matrix
 from mebf.simulate import SimulationSpec, simulate
-from reference import identity, ones
+from reference import identity, ones, traced_peak
 
 BLOCK_DIAGONAL = [[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1]]
 
@@ -702,11 +701,7 @@ def test_command_peak_is_a_stated_multiple(peak_inputs, tmp_path,
     monkeypatch.chdir(tmp_path)  # outputs are written here
     # the first run in a process also pays one-off imports and caches
     assert main(argv) == 0
-    tracemalloc.start()
-    try:
-        assert main(argv) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, peak = traced_peak(lambda: main(argv))
+    assert code == 0
     assert peak <= bound * base, (
         f"{command} peaked at {peak / base:.4f}x, set by {layer}")

@@ -5,7 +5,6 @@ import re
 import subprocess
 import sys
 import tempfile
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +22,7 @@ from mebf.matio import (
     write_matrix,
 )
 from mebf.simulate import SimulationSpec, simulate
-from reference import identity, ones
+from reference import identity, ones, traced_peak
 
 
 # The per-line readers and line-joining writers that the bulk numpy code in
@@ -344,13 +343,7 @@ class TestCoo:
         path = tmp_path / "sparse.coo"
         path.write_text(f"{n} {n} 1000\n" + "".join(
             f"{i // n + 1} {i % n + 1}\n" for i in linear))
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            mat = read_matrix(path, "coo")
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        mat, peak = traced_peak(lambda: read_matrix(path, "coo"))
         found = np.concatenate([np.flatnonzero(block) + start * n
                                 for start, block in mat.row_blocks()])
         assert np.array_equal(found, np.sort(linear))
@@ -386,13 +379,7 @@ class TestReadPeakMemory:
         # warm up, so that one-off allocations of a first call stay out
         write_matrix(identity(3), tmp_path / "warm", fmt)
         read_matrix(tmp_path / "warm", fmt)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            mat = read_matrix(path, fmt)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        mat, peak = traced_peak(lambda: read_matrix(path, fmt))
         assert mat == x
         assert peak <= (copies * mat._packed.nbytes
                         + chunks * matio._CHUNK_BYTES)
@@ -410,13 +397,7 @@ class TestReadPeakMemory:
         write_matrix(values, path, "csv")
         write_matrix(np.array([[1.5, 0.0]]), tmp_path / "warm", "csv")
         read_matrix(tmp_path / "warm", "csv")
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            mat = read_matrix(path, "csv")
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        mat, peak = traced_peak(lambda: read_matrix(path, "csv"))
         assert same(mat, values)
         assert peak <= 2.09 * values.nbytes
 
@@ -441,14 +422,13 @@ class TestReadPeakMemory:
         warm.write_bytes(b"2 2 1\n1 x\n")
         with pytest.raises(MatrixFormatError):
             read_matrix(warm, "coo")
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
+
+        def read_bad():
             with pytest.raises(MatrixFormatError) as raised:
                 read_matrix(path, "coo")
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+            return raised
+
+        raised, peak = traced_peak(read_bad)
         assert str(raised.value) == (f"line {flat.size + 1}: expected 'i j', "
                                      f"got {lines[-1]!r}")
         packed = n * ((m + 7) // 8)
@@ -487,13 +467,7 @@ class TestWritePeakMemory:
         x, _, _ = simulate(spec)
         path = tmp_path / f"x.{fmt}"
         write_matrix(x, path, fmt)  # one-off allocations stay out
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            write_matrix(x, path, fmt)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: write_matrix(x, path, fmt))
         assert read_matrix(path, fmt) == x
         assert peak <= bound * x._packed.nbytes, peak / x._packed.nbytes
 
@@ -841,13 +815,8 @@ class TestCsv:
         values = np.where(rng.random((600, 600)) < 0.3,
                           rng.standard_normal((600, 600)), 0.0)
         write_matrix(np.array([[1.5, 0.0]]), tmp_path / "warm", "csv")
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            write_matrix(values, tmp_path / "x.csv", "csv")
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(
+            lambda: write_matrix(values, tmp_path / "x.csv", "csv"))
         assert same(read_matrix(tmp_path / "x.csv", "csv"), values)
         assert peak <= 0.025 * values.nbytes
 
@@ -1029,13 +998,7 @@ class TestMaskDenoise:
         a = BinaryMatrix.from_dense(rng.random((600, 5)) < 0.3)
         b = BinaryMatrix.from_dense(rng.random((5, 600)) < 0.3)
         mask_denoise(real, a, b)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            masked = mask_denoise(real, a, b)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        masked, peak = traced_peak(lambda: mask_denoise(real, a, b))
         assert not np.shares_memory(masked, real)
         support = bool_product(a, b).to_dense() == 1
         assert same(masked, np.where(support, real, 0.0))

@@ -7,7 +7,6 @@ choice of the fast path.
 """
 
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +40,8 @@ from reference import (
     identity,
     ones,
     pattern,
+    second_peak,
+    traced_peak,
     union_dense,
 )
 
@@ -731,13 +732,7 @@ class TestPlantedInvariants:
         x, _, _ = simulate(SimulationSpec(n=2000, m=2000, k=5, p0=0.2,
                                           p=0.01, seed=3))
         cfg = MebfConfig(t=0.8, k_max=10)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            result = mebf_factorize(x, cfg)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        result, peak = traced_peak(lambda: mebf_factorize(x, cfg))
         assert result.k == 10
         assert peak <= 2.37 * x._packed.nbytes, peak / x._packed.nbytes
 
@@ -780,14 +775,7 @@ def assert_second_peak(spec, cfg, bound):
     """The tracemalloc peak of a second factorization of spec's X, once
     the first has paid one-off costs, is at most bound times packed X."""
     x, _, _ = simulate(spec)
-    mebf_factorize(x, cfg)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        mebf_factorize(x, cfg)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
+    peak = second_peak(lambda: mebf_factorize(x, cfg))
     assert peak <= bound * x._packed.nbytes, peak / x._packed.nbytes
 
 

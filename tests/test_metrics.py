@@ -2,7 +2,6 @@
 
 import json
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +25,7 @@ from mebf.metrics import (
     reconstruction_error,
     report_from_factors,
 )
-from reference import identity, ones, union_dense
+from reference import identity, ones, traced_peak, union_dense
 
 
 def mats(*denses):
@@ -335,14 +334,8 @@ class TestPricingAgainstNumpy:
         x, u, v = simulate(SimulationSpec(n=2000, m=2000, k=5, p0=0.2,
                                           p=0.01, seed=3))
         result = mebf_factorize(x, MebfConfig(t=0.8, k_max=10))
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            report = report_from_factors(x, result.A, result.B,
-                                         truth=(u, v))
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        report, peak = traced_peak(lambda: report_from_factors(
+            x, result.A, result.B, truth=(u, v)))
         assert report["cost_history"] == list(result.cost_history)
         assert peak <= 2.28 * x._packed.nbytes
 

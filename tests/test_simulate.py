@@ -1,7 +1,6 @@
 """Generator tests: reproducibility, rates, the flip rule, presets."""
 
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +12,7 @@ from mebf.simulate import (
     replicate_seed,
     simulate,
 )
+from reference import traced_peak
 
 
 def test_no_patterns_no_noise_is_all_zero():
@@ -132,13 +132,7 @@ def test_peak_memory_is_a_small_multiple_of_the_output(n, m, k, p0, p,
     spec = SimulationSpec(n=n, m=m, k=k, p0=p0, p=p, seed=3)
     # warm up: a process's first call allocates about 0.8 MB more
     simulate(SimulationSpec(n=3, m=3, k=1, p0=0.2, p=p, seed=3))
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        x, _, _ = simulate(spec)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
+    (x, _, _), peak = traced_peak(lambda: simulate(spec))
     assert peak <= bound * x._packed.nbytes
 
 

@@ -2,8 +2,8 @@
 README's commands, parsed by the CLI's parser, its library example, run,
 its benchmark workloads and the line ends of its file grammar, the
 committed benchmark runs, the installed command's entry points, the
-package's syntax at its Python floor, and the CI workflow's test
-command."""
+package's syntax at its Python floor, the CI workflow's test command,
+and the one harness that reads every memory peak of the tests."""
 
 import ast
 import importlib
@@ -252,3 +252,23 @@ def test_workflow_job_has_a_timeout():
               for line in WORKFLOW.read_text().splitlines()
               if line.strip().startswith("timeout-minutes:")]
     assert len(limits) == 1 and 0 < int(limits[0]) <= 60, limits
+
+
+def test_peaks_are_measured_one_way():
+    # every memory bound reads its peak through reference.traced_peak, so
+    # one place decides when tracing starts, what the peak is read above,
+    # and that tracing stops even when the call raises
+    users = set()
+    for path in sorted(Path(__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            else:
+                continue
+            if "tracemalloc" in names:
+                users.add(path.name)
+    assert users == {"reference.py"}, sorted(users)
