@@ -11,8 +11,7 @@ it.  A pass that needs dense rows (a column tally, ``row_blocks``) keeps
 each unpacked block within the packed bytes of the matrix it reads, or
 64 KiB if that is more (512 KiB at most), and drops it before it unpacks
 the next.  A round gathers and ANDs many packed rows in 256 KiB parts
-(``_parts``), so it holds the residual plus one part, save the sparse
-path of ``row_dot_counts``: it gathers up to a quarter of every row.
+(``_parts``), so it holds the residual plus one part.
 
 A rank-1 pattern is a pair ``(rows, col_mask)``: the indices of its rows,
 distinct and ascending, as an integer array, and its columns as a packed
@@ -30,7 +29,8 @@ pattern's rows only: ``rank1_product``, ``complement`` and an
 ``elementwise`` AND of that block.  ``RowGroups`` holds a union of patterns as
 groups of rows: it is the one place that prices a pattern against the
 patterns before it, for the loop and for a report rebuilt from factors,
-and never forms an n x m matrix; ``bool_product`` forms a product of factors.
+and the one record of the loop's patterns, which it returns as A and B.
+It never forms an n x m matrix; ``bool_product`` forms a product of factors.
 """
 
 from __future__ import annotations
@@ -208,27 +208,6 @@ class BinaryMatrix:
         packed = np.zeros((n_rows, _packed_width(n_cols)), dtype=np.uint8)
         return cls(n_rows, n_cols, packed)
 
-    @classmethod
-    def from_rows(cls, rows: list[BinaryVector], n_cols: int) -> BinaryMatrix:
-        """Stack vectors of equal length as matrix rows."""
-        if any(r.length != n_cols for r in rows):
-            raise ValueError("row length mismatch")
-        if not rows:
-            return cls.zeros(0, n_cols)
-        return cls(len(rows), n_cols, np.stack([r._packed for r in rows]))
-
-    @classmethod
-    def from_columns(cls, cols: list[BinaryVector],
-                     n_rows: int) -> BinaryMatrix:
-        """Stack vectors of equal length as matrix columns."""
-        if any(c.length != n_rows for c in cols):
-            raise ValueError("column length mismatch")
-        if not cols:
-            return cls.zeros(n_rows, 0)
-        dense = np.unpackbits(np.stack([c._packed for c in cols], axis=1),
-                              axis=0, count=n_rows)
-        return cls(n_rows, len(cols), np.packbits(dense, axis=1))
-
     @property
     def shape(self) -> tuple[int, int]:
         return (self.n_rows, self.n_cols)
@@ -342,21 +321,24 @@ class RowGroups:
     """A union of rank-1 patterns, held as groups of rows.
 
     Rows in one group lie in the same patterns, so row i of the union is
-    ``table[group[i]]``, the OR of those patterns' packed column masks.  It
-    starts as one empty group.  It prices patterns (:meth:`gain`) and adds
-    them (:meth:`add`), never forms an n x m matrix, and raises
-    ``ValueError`` on a pattern that does not fit the union's shape.
-    Groups left without rows are dropped whenever the table holds more rows
-    than the union, so between calls it is no larger than the union's
-    packed bytes.
+    ``table[group[i]]``, the OR of those patterns' packed column masks, and
+    ``members[group[i]]`` sets bit l for each pattern l that row i lies in.
+    It starts as one empty group.  It prices patterns (:meth:`gain`), adds
+    them (:meth:`add`) and returns them as factors (:meth:`factors`), never
+    forms an n x m matrix, and raises ``ValueError`` on a pattern that does
+    not fit the union's shape.  Groups left without rows are dropped
+    whenever the table holds more rows than the union, so between calls it
+    is no larger than the union's packed bytes.
     """
 
-    __slots__ = ("shape", "group", "table")
+    __slots__ = ("shape", "group", "table", "members", "masks")
 
     def __init__(self, n_rows: int, n_cols: int):
         self.shape = (n_rows, n_cols)
         self.group = np.zeros(n_rows, dtype=np.intp)
         self.table = np.zeros((1, _packed_width(n_cols)), dtype=np.uint8)
+        self.members = [0]  # per group, bit l set for pattern l
+        self.masks: list[np.ndarray] = []  # packed column masks, in order
 
     def gain(self, rows: np.ndarray, col_mask: BinaryVector,
              x: BinaryMatrix) -> tuple[int, int]:
@@ -378,9 +360,10 @@ class RowGroups:
         return int(added[self.group[rows]].sum()) - 2 * covered, covered
 
     def add(self, rows: np.ndarray, col_mask: BinaryVector) -> None:
-        """OR the pattern (rows, col_mask) into the union: its rows in each
-        group they touch move to one new group, whose table row is the old
-        one ORed with the column mask."""
+        """OR the pattern (rows, col_mask) into the union as its next
+        pattern: its rows in each group they touch move to one new group,
+        whose table row is the old one ORed with the column mask, which is
+        kept as B's row, not copied: the caller must not write it after."""
         _check_fit(rows, col_mask, self.shape)
         n_groups = len(self.table)
         old = self.group[rows]
@@ -388,10 +371,27 @@ class RowGroups:
         self.group[rows] = remap[old]
         self.table = np.concatenate(
             (self.table, self.table[touched] | col_mask._packed))
+        bit = 1 << len(self.masks)
+        self.members += [self.members[g] | bit for g in touched.tolist()]
+        self.masks.append(col_mask._packed)
         if len(self.table) > len(self.group):
             live, remap = _renumber(self.group, len(self.table), 0)
             self.group = remap[self.group]
             self.table = self.table[live]
+            self.members = [self.members[g] for g in live.tolist()]
+
+    def factors(self) -> tuple[BinaryMatrix, BinaryMatrix]:
+        """(A, B) of the patterns added so far: column l of A marks the rows
+        of pattern l, and row l of B is its column mask."""
+        (n, m), k = self.shape, len(self.masks)
+        # bit l of a member set is bit l of its little-endian bytes
+        sets = np.frombuffer(b"".join(s.to_bytes(_packed_width(k), "little")
+                                      for s in self.members), np.uint8)
+        bits = np.unpackbits(sets.reshape(len(self.members), -1), axis=1,
+                             bitorder="little")
+        return (BinaryMatrix(n, k, np.packbits(bits, axis=1)[self.group]),
+                BinaryMatrix(k, m, np.array(self.masks, np.uint8)
+                             .reshape(k, _packed_width(m))))
 
 
 def _renumber(labels: np.ndarray, n_labels: int,
@@ -496,21 +496,19 @@ def col_dot_counts(x: BinaryMatrix, rows: np.ndarray) -> np.ndarray:
 def row_dot_counts(x: BinaryMatrix, v: BinaryVector) -> np.ndarray:
     """Inner products of every row of x with a vector over the columns.
 
-    A sparse v (see ``_GATHER_RATIO``) reads only the byte columns where v
-    has ones, a denser one every part of rows; both tally fresh arrays.
+    Each part of rows is read, of a sparse v (see ``_GATHER_RATIO``) only
+    the byte columns where v has ones, and ANDed into a fresh array.
     """
     if v.length != x.n_cols:
         raise ValueError(f"length mismatch: {v.length} vs {x.n_cols} cols")
     touched = np.flatnonzero(v._packed)
     if _GATHER_RATIO * len(touched) > len(v._packed):
-        tallies = []
-        for part in _parts(x._packed, x):
-            words = part & v._packed
-            tallies.append(_row_tally(np.bitwise_count(words, out=words)))
-        return tallies[0] if len(tallies) == 1 else np.concatenate(tallies)
-    words = x._packed[:, touched]
-    words &= v._packed[touched]
-    return _row_tally(np.bitwise_count(words, out=words))
+        touched = slice(None)
+    tallies = []
+    for part in _parts(x._packed, x):
+        words = part[:, touched] & v._packed[touched]
+        tallies.append(_row_tally(np.bitwise_count(words, out=words)))
+    return tallies[0] if len(tallies) == 1 else np.concatenate(tallies)
 
 
 def _rows_fit(rows: np.ndarray, n_rows: int) -> bool:

@@ -20,8 +20,9 @@ mask); the indices are found once, where the pattern is grown, and every
 kernel that reads its rows takes them.
 
 No reconstruction is formed.  The accepted patterns are held as row groups
-(``RowGroups``): rows in one group lie in the same patterns, so their row
-of the reconstruction R is one packed row of a table.  Adding a pattern P
+(``RowGroups``), their one record: rows in one group lie in the same
+patterns, so their row of the reconstruction R is one packed row of a
+table and their row of A is one set of patterns.  Adding a pattern P
 flips N = P AND NOT R, so ``RowGroups.gain`` prices P from X and the groups
 alone: it covers c = |N and X| new ones of X, and the cost |X xor R| moves
 by delta = |N| - 2c, where |N| sums over P's rows one popcount per group,
@@ -218,8 +219,6 @@ def mebf_factorize(x: BinaryMatrix, cfg: MebfConfig) -> FactorResult:
     accepted = RowGroups(x.n_rows, x.n_cols)
     # the empty factorization misses every one of x
     best_cost = residual_count = x.count()
-    row_parts: list[BinaryVector] = []
-    col_parts: list[BinaryVector] = []
     cost_history: list[int] = []
     residual_history: list[int] = []
     iterations = 0
@@ -231,7 +230,7 @@ def mebf_factorize(x: BinaryMatrix, cfg: MebfConfig) -> FactorResult:
         delta, covered = accepted.gain(*pair, x)
         from_weak = False
 
-        if row_parts and delta > 0:
+        if cost_history and delta > 0:
             pair = weak_signal_detection(view, cfg.t)
             if pair is None:
                 break
@@ -243,25 +242,18 @@ def mebf_factorize(x: BinaryMatrix, cfg: MebfConfig) -> FactorResult:
         # covered >= 1: every candidate takes its anchor's line (ratio 1 > t;
         # the fallback's overlap lies in both lines), whose ones are residual
         # ones.
-
-        # the rows are kept packed until A is stacked: 1 bit per row of x,
-        # where the indices would hold 8 bytes per row of the pattern
-        row_parts.append(BinaryVector.from_dense(
-            np.bincount(pair[0], minlength=x.n_rows) > 0))
-        col_parts.append(pair[1])
+        accepted.add(*pair)
         best_cost += delta
         residual_count -= covered
         cost_history.append(best_cost)
         residual_history.append(residual_count)
         weak_uses += from_weak
-        if len(row_parts) == cfg.k_max:
-            break  # nothing reads the view or the groups after this
+        if len(cost_history) == cfg.k_max:
+            break  # nothing reads the view after this
         view.clear(*pair)
-        accepted.add(*pair)
 
     return FactorResult(
-        A=BinaryMatrix.from_columns(row_parts, x.n_rows),
-        B=BinaryMatrix.from_rows(col_parts, x.n_cols),
+        *accepted.factors(),
         cost_history=tuple(cost_history),
         iterations=iterations,
         weak_signal_uses=weak_uses,

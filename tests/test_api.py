@@ -103,6 +103,15 @@ def test_the_residual_lives_in_its_view():
         assert "must equal" not in finder.__doc__
 
 
+def test_the_accepted_patterns_live_in_their_row_groups():
+    # the loop keeps one record of its patterns, and A and B are read from it
+    names = mebf_factorize.__code__.co_varnames
+    assert "row_parts" not in names and "col_parts" not in names
+    assert "factors" in mebf_factorize.__code__.co_names
+    for name in ("from_rows", "from_columns"):
+        assert not hasattr(BinaryMatrix, name)
+
+
 def test_counts_are_derived_not_stored():
     assert "k" not in {f.name for f in dataclasses.fields(FactorResult)}
     blocks = BinaryMatrix.from_dense([[1, 1, 0, 0], [1, 1, 0, 0],

@@ -145,22 +145,6 @@ class TestStorage:
                 with pytest.raises(IndexError, match=f"column {j} outside"):
                     mat.col(j)
 
-    def test_from_rows_and_columns(self):
-        vecs = [BinaryVector.from_dense([1, 0, 1]),
-                BinaryVector.from_dense([0, 1, 1])]
-        assert np.array_equal(
-            BinaryMatrix.from_rows(vecs, 3).to_dense(),
-            [[1, 0, 1], [0, 1, 1]])
-        assert np.array_equal(
-            BinaryMatrix.from_columns(vecs, 3).to_dense(),
-            [[1, 0], [0, 1], [1, 1]])
-        assert BinaryMatrix.from_rows([], 4).shape == (0, 4)
-        assert BinaryMatrix.from_columns([], 4).shape == (4, 0)
-        with pytest.raises(ValueError, match="row length mismatch"):
-            BinaryMatrix.from_rows(vecs, 4)
-        with pytest.raises(ValueError, match="column length mismatch"):
-            BinaryMatrix.from_columns(vecs, 2)
-
     def test_equality(self):
         mat = BinaryMatrix.from_dense([[1, 0], [1, 1]])
         assert mat == BinaryMatrix.from_dense([[1, 0], [1, 1]])
@@ -777,6 +761,58 @@ class TestOrPattern:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="does not fit"):
             RowGroups(4, 4).add(np.arange(4), ones_vector(5))
+
+
+@st.composite
+def added_patterns(draw):
+    """(n, m, patterns) for a union: 0 to 70 patterns of (row indices, dense
+    column mask), at widths beside the packed-word edges, overlapping, some
+    repeated and some without rows or columns.  More patterns than 64 need
+    more than one word of member bits.  The table soon outgrows 1 to 17
+    rows, so it is compacted."""
+    n = draw(st.sampled_from((1, 2, 3, 17)))
+    m = draw(st.sampled_from((1, 7, 8, 9, 63, 64, 65)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    patterns = []
+    for _ in range(draw(st.sampled_from((0, 1, 8, 9, 64, 65, 70)))):
+        if patterns and rng.random() < 0.2:
+            patterns.append(patterns[rng.integers(len(patterns))])
+        else:
+            row_p, col_p = rng.choice((0.0, 0.5, 0.9), size=2)
+            patterns.append((np.flatnonzero(rng.random(n) < row_p),
+                             (rng.random(m) < col_p).astype(np.uint8)))
+    return n, m, patterns
+
+
+# three single rows, then patterns across them: the fourth group compacts
+# the table, and every later pattern touches groups renumbered by it
+COMPACTED_3_ROWS = (3, 9, [(np.array(rows), np.eye(9, dtype=np.uint8)[l])
+                           for l, rows in enumerate(
+                               ([0], [1], [2], [0, 1], [1, 2], [0, 2]))])
+
+
+class TestFactors:
+    """A union read back as its patterns: ``RowGroups.factors``, against A
+    and B stacked with numpy."""
+
+    @given(added_patterns())
+    @example(COMPACTED_3_ROWS)
+    @settings(deadline=None)
+    def test_against_numpy(self, instance):
+        n, m, patterns = instance
+        union = RowGroups(n, m)
+        want_a = np.zeros((n, len(patterns)), np.uint8)
+        for l, (rows, cols) in enumerate(patterns):
+            union.add(rows, BinaryVector.from_dense(cols))
+            want_a[rows, l] = 1
+        want_b = np.array([cols for _, cols in patterns],
+                          np.uint8).reshape(len(patterns), m)
+        a_mat, b_mat = union.factors()
+        # equal packed bytes: the padding bits of both are zero
+        assert a_mat == BinaryMatrix.from_dense(want_a)
+        assert b_mat == BinaryMatrix.from_dense(want_b)
+        assert np.array_equal(bool_product(a_mat, b_mat).to_dense(),
+                              union_dense(union))
 
 
 def view_orders(view):

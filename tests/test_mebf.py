@@ -363,8 +363,9 @@ class TestFactorize:
     @pytest.mark.parametrize("k_max", [1, 3, 6, 10])
     def test_pattern_that_fills_the_budget_is_not_applied(self, k_max,
                                                           monkeypatch):
-        # nothing reads the residual or the row groups after the last
-        # pattern, so only the patterns before it are applied to them
+        # nothing reads the residual after the last pattern, so only the
+        # patterns before it clear it; the row groups, which give A and B,
+        # take every pattern
         mat = BinaryMatrix.from_dense(WEAK_PATH_DENSE)
         cleared = []
         added = []
@@ -382,9 +383,9 @@ class TestFactorize:
         monkeypatch.setattr(RowGroups, "add", recording_add)
         result = mebf_factorize(mat, MebfConfig(t=WEAK_PATH_T, k_max=k_max))
         assert result.k == min(k_max, 6)
-        assert cleared == [as_lists(pattern(result, l))
-                           for l in range(result.k - (result.k == k_max))]
-        assert added == cleared
+        assert added == [as_lists(pattern(result, l))
+                         for l in range(result.k)]
+        assert cleared == added[:result.k - (result.k == k_max)]
 
     def test_deterministic(self):
         rng = np.random.default_rng(53)
